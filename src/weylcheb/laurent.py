@@ -241,7 +241,9 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     as a quotient exponent falling lexicographically below the bound
     ``lexmin(num) - lexmin(den)`` (for an exact quotient every exponent sits
     at or above it, because extreme terms of a product cannot cancel), or as
-    a runaway iteration; both raise NonDivisibleError.
+    a runaway iteration; both raise NonDivisibleError, whose message names
+    the check that failed.  Rank 2 takes a pair inner loop, as ``__mul__``
+    does.
     """
     if num.rank != den.rank:
         raise ValueError("rank mismatch")
@@ -252,6 +254,10 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
     den_lead_exp, den_lead_coeff = den.leading()
     den_rest = [(e, c) for e, c in den._terms.items() if e != den_lead_exp]
+    rank2 = num.rank == 2
+    if rank2:
+        l0, l1 = den_lead_exp
+        den_rest2 = [(e0, e1, c) for (e0, e1), c in den_rest]
     num_min = min(num._terms)
     den_min = min(den._terms)
     bound = tuple(a - b for a, b in zip(num_min, den_min))
@@ -261,19 +267,32 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     # lazy max-heap over remainder exponents (negated for heapq)
     heap = [tuple(-x for x in e) for e in rem]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     steps = 0
     while heap:
-        neg = heapq.heappop(heap)
-        lead = tuple(-x for x in neg)
-        coeff = rem.get(lead)
+        neg = heappop(heap)
+        if rank2:
+            lead = (-neg[0], -neg[1])
+        else:
+            lead = tuple(-x for x in neg)
+        coeff = rem.pop(lead, 0)
         if not coeff:
             continue
         steps += 1
+        if rank2:
+            qexp = (lead[0] - l0, lead[1] - l1)
+        else:
+            qexp = tuple(a - b for a, b in zip(lead, den_lead_exp))
         if steps > _DIVIDE_STEP_CAP:
-            raise NonDivisibleError("division did not terminate")
-        qexp = tuple(a - b for a, b in zip(lead, den_lead_exp))
+            raise NonDivisibleError(
+                f"division did not terminate: step cap {_DIVIDE_STEP_CAP} reached"
+                f" at quotient exponent {qexp} (bound {bound})"
+            )
         if qexp < bound:
-            raise NonDivisibleError("no exact quotient exists")
+            raise NonDivisibleError(
+                f"no exact quotient exists: quotient exponent {qexp} falls"
+                f" below the bound {bound}"
+            )
         if den_lead_coeff == 1:
             qc = coeff
         elif den_lead_coeff == -1:
@@ -281,16 +300,32 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         else:
             qc = _norm_coeff(Fraction(coeff) / Fraction(den_lead_coeff))
         quot[qexp] = qc
-        del rem[lead]
-        for exp, c in den_rest:
-            key = tuple(a + b for a, b in zip(qexp, exp))
-            new = rem.get(key, 0) - qc * c
-            if new:
-                if key not in rem:
-                    heapq.heappush(heap, tuple(-x for x in key))
-                rem[key] = new
-            else:
-                rem.pop(key, None)
+        if rank2:
+            q0, q1 = qexp
+            for e0, e1, c in den_rest2:
+                key = (q0 + e0, q1 + e1)
+                new = rem.get(key, 0) - qc * c
+                if new:
+                    if key not in rem:
+                        heappush(heap, (-key[0], -key[1]))
+                    rem[key] = new
+                else:
+                    del rem[key]
+        else:
+            for exp, c in den_rest:
+                key = tuple(a + b for a, b in zip(qexp, exp))
+                new = rem.get(key, 0) - qc * c
+                if new:
+                    if key not in rem:
+                        heappush(heap, tuple(-x for x in key))
+                    rem[key] = new
+                else:
+                    del rem[key]
     if rem:
-        raise NonDivisibleError("nonzero remainder")
+        lead = max(rem)
+        qexp = tuple(a - b for a, b in zip(lead, den_lead_exp))
+        raise NonDivisibleError(
+            f"nonzero remainder: {len(rem)} term(s) left, led by z^{lead}"
+            f" (quotient exponent {qexp}, bound {bound})"
+        )
     return _wrap(num.rank, quot)

@@ -1,9 +1,20 @@
 """Rewriting invariant Laurent polynomials as polynomials in the variables.
 
-``reduce`` performs greedy elimination: repeatedly pick a dominance-maximal
-dominant exponent of the working polynomial and subtract the matching
-monomial in the variables, whose expansion cancels that exponent exactly and
-only introduces exponents strictly below it in the dominance order.
+Both directions work in the dominant chamber.  Every Weyl orbit meets the
+closed dominant chamber exactly once, so a W-invariant Laurent polynomial
+is fixed by its coefficients on dominant exponents.  Monomials in the
+variables are invariant; they are cached as {dominant exponent:
+coefficient} and unfolded over orbits only when a full Laurent polynomial
+is asked for.
+
+``reduce`` checks the whole input for Weyl invariance, keeps its dominant
+terms, and performs greedy elimination: repeatedly pick a dominance-maximal
+exponent of the working polynomial and subtract the dominant part of the
+matching monomial in the variables, which cancels that exponent exactly and
+only introduces exponents strictly below it in the dominance order.  The
+invariance check is what makes dropping the other terms exact: input and
+monomials are invariant, so the working polynomial stays invariant and its
+dominant part picks the same leaders and coefficients as the full one.
 ``expand`` is the inverse substitution; the pair round-trips exactly.
 """
 
@@ -15,9 +26,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .laurent import LaurentPoly, _norm_coeff, _wrap
+from .laurent import LaurentPoly, _norm_coeff
 from .orbit import Kind, variable_laurents
-from .rootsystem import RootSystem, Weight, to_root_coords
+from .rootsystem import RootSystem, Weight, _det, act, act_all, to_root_coords
 
 
 class NotInvariantError(ValueError):
@@ -261,16 +272,28 @@ def _xwrap(rank: int, acc: dict) -> XYPoly:
 
 # -- variable basis ----------------------------------------------------------
 
+DominantCoeffs = dict[Weight, int | Fraction]
+
+
+def _orbit(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
+    """Distinct orbit points of ``lam``, in group-element order."""
+    return tuple(dict.fromkeys(act(rs, w, lam) for w in rs.elements))
+
 
 @dataclass(frozen=True)
 class VariableBasis:
     """The polynomial variables of one kind over one root system, with their
-    Laurent expansions and a monomial-expansion cache.
+    Laurent expansions and a monomial cache.
 
     ``leading_coeffs[i]`` is the coefficient of the fundamental weight in
     var i's expansion: 1 for the second kind, the stabilizer order for the
-    first.  The cache maps a degree vector to the expanded Laurent monomial;
-    entries are only ever added, so concurrent readers at worst recompute.
+    first.  Every monomial in the variables is W-invariant, so the cache
+    keeps only its dominant coefficients: ``_power_cache`` maps a degree
+    vector to {dominant exponent: coefficient}.  An entry is the entry one
+    degree lower times one variable, computed with product rules: the
+    dominant part of (the distinct orbit points of lambda) * var_i, built
+    once per (dominant lambda, i) in ``_rules``.  Entries are only ever
+    added, so concurrent readers at worst recompute.
     """
 
     rs: RootSystem
@@ -278,24 +301,59 @@ class VariableBasis:
     var_laurents: tuple[LaurentPoly, ...]
     leading_weights: tuple[Weight, ...]
     leading_coeffs: tuple[int, ...]
-    _power_cache: dict[Degree, LaurentPoly] = field(
+    _power_cache: dict[Degree, DominantCoeffs] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _rules: dict[tuple[Weight, int], tuple[tuple[Weight, int], ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
-    def monomial_laurent(self, degrees: Degree) -> LaurentPoly:
-        """Expansion of prod(var_i ^ degrees[i]), built incrementally."""
-        degrees = tuple(degrees)
+    def _product_rule(self, lam: Weight, i: int) -> tuple[tuple[Weight, int], ...]:
+        """Dominant terms of (sum of z^mu over the orbit of lam) * var_i."""
+        rule = self._rules.get((lam, i))
+        if rule is None:
+            acc: dict[Weight, int] = {}
+            var_terms = self.var_laurents[i]._terms.items()
+            for mu in _orbit(self.rs, lam):
+                for nu, c in var_terms:
+                    exp = tuple(a + b for a, b in zip(mu, nu))
+                    if min(exp) >= 0:
+                        acc[exp] = acc.get(exp, 0) + c
+            rule = tuple((exp, c) for exp, c in acc.items() if c)
+            self._rules[(lam, i)] = rule
+        return rule
+
+    def _dominant_monomial(self, degrees: Degree) -> DominantCoeffs:
+        """Dominant coefficients of prod(var_i ^ degrees[i]), built
+        incrementally through ``_power_cache``."""
         cached = self._power_cache.get(degrees)
         if cached is not None:
             return cached
         if not any(degrees):
-            result = LaurentPoly.one(self.rs.rank)
+            result: DominantCoeffs = {(0,) * self.rs.rank: 1}
         else:
             i = max(range(len(degrees)), key=lambda j: degrees[j])
             lower = tuple(d - 1 if j == i else d for j, d in enumerate(degrees))
-            result = self.monomial_laurent(lower) * self.var_laurents[i]
+            result = {}
+            for lam, c in self._dominant_monomial(lower).items():
+                for mu, r in self._product_rule(lam, i):
+                    new = result.get(mu, 0) + c * r
+                    if new:
+                        result[mu] = new
+                    else:
+                        del result[mu]
         self._power_cache[degrees] = result
         return result
+
+    def _unfold(self, dominant: DominantCoeffs) -> LaurentPoly:
+        """The invariant Laurent polynomial with these dominant coefficients."""
+        terms = {mu: c for lam, c in dominant.items() for mu in _orbit(self.rs, lam)}
+        return LaurentPoly(self.rs.rank, terms)
+
+    def monomial_laurent(self, degrees: Degree) -> LaurentPoly:
+        """Expansion of prod(var_i ^ degrees[i]): the cached dominant
+        coefficients unfolded over their orbits."""
+        return self._unfold(self._dominant_monomial(tuple(degrees)))
 
 
 def build_basis(rs: RootSystem, kind: Kind) -> VariableBasis:
@@ -316,50 +374,66 @@ def build_basis(rs: RootSystem, kind: Kind) -> VariableBasis:
 
 
 def _check_invariant(basis: VariableBasis, f: LaurentPoly) -> None:
-    # generator invariance implies full group invariance
-    for w in basis.rs.generators:
-        if f.apply_weyl(basis.rs, w) != f:
-            raise NotInvariantError("input is not Weyl-invariant")
+    # Generator invariance implies full group invariance.  Reflections map
+    # exponents bijectively, so f is fixed by one exactly when every term's
+    # image carries the same coefficient.
+    rs = basis.rs
+    terms = f._terms
+    exps = list(terms)
+    for w in rs.generators:
+        for exp, image in zip(exps, act_all(rs, w, exps)):
+            c = terms[exp]
+            if terms.get(image) != c:
+                raise NotInvariantError(
+                    f"input is not Weyl-invariant: z^{exp} has coefficient {c},"
+                    f" its image z^{image} under simple reflection {w.word[0]}"
+                    f" has {terms.get(image, 0)}"
+                )
+
+
+def _height_weights(rs: RootSystem) -> tuple[int, ...]:
+    """Integer weights of the root-height functional scaled by det C: the
+    height of mu is sum(mu_i * weights[i]) / det C."""
+    det = _det(rs.cartan)
+    return tuple(int(det * sum(row)) for row in rs.cartan_inverse)
 
 
 def reduce(basis: VariableBasis, f: LaurentPoly) -> XYPoly:
     """Rewrite the invariant Laurent polynomial ``f`` over the variables.
 
+    After the invariance check on the whole input, only dominant terms are
+    kept: an invariant polynomial is fixed by its dominant coefficients, and
+    every monomial subtracted is invariant, so the working polynomial stays
+    invariant and its dominant part alone decides each leader and
+    coefficient.  The check is what makes this exact; without it the
+    non-dominant terms of a non-invariant input would be silently dropped.
+
     Leaders are selected dominance-maximal via the root-height functional
-    (sum of root coordinates), which is strictly monotone along dominance;
-    ties under it are broken lexicographically.  Each dominant exponent is
-    cleared at most once, so the step count is bounded by the number of
-    dominant weights appearing.
+    (sum of root coordinates, kept integral by scaling with det C), which
+    is strictly monotone along dominance; ties under it are broken
+    lexicographically.  Each dominant exponent is cleared at most once, so
+    the step count is bounded by the number of dominant weights appearing.
     """
     rs = basis.rs
     _check_invariant(basis, f)
+    weights = _height_weights(rs)
 
-    inv = rs.cartan_inverse
-    d = rs.rank
-
-    def height_key(exp: Weight) -> tuple:
-        h = sum(sum(exp[i] * inv[i][j] for i in range(d)) for j in range(d))
-        return (h, exp)
-
-    work = dict(f._terms)
+    work = {exp: c for exp, c in f._terms.items() if min(exp) >= 0}
     heap: list[tuple] = []
     pushed: set[Weight] = set()
 
     def push(exp: Weight) -> None:
-        if exp in pushed:
-            return
         pushed.add(exp)
-        h, e = height_key(exp)
-        heapq.heappush(heap, (-h, tuple(-x for x in e)))
+        height = sum(w * x for w, x in zip(weights, exp))
+        heapq.heappush(heap, (-height, tuple(-x for x in exp)))
 
     for exp in work:
-        if all(c >= 0 for c in exp):
-            push(exp)
+        push(exp)
 
     out: dict[Degree, int | Fraction] = {}
     cleared: set[Weight] = set()
     while heap:
-        negh, nege = heapq.heappop(heap)
+        _, nege = heapq.heappop(heap)
         exp = tuple(-x for x in nege)
         pushed.discard(exp)
         coeff = work.get(exp)
@@ -376,32 +450,33 @@ def reduce(basis: VariableBasis, f: LaurentPoly) -> XYPoly:
         else:
             mono_coeff = _norm_coeff(Fraction(coeff) / lead)
         out[exp] = mono_coeff
-        expansion = basis.monomial_laurent(exp)
-        for mexp, mc in expansion._terms.items():
+        for mexp, mc in basis._dominant_monomial(exp).items():
             new = work.get(mexp, 0) - mono_coeff * mc
             if new:
                 work[mexp] = new
-                if mexp not in pushed and all(c >= 0 for c in mexp):
+                if mexp not in pushed and min(mexp) >= 0:
                     push(mexp)
             else:
                 work.pop(mexp, None)
     if work:
         raise NonDominantLeaderError(
-            "nonzero residue without dominant exponents; input was not in the"
+            f"elimination stalled on {len(work)} residual term(s) with no"
+            f" dominant exponent, e.g. z^{max(work)}; input was not in the"
             " invariant ring spanned by the variables"
         )
     return XYPoly(rs.rank, out)
 
 
 def expand(basis: VariableBasis, p: XYPoly) -> LaurentPoly:
-    """Substitute the variable expansions back into ``p``."""
-    acc: dict[Weight, int | Fraction] = {}
+    """Substitute the variable expansions back into ``p``: the dominant
+    coefficients of its monomials are summed, then unfolded once over the
+    orbits."""
+    acc: DominantCoeffs = {}
     for deg, coeff in p._terms.items():
-        mono = basis.monomial_laurent(deg)
-        for exp, c in mono._terms.items():
-            new = acc.get(exp, 0) + coeff * c
+        for lam, c in basis._dominant_monomial(deg).items():
+            new = acc.get(lam, 0) + coeff * c
             if new:
-                acc[exp] = new
+                acc[lam] = new
             else:
-                del acc[exp]
-    return LaurentPoly(basis.rs.rank, acc)
+                del acc[lam]
+    return basis._unfold(acc)

@@ -185,6 +185,22 @@ def act(rs: RootSystem, w: WeylElement, mu: Weight) -> Weight:
     return tuple(sum(row[k] * mu[k] for k in range(rs.rank)) for row in w.matrix)
 
 
+def act_all(rs: RootSystem, w: WeylElement, weights: list[Weight]) -> list[Weight]:
+    """Images of many weights under ``w``: ``act`` with its checks made once
+    over the batch."""
+    d = rs.rank
+    if set(map(len, weights)) - {d}:
+        raise ValueError("weight rank mismatch")
+    if weights and (
+        max(map(max, weights)) >= _COORD_LIMIT or min(map(min, weights)) <= -_COORD_LIMIT
+    ):
+        raise ValueError("weight coordinate out of supported range")
+    if d != 2:
+        return [act(rs, w, mu) for mu in weights]
+    (a, b), (c, e) = w.matrix
+    return [(a * x + b * y, c * x + e * y) for x, y in weights]
+
+
 def to_root_coords(rs: RootSystem, mu: Weight) -> tuple[Fraction, ...]:
     """Coordinates of ``mu`` over the simple roots (rational in general)."""
     d = rs.rank

@@ -9,14 +9,22 @@ import sys
 
 import pytest
 
+import weylcheb
 from weylcheb import DEFAULT_SEED, XYPoly
 
 from g2_reference import K_TABLE, P1_COEFFS, P2_COEFFS, SECOND_KIND
+
+# The child imports the same package as this process, also when pytest's
+# ``pythonpath`` setting (not the environment) put it on sys.path.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(weylcheb.__file__))
 
 
 def run_cli(*argv: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
     env = os.environ.copy()
     env.pop("WEYLCHEB_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p
+    )
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

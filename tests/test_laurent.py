@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weylcheb import AlgebraId, LaurentPoly, NonDivisibleError, build_root_system, exact_divide
+from weylcheb import laurent
 
 exponents = st.tuples(
     st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3)
@@ -24,6 +25,9 @@ laurents = st.dictionaries(exponents, coeffs, max_size=6).map(
     lambda d: LaurentPoly(2, d)
 )
 nonzero_laurents = laurents.filter(bool)
+laurents1 = st.dictionaries(
+    st.tuples(st.integers(min_value=-4, max_value=4)), coeffs, max_size=5
+).map(lambda d: LaurentPoly(1, d))
 
 
 @given(a=laurents, b=laurents, c=laurents)
@@ -41,6 +45,38 @@ def test_ring_laws(a, b, c):
 @given(a=laurents, b=nonzero_laurents)
 def test_exact_divide_round_trip(a, b):
     assert exact_divide(a * b, b) == a
+
+
+@given(a=laurents1, b=laurents1.filter(bool))
+def test_exact_divide_round_trip_rank_one(a, b):
+    assert exact_divide(a * b, b) == a
+
+
+def test_exact_divide_error_names_the_bound():
+    one_plus_z = LaurentPoly(2, {(0, 0): 1, (1, 0): 1})
+    z_minus_one = LaurentPoly(2, {(1, 0): 1, (0, 0): -1})
+    with pytest.raises(
+        NonDivisibleError, match=r"quotient exponent \(-1, 0\) falls below the bound \(0, 0\)"
+    ):
+        exact_divide(one_plus_z, z_minus_one)
+
+
+def test_exact_divide_non_unit_leading_coefficient_rank_two():
+    # (z^2 + 1) / (2z + 1) is 1/2 z - 1/4 with remainder 5/4.
+    den = LaurentPoly(2, {(1, 0): 2, (0, 0): 1})
+    num = LaurentPoly(2, {(2, 0): 1, (0, 0): 1})
+    with pytest.raises(NonDivisibleError, match="below the bound"):
+        exact_divide(num, den)
+    assert exact_divide(den * num, den) == num
+
+
+def test_exact_divide_error_names_the_step_cap(monkeypatch):
+    monkeypatch.setattr(laurent, "_DIVIDE_STEP_CAP", 2)
+    one_plus_z = LaurentPoly(2, {(0, 0): 1, (1, 0): 1})
+    with pytest.raises(
+        NonDivisibleError, match=r"step cap 2 reached at quotient exponent \(0, 0\)"
+    ):
+        exact_divide(one_plus_z**3, one_plus_z)
 
 
 def test_exact_divide_errors():

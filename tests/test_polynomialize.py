@@ -12,6 +12,7 @@ from weylcheb import (
     Comparison,
     Kind,
     LaurentPoly,
+    NonDominantLeaderError,
     NotInvariantError,
     XYPoly,
     build_basis,
@@ -21,6 +22,8 @@ from weylcheb import (
     orbit_sum,
     reduce,
 )
+
+ALGEBRAS = (AlgebraId.A1, AlgebraId.A2, AlgebraId.C2, AlgebraId.G2)
 
 degrees = st.tuples(
     st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=3)
@@ -138,3 +141,57 @@ def test_power_cache_matches_recomputation(g2):
 
 def test_monomial_cache_base_case(g2_second):
     assert g2_second.monomial_laurent((0, 0)) == LaurentPoly.one(2)
+
+
+@st.composite
+def monomial_cases(draw):
+    algebra = draw(st.sampled_from(ALGEBRAS))
+    kind = draw(st.sampled_from(list(Kind)))
+    if algebra is AlgebraId.A1:
+        deg = (draw(st.integers(0, 8)),)
+    else:
+        deg = draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))
+    return algebra, kind, deg
+
+
+@given(case=monomial_cases())
+def test_dominant_cache_matches_explicit_product(case):
+    algebra, kind, deg = case
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, kind)
+    product = LaurentPoly.one(rs.rank)
+    for var, e in zip(basis.var_laurents, deg):
+        product = product * var**e
+    assert basis.monomial_laurent(deg) == product
+    dominant = {exp: c for exp, c in product.terms() if all(x >= 0 for x in exp)}
+    assert basis._power_cache[deg] == dominant
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("algebra", [AlgebraId.A1, AlgebraId.A2, AlgebraId.C2])
+def test_expand_after_reduce_on_orbit_sums_other_algebras(algebra, kind):
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, kind)
+    indices = (
+        [(n,) for n in range(11)]
+        if rs.rank == 1
+        else [(n1, n2) for n1 in range(6) for n2 in range(6)]
+    )
+    for n in indices:
+        f = orbit_sum(rs, n)
+        assert expand(basis, reduce(basis, f)) == f
+
+
+def test_reduce_checks_invariance_outside_the_dominant_chamber(g2, g2_second):
+    # The dominant part is that of an orbit sum; only z^(-1, 0) is off.
+    f = orbit_sum(g2, (1, 0)) + LaurentPoly.monomial(2, (-1, 0))
+    with pytest.raises(NotInvariantError, match="not Weyl-invariant"):
+        reduce(g2_second, f)
+
+
+def test_reduce_reports_a_residue_it_cannot_eliminate(g2):
+    basis = build_basis(g2, Kind.SECOND)
+    # A corrupted cache entry for x that leaves a non-dominant term behind.
+    basis._power_cache[(1, 0)] = {(1, 0): 1, (0, 0): 1, (-1, 1): 1}
+    with pytest.raises(NonDominantLeaderError, match=r"1 residual term.*\(-1, 1\)"):
+        reduce(basis, basis.var_laurents[0])

@@ -17,6 +17,7 @@ from weylcheb import (
     positive_roots,
     to_root_coords,
 )
+from weylcheb.rootsystem import act_all
 from g2_reference import NEGATIVE_DET_WORDS
 
 ALL_ALGEBRAS = [AlgebraId.A1, AlgebraId.A2, AlgebraId.C2, AlgebraId.G2]
@@ -150,3 +151,17 @@ def test_dominant_representative_random(mu):
     w, nu = dominant_representative(rs, mu)
     assert is_dominant(nu)
     assert act(rs, w, mu) == nu
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS)
+def test_act_all_matches_act(algebra):
+    rs = build_root_system(algebra)
+    span = range(-3, 4)
+    weights = [(a,) for a in span] if rs.rank == 1 else [(a, b) for a in span for b in span]
+    for w in rs.elements:
+        assert act_all(rs, w, weights) == [act(rs, w, mu) for mu in weights]
+    w = rs.elements[1]
+    with pytest.raises(ValueError, match="out of supported range"):
+        act_all(rs, w, [(2**31,) + (0,) * (rs.rank - 1)])
+    with pytest.raises(ValueError, match="rank mismatch"):
+        act_all(rs, w, [(0,) * (rs.rank + 1)])
