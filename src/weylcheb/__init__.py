@@ -28,19 +28,16 @@ from .numeric import (
     DEFAULT_SEED,
     VerificationReport,
     dimension_check,
-    eval_vars,
     verify_ratio,
     weyl_dimension,
 )
 from .orbit import Kind, orbit_sum, signed_orbit_sum, unit_weight, variable_laurents
 from .polynomialize import (
-    Comparison,
     NonDominantLeaderError,
     NotInvariantError,
     VariableBasis,
     XYPoly,
     build_basis,
-    dominance_compare,
     expand,
     reduce,
 )
@@ -64,7 +61,6 @@ from .rootsystem import (
     inner_weight_root,
     inner_weights,
     is_dominant,
-    is_strictly_dominant,
     positive_roots,
     to_root_coords,
 )
@@ -76,7 +72,6 @@ __all__ = [
     "AllPointsSingularError",
     "AnglePoint",
     "CompanionMatrix",
-    "Comparison",
     "ConvolutionNotTerminatingError",
     "DEFAULT_SEED",
     "DiagonalExpMatrix",
@@ -102,9 +97,7 @@ __all__ = [
     "coefficient_trace",
     "diagonal_exp_matrix",
     "dimension_check",
-    "dominance_compare",
     "dominant_representative",
-    "eval_vars",
     "exact_divide",
     "expand",
     "first_kind_poly",
@@ -113,7 +106,6 @@ __all__ = [
     "inner_weight_root",
     "inner_weights",
     "is_dominant",
-    "is_strictly_dominant",
     "minimal_poly_check",
     "normalize_index",
     "orbit_sum",

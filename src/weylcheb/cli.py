@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import output
-from .genfunc import closed_form_gf, first_kind_table, second_kind_table
+from .genfunc import _index_box, closed_form_gf, first_kind_table, second_kind_table
 from .numeric import DEFAULT_SEED, dimension_check, verify_ratio
 from .orbit import Kind
 from .polynomialize import build_basis
@@ -156,13 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         seed = _resolve_seed(args)
         results = []
         passed = True
-        max_m, max_n = _table_indices(rs.rank, args)
-        indices = [
-            (m,) if max_n is None else (m, n)
-            for m in range(max_m + 1)
-            for n in range(1 if max_n is None else max_n + 1)
-        ]
-        for index in indices:
+        for index in _index_box(rs.rank, *_table_indices(rs.rank, args)):
             report = verify_ratio(
                 rs,
                 basis,

@@ -1,18 +1,19 @@
-"""Sparse Laurent polynomials with exact rational coefficients.
+"""Sparse polynomials with exact rational coefficients.
 
-Terms live in a dict keyed by integer exponent vectors (tuples), so the
-representation is exact and order-free; a fixed lexicographic order on
-exponents (first coordinate most significant) is imposed whenever terms are
-enumerated, compared as leading terms, or serialized.  Coefficients are
-Python ints wherever possible and ``fractions.Fraction`` otherwise; both are
-exact and mix freely.
+``SparsePoly`` is the one kernel: terms live in a dict keyed by integer
+exponent vectors (tuples), so the representation is exact and order-free,
+and a canonical order is imposed only when terms are enumerated or
+serialized.  ``LaurentPoly`` is its Laurent view, ordered lexicographically
+(first coordinate most significant); ``polynomialize.XYPoly`` is the view
+over the variables.  Coefficients are Python ints wherever possible and
+``fractions.Fraction`` otherwise; both are exact and mix freely.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .rootsystem import WeylElement
@@ -33,56 +34,65 @@ def _norm_coeff(c):
     return c
 
 
-class LaurentPoly:
-    """Immutable sparse Laurent polynomial in ``rank`` variables."""
+class SparsePoly:
+    """Immutable sparse polynomial in ``rank`` variables: a dict from integer
+    exponent tuples to exact coefficients, with the ring operations and the
+    JSON form shared by every polynomial type.
+
+    A subclass supplies the canonical term order (``_order_key``, used
+    descending by ``terms``), the JSON name of an exponent (``_json_key``)
+    and any further check on a key (``_check_key``).  Arithmetic accepts
+    only operands of the same type and rank.
+    """
 
     __slots__ = ("rank", "_terms")
+
+    _json_key = "exponent"
 
     def __init__(self, rank: int, terms: Mapping[Exponent, "int | Fraction"] | None = None):
         cleaned: dict[Exponent, int | Fraction] = {}
         if terms:
             for exp, coeff in terms.items():
                 if len(exp) != rank:
-                    raise ValueError("exponent rank mismatch")
+                    raise ValueError(f"{self._json_key} rank mismatch")
+                self._check_key(exp)
                 if coeff:
                     cleaned[tuple(exp)] = _norm_coeff(coeff)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_terms", cleaned)
 
+    @classmethod
+    def _wrap(cls, rank: int, acc: dict):
+        """Adopt ``acc`` as the terms, unchecked: it must already be clean."""
+        poly = cls.__new__(cls)
+        object.__setattr__(poly, "rank", rank)
+        object.__setattr__(poly, "_terms", acc)
+        return poly
+
+    @staticmethod
+    def _order_key(exp: Exponent):
+        return exp
+
+    @staticmethod
+    def _check_key(exp: Exponent) -> None:
+        pass
+
     def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    # -- constructors ------------------------------------------------------
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls, rank: int) -> "LaurentPoly":
+    def zero(cls, rank: int):
         return cls(rank)
-
-    @classmethod
-    def one(cls, rank: int) -> "LaurentPoly":
-        return cls(rank, {(0,) * rank: 1})
-
-    @classmethod
-    def monomial(cls, rank: int, exp: Exponent, coeff: "int | Fraction" = 1) -> "LaurentPoly":
-        return cls(rank, {tuple(exp): coeff})
 
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> list[tuple[Exponent, "int | Fraction"]]:
-        """Terms sorted by descending lexicographic exponent order."""
-        return sorted(self._terms.items(), key=lambda t: t[0], reverse=True)
-
-    def __iter__(self) -> Iterator[tuple[Exponent, "int | Fraction"]]:
-        return iter(self.terms())
+        """Terms in descending canonical order."""
+        key = self._order_key
+        return sorted(self._terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def coeff(self, exp: Exponent) -> "int | Fraction":
         return self._terms.get(tuple(exp), 0)
-
-    def leading(self) -> tuple[Exponent, "int | Fraction"]:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self._terms)
-        return exp, self._terms[exp]
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -91,25 +101,26 @@ class LaurentPoly:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
+        if type(other) is not type(self):
             return NotImplemented
         return self.rank == other.rank and self._terms == other._terms
 
     __hash__ = None  # mutable dict inside; identity hashing would mislead
 
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "LaurentPoly(0)"
-        bits = [f"{c}*z^{e}" for e, c in self.terms()]
-        return "LaurentPoly(" + " + ".join(bits) + ")"
-
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+    def _same_kind(self, other) -> bool:
+        """Whether ``other`` is an operand of this type; a rank mismatch
+        between two such operands raises."""
+        if type(other) is not type(self):
+            return False
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
+        return True
+
+    def __add__(self, other):
+        if not self._same_kind(other):
+            return NotImplemented
         acc = dict(self._terms)
         for exp, coeff in other._terms.items():
             new = acc.get(exp, 0) + coeff
@@ -117,13 +128,11 @@ class LaurentPoly:
                 acc[exp] = new
             else:
                 acc.pop(exp, None)
-        return _wrap(self.rank, acc)
+        return self._wrap(self.rank, acc)
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
+    def __sub__(self, other):
+        if not self._same_kind(other):
             return NotImplemented
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
         acc = dict(self._terms)
         for exp, coeff in other._terms.items():
             new = acc.get(exp, 0) - coeff
@@ -131,16 +140,14 @@ class LaurentPoly:
                 acc[exp] = new
             else:
                 acc.pop(exp, None)
-        return _wrap(self.rank, acc)
+        return self._wrap(self.rank, acc)
 
-    def __neg__(self) -> "LaurentPoly":
-        return _wrap(self.rank, {e: -c for e, c in self._terms.items()})
+    def __neg__(self):
+        return self._wrap(self.rank, {e: -c for e, c in self._terms.items()})
 
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
+    def __mul__(self, other):
+        if not self._same_kind(other):
             return NotImplemented
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
@@ -165,26 +172,64 @@ class LaurentPoly:
                         acc[key] = new
                     else:
                         del acc[key]
-        return _wrap(self.rank, acc)
+        return self._wrap(self.rank, acc)
 
-    def scale(self, factor: "int | Fraction") -> "LaurentPoly":
+    def scale(self, factor: "int | Fraction"):
         if not factor:
-            return LaurentPoly(self.rank)
-        return _wrap(self.rank, {e: _norm_coeff(c * factor) for e, c in self._terms.items()})
+            return self.zero(self.rank)
+        return self._wrap(self.rank, {e: _norm_coeff(c * factor) for e, c in self._terms.items()})
 
-    def __pow__(self, n: int) -> "LaurentPoly":
+    def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined termwise")
-        result = LaurentPoly.one(self.rank)
+        result = self._wrap(self.rank, {(0,) * self.rank: 1})
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base if n > 1 else base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
-    # -- semantics ---------------------------------------------------------
+    # -- serialization -----------------------------------------------------
+
+    def to_json_obj(self) -> list[dict]:
+        return [
+            {self._json_key: list(exp), "coeff": str(Fraction(coeff))}
+            for exp, coeff in self.terms()
+        ]
+
+    @classmethod
+    def from_json_obj(cls, rank: int, obj: Iterable[dict]):
+        return cls(rank, {tuple(rec[cls._json_key]): Fraction(rec["coeff"]) for rec in obj})
+
+
+class LaurentPoly(SparsePoly):
+    """Sparse Laurent polynomial: exponents may be negative, and terms are
+    ordered lexicographically with the first coordinate most significant."""
+
+    __slots__ = ()
+
+    @classmethod
+    def one(cls, rank: int) -> "LaurentPoly":
+        return cls(rank, {(0,) * rank: 1})
+
+    @classmethod
+    def monomial(cls, rank: int, exp: Exponent, coeff: "int | Fraction" = 1) -> "LaurentPoly":
+        return cls(rank, {tuple(exp): coeff})
+
+    def leading(self) -> tuple[Exponent, "int | Fraction"]:
+        if not self._terms:
+            raise ValueError("zero polynomial has no leading term")
+        exp = max(self._terms)
+        return exp, self._terms[exp]
+
+    def __repr__(self) -> str:
+        if not self._terms:
+            return "LaurentPoly(0)"
+        bits = [f"{c}*z^{e}" for e, c in self.terms()]
+        return "LaurentPoly(" + " + ".join(bits) + ")"
 
     def evaluate(self, point: Sequence[complex]) -> complex:
         """Value at a point with all coordinates nonzero (negative exponents
@@ -208,29 +253,7 @@ class LaurentPoly:
         Exponent maps are bijective, so no collisions occur."""
         from .rootsystem import act
 
-        return _wrap(self.rank, {act(rs, w, e): c for e, c in self._terms.items()})
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"exponent": list(exp), "coeff": str(Fraction(coeff))}
-            for exp, coeff in self.terms()
-        ]
-
-    @classmethod
-    def from_json_obj(cls, rank: int, obj: Iterable[dict]) -> "LaurentPoly":
-        terms: dict[Exponent, int | Fraction] = {}
-        for rec in obj:
-            terms[tuple(rec["exponent"])] = Fraction(rec["coeff"])
-        return cls(rank, terms)
-
-
-def _wrap(rank: int, acc: dict) -> LaurentPoly:
-    poly = LaurentPoly.__new__(LaurentPoly)
-    object.__setattr__(poly, "rank", rank)
-    object.__setattr__(poly, "_terms", acc)
-    return poly
+        return self._wrap(self.rank, {act(rs, w, e): c for e, c in self._terms.items()})
 
 
 def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -328,4 +351,4 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
             f"nonzero remainder: {len(rem)} term(s) left, led by z^{lead}"
             f" (quotient exponent {qexp}, bound {bound})"
         )
-    return _wrap(num.rank, quot)
+    return LaurentPoly._wrap(num.rank, quot)

@@ -56,20 +56,6 @@ def _unit_circle(pt: AnglePoint, rank: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * math.pi * c) for c in coords)
 
 
-def eval_vars(basis: VariableBasis, pt: AnglePoint) -> tuple[complex, ...]:
-    """Variable values at the angle point.  They are real up to rounding
-    (Weyl symmetry pairs every exponential with its inverse); a large
-    imaginary part therefore signals a broken basis."""
-    z = _unit_circle(pt, basis.rs.rank)
-    values = tuple(v.evaluate(z) for v in basis.var_laurents)
-    for value in values:
-        if abs(value.imag) >= _IMAG_CUTOFF:
-            raise ArithmeticError(
-                f"variable value {value} is not real at {pt}"
-            )
-    return values
-
-
 def _fixed_embed(value: float) -> int:
     return int(math.ldexp(value, _FIXED_BITS))
 
@@ -136,7 +122,8 @@ class _FixedPoint:
     def eval(self, laurent) -> tuple[int, int]:
         acc_re = 0
         acc_im = 0
-        for exp, coeff in laurent:
+        # The sums are exact integers, so term order cannot matter.
+        for exp, coeff in laurent._terms.items():
             w = self._power(0, exp[0])
             for k in range(1, len(self.axes)):
                 w = _fixed_mul(w, self._power(k, exp[k]))
@@ -272,7 +259,7 @@ def dimension_check(
         raise ValueError("dimension_check needs a second-kind basis")
     index = (m,) if rs.rank == 1 else (m, 0 if n is None else n)
     origin = tuple(
-        sum(coeff for _, coeff in laurent) for laurent in basis.var_laurents
+        sum(laurent._terms.values()) for laurent in basis.var_laurents
     )
     poly = second_kind_poly(rs, basis, *index)
     left = poly.evaluate(origin)

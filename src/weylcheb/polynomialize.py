@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from .laurent import LaurentPoly, _norm_coeff
-from .orbit import Kind, variable_laurents
-from .rootsystem import RootSystem, Weight, _det, act, act_all, to_root_coords
+from .laurent import LaurentPoly, SparsePoly, _norm_coeff
+from .orbit import Kind, unit_weight, variable_laurents
+from .rootsystem import RootSystem, Weight, _det, act, act_all
 
 
 class NotInvariantError(ValueError):
@@ -39,27 +38,6 @@ class NonDominantLeaderError(ValueError):
     """Elimination stalled on a nonzero polynomial with no dominant term."""
 
 
-class Comparison(Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
-
-
-def dominance_compare(rs: RootSystem, mu: Weight, nu: Weight) -> Comparison:
-    """Dominance order: mu <= nu when nu - mu is a nonnegative combination
-    of simple roots."""
-    if mu == nu:
-        return Comparison.EQUAL
-    diff = tuple(b - a for a, b in zip(mu, nu))
-    coords = to_root_coords(rs, diff)
-    if all(c >= 0 for c in coords):
-        return Comparison.LESS
-    if all(c <= 0 for c in coords):
-        return Comparison.GREATER
-    return Comparison.INCOMPARABLE
-
-
 # -- polynomials in the variables -------------------------------------------
 
 Degree = tuple[int, ...]
@@ -67,11 +45,7 @@ Degree = tuple[int, ...]
 _VAR_NAMES = ("x", "y")
 
 
-def _graded_lex_key(deg: Degree) -> tuple:
-    return (sum(deg), deg)
-
-
-class XYPoly:
+class XYPoly(SparsePoly):
     """Polynomial in the generalized-cosine variables, exact coefficients.
 
     Keys are nonnegative exponent vectors over (x, y) (just (x,) at rank 1);
@@ -79,27 +53,18 @@ class XYPoly:
     than y inside a degree block.
     """
 
-    __slots__ = ("rank", "_terms")
+    __slots__ = ()
 
-    def __init__(self, rank: int, terms: Mapping[Degree, int | Fraction] | None = None):
-        cleaned: dict[Degree, int | Fraction] = {}
-        if terms:
-            for deg, coeff in terms.items():
-                if len(deg) != rank:
-                    raise ValueError("degree rank mismatch")
-                if any(d < 0 for d in deg):
-                    raise ValueError("negative degree")
-                if coeff:
-                    cleaned[tuple(deg)] = _norm_coeff(coeff)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_terms", cleaned)
+    _json_key = "degree"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("XYPoly is immutable")
+    @staticmethod
+    def _order_key(deg: Degree) -> tuple:
+        return (sum(deg), deg)
 
-    @classmethod
-    def zero(cls, rank: int) -> "XYPoly":
-        return cls(rank)
+    @staticmethod
+    def _check_key(deg: Degree) -> None:
+        if any(d < 0 for d in deg):
+            raise ValueError("negative degree")
 
     @classmethod
     def constant(cls, rank: int, c: int | Fraction) -> "XYPoly":
@@ -110,103 +75,13 @@ class XYPoly:
         deg = tuple(1 if j == i else 0 for j in range(rank))
         return cls(rank, {deg: 1})
 
-    def terms(self) -> list[tuple[Degree, int | Fraction]]:
-        """Terms in descending graded-lex order."""
-        return sorted(self._terms.items(), key=lambda t: _graded_lex_key(t[0]), reverse=True)
-
-    def coeff(self, deg: Degree) -> int | Fraction:
-        return self._terms.get(tuple(deg), 0)
-
     def total_degree(self) -> int:
         if not self._terms:
             return 0
         return max(sum(d) for d in self._terms)
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, XYPoly):
-            return NotImplemented
-        return self.rank == other.rank and self._terms == other._terms
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"XYPoly({self.as_text() or '0'})"
-
-    def __add__(self, other: "XYPoly") -> "XYPoly":
-        if not isinstance(other, XYPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for deg, coeff in other._terms.items():
-            new = acc.get(deg, 0) + coeff
-            if new:
-                acc[deg] = new
-            else:
-                acc.pop(deg, None)
-        return _xwrap(self.rank, acc)
-
-    def __sub__(self, other: "XYPoly") -> "XYPoly":
-        if not isinstance(other, XYPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for deg, coeff in other._terms.items():
-            new = acc.get(deg, 0) - coeff
-            if new:
-                acc[deg] = new
-            else:
-                acc.pop(deg, None)
-        return _xwrap(self.rank, acc)
-
-    def __neg__(self) -> "XYPoly":
-        return _xwrap(self.rank, {d: -c for d, c in self._terms.items()})
-
-    def __mul__(self, other: "XYPoly") -> "XYPoly":
-        if not isinstance(other, XYPoly):
-            return NotImplemented
-        acc: dict[Degree, int | Fraction] = {}
-        bitems = list(other._terms.items())
-        if self.rank == 2:
-            for (a0, a1), ca in self._terms.items():
-                for (b0, b1), cb in bitems:
-                    key = (a0 + b0, a1 + b1)
-                    new = acc.get(key, 0) + ca * cb
-                    if new:
-                        acc[key] = new
-                    else:
-                        del acc[key]
-        else:
-            for da, ca in self._terms.items():
-                for db, cb in bitems:
-                    key = tuple(x + y for x, y in zip(da, db))
-                    new = acc.get(key, 0) + ca * cb
-                    if new:
-                        acc[key] = new
-                    else:
-                        del acc[key]
-        return _xwrap(self.rank, acc)
-
-    def scale(self, factor: int | Fraction) -> "XYPoly":
-        if not factor:
-            return XYPoly(self.rank)
-        return _xwrap(self.rank, {d: _norm_coeff(c * factor) for d, c in self._terms.items()})
-
-    def __pow__(self, n: int) -> "XYPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = XYPoly.constant(self.rank, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def evaluate(self, values: Sequence) -> object:
         """Substitute values for the variables; exact when the inputs are
@@ -248,26 +123,6 @@ class XYPoly:
             pieces.append(sign + head)
         out = "".join(pieces)
         return out[1:] if out.startswith("+") else out
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"degree": list(deg), "coeff": str(Fraction(coeff))}
-            for deg, coeff in self.terms()
-        ]
-
-    @classmethod
-    def from_json_obj(cls, rank: int, obj: Iterable[dict]) -> "XYPoly":
-        terms: dict[Degree, int | Fraction] = {}
-        for rec in obj:
-            terms[tuple(rec["degree"])] = Fraction(rec["coeff"])
-        return cls(rank, terms)
-
-
-def _xwrap(rank: int, acc: dict) -> XYPoly:
-    poly = XYPoly.__new__(XYPoly)
-    object.__setattr__(poly, "rank", rank)
-    object.__setattr__(poly, "_terms", acc)
-    return poly
 
 
 # -- variable basis ----------------------------------------------------------
@@ -358,9 +213,7 @@ class VariableBasis:
 
 def build_basis(rs: RootSystem, kind: Kind) -> VariableBasis:
     vars_ = variable_laurents(rs, kind)
-    weights = tuple(
-        tuple(1 if j == i else 0 for j in range(rs.rank)) for i in range(rs.rank)
-    )
+    weights = tuple(unit_weight(rs, i) for i in range(rs.rank))
     leads = []
     for i, v in enumerate(vars_):
         c = v.coeff(weights[i])
@@ -454,6 +307,9 @@ def reduce(basis: VariableBasis, f: LaurentPoly) -> XYPoly:
             new = work.get(mexp, 0) - mono_coeff * mc
             if new:
                 work[mexp] = new
+                # Cache keys are dominant by construction; this check keeps
+                # a corrupted entry a NonDominantLeaderError, not a descent
+                # into negative degrees.
                 if mexp not in pushed and min(mexp) >= 0:
                     push(mexp)
             else:

@@ -197,7 +197,7 @@ def _mat_mul(a, b, rank: int):
     return tuple(out)
 
 
-def _mat_add_scaled_identity(m, coeff: XYPoly, rank: int):
+def _mat_add_scaled_identity(m, coeff: XYPoly):
     size = len(m)
     return tuple(
         tuple(m[r][c] + coeff if r == c else m[r][c] for c in range(size))
@@ -217,7 +217,7 @@ def apply_poly_to_matrix(
     )
     for k in range(len(coeffs) - 2, -1, -1):
         acc = _mat_mul(acc, mat.entries, rank)
-        acc = _mat_add_scaled_identity(acc, coeffs[k], rank)
+        acc = _mat_add_scaled_identity(acc, coeffs[k])
     return acc
 
 

@@ -214,10 +214,6 @@ def is_dominant(mu: Weight) -> bool:
     return all(c >= 0 for c in mu)
 
 
-def is_strictly_dominant(mu: Weight) -> bool:
-    return all(c > 0 for c in mu)
-
-
 def dominant_representative(rs: RootSystem, mu: Weight) -> tuple[WeylElement, Weight]:
     """First group element (in closure order) sending ``mu`` into the closed
     dominant chamber, together with the image.

@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from weylcheb import AlgebraId, LaurentPoly, NonDivisibleError, build_root_system, exact_divide
+from weylcheb import (
+    AlgebraId,
+    LaurentPoly,
+    NonDivisibleError,
+    XYPoly,
+    build_root_system,
+    exact_divide,
+)
 from weylcheb import laurent
 
 exponents = st.tuples(
@@ -155,3 +163,20 @@ def test_power_matches_repeated_product():
     assert p**3 == p * p * p
     with pytest.raises(ValueError):
         p ** (-1)
+
+
+def test_arithmetic_rejects_mismatched_operands():
+    ops = (operator.add, operator.sub, operator.mul)
+    for cls in (LaurentPoly, XYPoly):
+        rank2, rank1 = cls(2, {(1, 0): 1}), cls(1, {(1,): 1})
+        for op in ops:
+            with pytest.raises(ValueError, match="rank mismatch"):
+                op(rank2, rank1)
+    lp, xy = LaurentPoly(2, {(1, 0): 1}), XYPoly(2, {(1, 0): 1})
+    for op in ops:
+        with pytest.raises(TypeError):
+            op(lp, xy)
+        with pytest.raises(TypeError):
+            op(xy, lp)
+    assert not lp == xy
+    assert lp != xy

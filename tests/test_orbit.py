@@ -102,7 +102,7 @@ def test_g2_second_kind_variables(g2):
     assert x == LaurentPoly(2, X_LAURENT)
     assert y == LaurentPoly(2, Y_LAURENT)
     assert len(x) == 7 and x.coeff((0, 0)) == 1
-    assert sum(c for _, c in y) == 14 and y.coeff((0, 0)) == 2
+    assert sum(c for _, c in y.terms()) == 14 and y.coeff((0, 0)) == 2
 
 
 def test_a1_variables_both_kinds(a1):

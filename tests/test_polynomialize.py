@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from weylcheb import (
     AlgebraId,
-    Comparison,
     Kind,
     LaurentPoly,
     NonDominantLeaderError,
@@ -17,7 +16,6 @@ from weylcheb import (
     XYPoly,
     build_basis,
     build_root_system,
-    dominance_compare,
     expand,
     orbit_sum,
     reduce,
@@ -32,30 +30,6 @@ int_coeffs = st.integers(min_value=-9, max_value=9).filter(bool)
 xypolys = st.dictionaries(degrees, int_coeffs, max_size=6).map(
     lambda d: XYPoly(2, d)
 ).filter(lambda p: p.total_degree() <= 6)
-
-
-def test_dominance_compare_examples(g2):
-    assert dominance_compare(g2, (1, 1), (1, 1)) is Comparison.EQUAL
-    assert dominance_compare(g2, (0, 0), (1, 1)) is Comparison.LESS
-    assert dominance_compare(g2, (1, 1), (0, 0)) is Comparison.GREATER
-    assert dominance_compare(g2, (1, 0), (0, 1)) is Comparison.LESS
-    assert dominance_compare(g2, (3, 0), (0, 2)) is Comparison.LESS
-    assert dominance_compare(g2, (5, 0), (0, 3)) is Comparison.INCOMPARABLE
-
-
-@given(
-    mu=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
-    nu=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
-)
-def test_dominance_compare_antisymmetry(mu, nu):
-    rs = build_root_system(AlgebraId.G2)
-    flipped = {
-        Comparison.LESS: Comparison.GREATER,
-        Comparison.GREATER: Comparison.LESS,
-        Comparison.EQUAL: Comparison.EQUAL,
-        Comparison.INCOMPARABLE: Comparison.INCOMPARABLE,
-    }
-    assert dominance_compare(rs, nu, mu) is flipped[dominance_compare(rs, mu, nu)]
 
 
 def test_xypoly_canonical_order_and_text():

@@ -108,7 +108,7 @@ def test_single_step_multiplication_identities(g2, g2_second, g2_tables):
         for m in range(9):
             for n in range(9):
                 acc = gf_table[(m, n)].scale(origin_coeff)
-                for exp, coeff in laurent:
+                for exp, coeff in laurent.terms():
                     if exp == (0, 0):
                         continue
                     assert coeff == 1
