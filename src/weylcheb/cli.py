@@ -3,7 +3,9 @@
 Commands: table (generating-function route), recurrence-table (recurrence
 route, same artifact format), genfunc (closed-form rational generating
 function), verify (numerical checks), crosscheck (both table routes,
-byte-for-byte).  Exit codes: 0 success, 1 verification or crosscheck
+byte-for-byte; on a mismatch the artifact names the first differing index
+and both polynomials).  table, recurrence-table and crosscheck accept every
+algebra and kind.  Exit codes: 0 success, 1 verification or crosscheck
 failure, 2 usage errors.
 """
 
@@ -110,6 +112,13 @@ def _table_indices(rank: int, args) -> tuple[int, int | None]:
     return args.max_m, (args.max_n if rank == 2 else None)
 
 
+def _first_mismatch(via_gf: dict, via_rec: dict) -> dict:
+    """The first index, in table order, where the two routes differ."""
+    idx = min(i for i in via_gf if via_gf[i] != via_rec[i])
+    texts = {"gf": via_gf[idx].as_text(), "recurrence": via_rec[idx].as_text()}
+    return {**output._index_obj(idx), **texts}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -119,19 +128,11 @@ def main(argv: list[str] | None = None) -> int:
     rs = build_root_system(algebra)
     basis = build_basis(rs, kind)
 
+    gf_table = second_kind_table if kind is Kind.SECOND else first_kind_table
     if args.command in ("table", "recurrence-table"):
         max_m, max_n = _table_indices(rs.rank, args)
-        if args.command == "table":
-            if kind is Kind.SECOND:
-                table = second_kind_table(rs, basis, max_m, max_n)
-            else:
-                table = first_kind_table(rs, basis, max_m, max_n)
-        else:
-            if algebra is not AlgebraId.G2 or kind is not Kind.SECOND:
-                parser.error(
-                    "recurrence-table supports --algebra g2 --kind second only"
-                )
-            table = recurrence_table(rs, basis, max_m, args.max_n)
+        route = gf_table if args.command == "table" else recurrence_table
+        table = route(rs, basis, max_m, max_n)
         if args.format == "json":
             text = output.table_json(algebra, kind, max_m, max_n, table)
         else:
@@ -177,22 +178,19 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if passed else 1
 
     if args.command == "crosscheck":
-        if algebra is not AlgebraId.G2 or kind is not Kind.SECOND:
-            parser.error("crosscheck supports --algebra g2 --kind second only")
-        max_m, max_n = args.max_m, args.max_n
-        via_gf = output.table_json(
-            algebra, kind, max_m, max_n, second_kind_table(rs, basis, max_m, max_n)
-        )
-        via_rec = output.table_json(
-            algebra, kind, max_m, max_n, recurrence_table(rs, basis, max_m, max_n)
-        )
-        match = via_gf == via_rec
+        max_m, max_n = _table_indices(rs.rank, args)
+        via_gf = gf_table(rs, basis, max_m, max_n)
+        via_rec = recurrence_table(rs, basis, max_m, max_n)
+        gf_text = output.table_json(algebra, kind, max_m, max_n, via_gf)
+        rec_text = output.table_json(algebra, kind, max_m, max_n, via_rec)
+        mismatch = None if gf_text == rec_text else _first_mismatch(via_gf, via_rec)
         if args.format == "json":
-            text = output.crosscheck_json(algebra, kind, max_m, max_n, match)
+            text = output.crosscheck_json(algebra, kind, max_m, max_n, mismatch)
         else:
-            text = f"crosscheck {max_m}x{max_n}: {'match' if match else 'MISMATCH'}\n"
+            size = "x".join(str(v) for v in (max_m, max_n) if v is not None)
+            text = f"crosscheck {size}: {'match' if mismatch is None else 'MISMATCH'}\n"
         _emit(args, text)
-        return 0 if match else 1
+        return 0 if mismatch is None else 1
 
     parser.error(f"unknown command {args.command!r}")
     return 2

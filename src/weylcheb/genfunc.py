@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentPoly, exact_divide
-from .orbit import Kind, orbit_sum, signed_orbit_sum, unit_weight
+from .orbit import Kind, orbit_sum, unit_weight
 from .polynomialize import VariableBasis, XYPoly, reduce
 from .rootsystem import RootSystem, Weight, act
 

@@ -42,6 +42,11 @@ def signed_orbit_sum(rs: RootSystem, k: Weight) -> LaurentPoly:
     return LaurentPoly(rs.rank, acc)
 
 
+def orbit_points(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
+    """Distinct orbit points of ``lam``, in group-element order."""
+    return tuple(dict.fromkeys(act(rs, w, lam) for w in rs.elements))
+
+
 def unit_weight(rs: RootSystem, i: int) -> Weight:
     return tuple(1 if j == i else 0 for j in range(rs.rank))
 

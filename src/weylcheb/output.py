@@ -156,14 +156,17 @@ def verify_text(results: list[dict], passed: bool) -> str:
 
 
 def crosscheck_json(
-    algebra: AlgebraId, kind: Kind, max_m: int, max_n: int, match: bool
+    algebra: AlgebraId, kind: Kind, max_m: int, max_n: int | None, mismatch: dict | None
 ) -> str:
     body = {
         "schema": SCHEMA_VERSION,
         "algebra": algebra.value.lower(),
         "kind": kind.value,
         "max_m": max_m,
-        "max_n": max_n,
-        "match": match,
+        "match": mismatch is None,
     }
+    if max_n is not None:
+        body["max_n"] = max_n
+    if mismatch is not None:
+        body["first_mismatch"] = mismatch
     return _canonical_json(body)

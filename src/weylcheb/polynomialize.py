@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .laurent import LaurentPoly, SparsePoly, _norm_coeff
-from .orbit import Kind, unit_weight, variable_laurents
-from .rootsystem import RootSystem, Weight, _det, act, act_all
+from .orbit import Kind, orbit_points, unit_weight, variable_laurents
+from .rootsystem import RootSystem, Weight, _det, act_all
 
 
 class NotInvariantError(ValueError):
@@ -130,11 +130,6 @@ class XYPoly(SparsePoly):
 DominantCoeffs = dict[Weight, int | Fraction]
 
 
-def _orbit(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
-    """Distinct orbit points of ``lam``, in group-element order."""
-    return tuple(dict.fromkeys(act(rs, w, lam) for w in rs.elements))
-
-
 @dataclass(frozen=True)
 class VariableBasis:
     """The polynomial variables of one kind over one root system, with their
@@ -169,7 +164,7 @@ class VariableBasis:
         if rule is None:
             acc: dict[Weight, int] = {}
             var_terms = self.var_laurents[i]._terms.items()
-            for mu in _orbit(self.rs, lam):
+            for mu in orbit_points(self.rs, lam):
                 for nu, c in var_terms:
                     exp = tuple(a + b for a, b in zip(mu, nu))
                     if min(exp) >= 0:
@@ -202,8 +197,9 @@ class VariableBasis:
 
     def _unfold(self, dominant: DominantCoeffs) -> LaurentPoly:
         """The invariant Laurent polynomial with these dominant coefficients."""
-        terms = {mu: c for lam, c in dominant.items() for mu in _orbit(self.rs, lam)}
-        return LaurentPoly(self.rs.rank, terms)
+        rs = self.rs
+        terms = {mu: c for lam, c in dominant.items() for mu in orbit_points(rs, lam)}
+        return LaurentPoly(rs.rank, terms)
 
     def monomial_laurent(self, degrees: Degree) -> LaurentPoly:
         """Expansion of prod(var_i ^ degrees[i]): the cached dominant

@@ -1,15 +1,22 @@
-"""Recurrence route to the second-kind polynomials, and companion matrices.
+"""Recurrence route to the polynomials of both kinds, and companion matrices.
 
-The multiplication rule behind it: for any weight k and fundamental weight
-lambda_i, the signed orbit sum satisfies
+The multiplication rules behind it: for any weight k and fundamental weight
+lambda_i, with O_i = sum_{mu in orbit(lambda_i)} z^mu over the distinct
+orbit points,
 
-    signed(k) * sum_{mu in orbit(lambda_i)} z^mu = sum_mu signed(k + mu)
+    signed(k) * O_i = sum_mu signed(k + mu)
+    orbit(k) * O_i = sum_mu orbit(k + mu)
 
-exactly (substitute mu -> w mu inside the double sum).  Dividing by the
-rho-shifted denominator turns this into a linear relation among the
-polynomials whose index shifts run over the orbit, with out-of-range
-indices folded back by normalize_index.  Solving for the shift by
-lambda_i itself steps the table forward.
+exactly (substitute mu -> w mu inside the double sum).  Dividing the first
+by the rho-shifted denominator turns it into a linear relation among the
+second-kind polynomials; the second already is one among the first-kind
+polynomials, which are the orbit sums.  Shifted indices fold back into the
+dominant table: by normalize_index for the second kind (rho-shifted,
+signed, zero on walls), by the dominant representative with sign +1 for
+the first.  Since lambda_i is the highest weight of its orbit, every folded
+index lies at or below k + lambda_i in the dominance order, so solving for
+k + lambda_i steps the table forward.  Shifts that fold onto k + lambda_i
+itself (first kind only, e.g. at k = 0) add to the coefficient divided out.
 
 The companion matrices realize the one-variable recurrences hidden in the
 closed-form denominators: first column = negated denominator coefficients,
@@ -19,12 +26,14 @@ identity shift on the superdiagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable
 
-from .genfunc import RationalGF, denominator_coeffs
+from .genfunc import RationalGF, _index_box, denominator_coeffs
 from .laurent import LaurentPoly
-from .orbit import Kind, unit_weight
+from .orbit import Kind, orbit_points, unit_weight
 from .polynomialize import VariableBasis, XYPoly, reduce
-from .rootsystem import AlgebraId, RootSystem, Weight, act
+from .rootsystem import RootSystem, Weight, act, dominant_representative
 
 
 @dataclass(frozen=True)
@@ -53,97 +62,79 @@ def normalize_index(rs: RootSystem, *n: int) -> NormalizedIndex:
     return NormalizedIndex(0, None)
 
 
-@dataclass(frozen=True)
-class _StepRule:
-    """One multiplication rule, solved for the dominant shift."""
-
-    multiplier: XYPoly
-    dominant_shift: Weight
-    other_shifts: tuple[Weight, ...]
+def _fold(rs: RootSystem, kind: Kind, index: Weight) -> NormalizedIndex:
+    if kind is Kind.SECOND:
+        return normalize_index(rs, *index)
+    return NormalizedIndex(1, dominant_representative(rs, index)[1])
 
 
-def _step_rules(rs: RootSystem, basis: VariableBasis) -> tuple[_StepRule, ...]:
+def _fill(
+    rs: RootSystem, basis: VariableBasis, targets: Iterable[Weight]
+) -> dict[Weight, XYPoly]:
+    """The targets and every index they depend on.  Target t comes from
+    t - lambda_i, i the first coordinate with t_i > 0; what it needs lies
+    strictly below t in dominance, so the explicit stack terminates."""
+    kind = basis.kind
     rules = []
     for i in range(rs.rank):
-        lam = unit_weight(rs, i)
-        orbit = sorted({act(rs, w, lam) for w in rs.elements})
-        multiplier = reduce(basis, LaurentPoly(rs.rank, {mu: 1 for mu in orbit}))
-        others = tuple(mu for mu in orbit if mu != lam)
-        rules.append(_StepRule(multiplier, lam, others))
-    return tuple(rules)
-
-
-def _apply_rule(
-    rs: RootSystem,
-    rule: _StepRule,
-    table: dict[Weight, XYPoly],
-    base: Weight,
-) -> XYPoly:
-    """Value at base + dominant_shift, from the rule applied at base."""
-    acc = rule.multiplier * table[base]
-    for shift in rule.other_shifts:
-        target = tuple(b + s for b, s in zip(base, shift))
-        norm = normalize_index(rs, *target)
-        if norm.sign == 0:
+        orbit = orbit_points(rs, unit_weight(rs, i))
+        multiplier = reduce(basis, LaurentPoly(rs.rank, dict.fromkeys(orbit, 1)))
+        rules.append((multiplier, orbit))
+    seed = 1 if kind is Kind.SECOND else len(rs.elements)
+    table = {(0,) * rs.rank: XYPoly.constant(rs.rank, seed)}
+    plans: dict[Weight, tuple] = {}
+    stack = list(targets)
+    while stack:
+        t = stack[-1]
+        if t in table:
+            stack.pop()
             continue
-        term = table[norm.index]
-        acc = acc - term if norm.sign > 0 else acc + term
-    return acc
-
-
-def _fill_table(
-    rs: RootSystem,
-    basis: VariableBasis,
-    max_level: int,
-) -> dict[Weight, XYPoly]:
-    """Dynamic program over increasing m+n, x-steps before y-steps.
-
-    Stage L computes every (m, n) with m + n = L and m >= 1, plus the
-    column entry (0, L-1).  Within a stage, descending m first: the x-step
-    producing (a, b) references (a+1, b-1) of the same level.  The y-step
-    for (0, L-1) references (3, L-3) of level L, which the descending-m
-    pass has already produced; the remaining two x-steps (2, L-2) and
-    (1, L-1) in turn reference (0, L-1).  Every other reference lands in
-    an earlier stage, so the order is acyclic.
-    """
-    if rs.algebra is not AlgebraId.G2:
-        raise ValueError("recurrence tables are implemented for G2")
-    if basis.kind is not Kind.SECOND:
-        raise ValueError("recurrence tables need a second-kind basis")
-    x_rule, y_rule = _step_rules(rs, basis)
-    table: dict[Weight, XYPoly] = {
-        (0, 0): XYPoly.constant(2, 1),
-        (1, 0): XYPoly.variable(2, 0),
-        (0, 1): XYPoly.variable(2, 1),
-    }
-    for level in range(2, max_level + 1):
-        for a in range(level, 2, -1):
-            table[(a, level - a)] = _apply_rule(rs, x_rule, table, (a - 1, level - a))
-        if level >= 3:
-            table[(0, level - 1)] = _apply_rule(rs, y_rule, table, (0, level - 2))
-        table[(2, level - 2)] = _apply_rule(rs, x_rule, table, (1, level - 2))
-        table[(1, level - 1)] = _apply_rule(rs, x_rule, table, (0, level - 1))
+        plan = plans.get(t)
+        if plan is None:
+            i = next(j for j, c in enumerate(t) if c > 0)
+            base = tuple(c - 1 if j == i else c for j, c in enumerate(t))
+            multiplier, orbit = rules[i]
+            divisor = 0
+            others = []
+            for mu in orbit:
+                norm = _fold(rs, kind, tuple(b + m for b, m in zip(base, mu)))
+                if norm.index == t:
+                    divisor += norm.sign
+                elif norm.sign:
+                    others.append(norm)
+            plan = plans[t] = (multiplier, base, others, divisor)
+        multiplier, base, others, divisor = plan
+        needed = (base, *(norm.index for norm in others))
+        missing = [idx for idx in needed if idx not in table]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        del plans[t]
+        acc = multiplier * table[base]
+        for norm in others:
+            term = table[norm.index]
+            acc = acc - term if norm.sign > 0 else acc + term
+        table[t] = acc if divisor == 1 else acc.scale(Fraction(1, divisor))
     return table
 
 
-def poly_via_recurrence(
-    rs: RootSystem, basis: VariableBasis, m: int, n: int
-) -> XYPoly:
-    if m < 0 or n < 0:
+def poly_via_recurrence(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPoly:
+    """The polynomial at a dominant index, filling only what it depends on."""
+    if len(index) != rs.rank:
+        raise ValueError("index arity must match the rank")
+    if any(m < 0 for m in index):
         raise ValueError("indices must be nonnegative")
-    return _fill_table(rs, basis, max(m + n, n + 1, 2))[(m, n)]
+    return _fill(rs, basis, [index])[index]
 
 
 def recurrence_table(
-    rs: RootSystem, basis: VariableBasis, max_m: int, max_n: int
-) -> dict[Weight, XYPoly]:
-    """The full rectangle in one dynamic-programming pass."""
-    full = _fill_table(rs, basis, max(max_m + max_n, max_n + 1, 2))
-    return {
-        (m, n): full[(m, n)]
-        for m in range(max_m + 1)
-        for n in range(max_n + 1)
-    }
+    rs: RootSystem, basis: VariableBasis, max_m: int, max_n: int | None = None
+) -> dict[tuple[int, ...], XYPoly]:
+    """The full box in one demand-driven pass."""
+    box = _index_box(rs.rank, max_m, max_n)
+    table = _fill(rs, basis, box)
+    return {idx: table[idx] for idx in box}
 
 
 # -- companion matrices -------------------------------------------------------
@@ -226,7 +217,13 @@ def minimal_poly_check(
     gf: RationalGF,
     companions: tuple[CompanionMatrix, CompanionMatrix],
 ) -> bool:
-    """Each closed-form denominator annihilates its companion matrix."""
+    """Each closed-form denominator annihilates its companion matrix.
+
+    A companion's characteristic polynomial is its denominator *reversed*,
+    t^d P(1/t), so by Cayley-Hamilton the reversal always annihilates it,
+    and the denominator itself does exactly when it is palindromic or
+    anti-palindromic.  That holds for C2 and G2; on A2 this returns False.
+    """
     for coeffs, mat in zip(gf.denominators, companions):
         value = apply_poly_to_matrix(coeffs, mat, rs.rank)
         if any(entry for row in value for entry in row):

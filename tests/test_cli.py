@@ -10,7 +10,16 @@ import sys
 import pytest
 
 import weylcheb
-from weylcheb import DEFAULT_SEED, XYPoly
+from weylcheb import (
+    DEFAULT_SEED,
+    AlgebraId,
+    Kind,
+    XYPoly,
+    build_basis,
+    build_root_system,
+    cli,
+    second_kind_poly,
+)
 
 from g2_reference import K_TABLE, P1_COEFFS, P2_COEFFS, SECOND_KIND
 
@@ -177,6 +186,49 @@ def test_crosscheck_reports_match():
     body = json.loads(proc.stdout)
     assert body["match"] is True
     assert body["max_m"] == 12 and body["max_n"] == 12
+    assert "first_mismatch" not in body
+
+
+@pytest.mark.parametrize(
+    "algebra, kind",
+    [("a2", "second"), ("g2", "first"), ("c2", "second"), ("a1", "first")],
+)
+def test_crosscheck_covers_every_algebra_and_kind(algebra, kind):
+    size = ("--max-m", "4", "--max-n", "4")
+    proc = run_cli("crosscheck", "--algebra", algebra, "--kind", kind, *size)
+    assert proc.returncode == 0
+    body = json.loads(proc.stdout)
+    assert body["match"] is True
+    assert (body["algebra"], body["kind"]) == (algebra, kind)
+    assert ("max_n" in body) == (algebra != "a1")
+
+
+def test_crosscheck_names_the_first_mismatch(monkeypatch, capsys):
+    honest = cli.recurrence_table
+
+    def corrupted(rs, basis, max_m, max_n):
+        table = honest(rs, basis, max_m, max_n)
+        for idx in ((3, 0), (2, 1)):
+            table[idx] = table[idx] + XYPoly.constant(2, 1)
+        return table
+
+    monkeypatch.setattr(cli, "recurrence_table", corrupted)
+    argv = ["crosscheck", "--algebra", "a2", "--max-m", "3", "--max-n", "3"]
+    assert cli.main(argv) == 1
+    body = json.loads(capsys.readouterr().out)
+    assert body["match"] is False
+    rs = build_root_system(AlgebraId.A2)
+    want = second_kind_poly(rs, build_basis(rs, Kind.SECOND), 2, 1)
+    got = want + XYPoly.constant(2, 1)
+    assert body["first_mismatch"] == {
+        "m": 2,
+        "n": 1,
+        "gf": want.as_text(),
+        "recurrence": got.as_text(),
+    }
+
+    assert cli.main([*argv, "--format", "plain"]) == 1
+    assert capsys.readouterr().out == "crosscheck 3x3: MISMATCH\n"
 
 
 @pytest.mark.parametrize(
@@ -184,9 +236,9 @@ def test_crosscheck_reports_match():
     [
         ("table", "--max-m", "100"),
         ("table", "--max-n", "-1"),
-        ("recurrence-table", "--algebra", "a2"),
-        ("recurrence-table", "--kind", "first"),
-        ("crosscheck", "--algebra", "c2"),
+        ("recurrence-table", "--max-m", "65"),
+        ("recurrence-table", "--kind", "third"),
+        ("crosscheck", "--max-n", "-1"),
         ("genfunc", "--algebra", "a1"),
         ("genfunc", "--kind", "first"),
         ("verify", "--kind", "first"),

@@ -1,4 +1,4 @@
-"""Recurrence route: index folding, DP tables, companion matrices."""
+"""Recurrence route: index folding, demand-driven tables, companion matrices."""
 
 from __future__ import annotations
 
@@ -13,10 +13,13 @@ from weylcheb import (
     build_basis,
     build_companions,
     build_root_system,
+    closed_form_gf,
+    first_kind_table,
     minimal_poly_check,
     normalize_index,
     poly_via_recurrence,
     recurrence_table,
+    second_kind_table,
     signed_orbit_sum,
 )
 from g2_reference import P1_COEFFS, P2_COEFFS
@@ -157,10 +160,72 @@ def test_minimal_polynomials(g2, g2_gf, g2_second):
     assert any(entry for row in truncated for entry in row)
 
 
-def test_recurrence_guards(g2, g2_first):
-    a2 = build_root_system(AlgebraId.A2)
-    a2_basis = build_basis(a2, Kind.SECOND)
+def test_recurrence_guards(g2, g2_second, a1, a1_second):
     with pytest.raises(ValueError):
-        poly_via_recurrence(a2, a2_basis, 1, 1)
+        poly_via_recurrence(g2, g2_second, -1, 2)
     with pytest.raises(ValueError):
-        poly_via_recurrence(g2, g2_first, 1, 1)
+        poly_via_recurrence(g2, g2_second, 1)
+    with pytest.raises(ValueError):
+        poly_via_recurrence(a1, a1_second, 1, 0)
+    with pytest.raises(ValueError):
+        recurrence_table(g2, g2_second, 3)
+
+
+def _gf_table(rs, basis, max_m, max_n=None):
+    table = second_kind_table if basis.kind is Kind.SECOND else first_kind_table
+    return table(rs, basis, max_m, max_n)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(algebra, kind) for algebra in AlgebraId for kind in Kind],
+    ids=lambda pair: f"{pair[0].value}-{pair[1].value}",
+)
+def gf_box(request):
+    """Root system, basis, and the generating-function table over A1 0..12
+    or the rank-2 box 0..6 x 0..6."""
+    algebra, kind = request.param
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, kind)
+    size = (12,) if rs.rank == 1 else (6, 6)
+    return rs, basis, size, _gf_table(rs, basis, *size)
+
+
+def test_recurrence_table_matches_gf_route(gf_box):
+    rs, basis, size, gf_table = gf_box
+    assert recurrence_table(rs, basis, *size) == gf_table
+
+
+def test_poly_via_recurrence_matches_gf_route(gf_box):
+    rs, basis, _, gf_table = gf_box
+    for index, poly in gf_table.items():
+        assert poly_via_recurrence(rs, basis, *index) == poly
+
+
+def _swap_variables(poly):
+    return XYPoly(2, {(b, a): c for (a, b), c in poly.terms()})
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_a2_diagram_symmetry(a2, kind):
+    # the diagram automorphism swaps the fundamental weights, hence the
+    # indices and the variables: P_{m,n}(x, y) = P_{n,m}(y, x)
+    basis = build_basis(a2, kind)
+    for table in (_gf_table(a2, basis, 4, 4), recurrence_table(a2, basis, 4, 4)):
+        for (m, n), poly in table.items():
+            assert table[(n, m)] == _swap_variables(poly)
+
+
+@pytest.mark.parametrize("algebra", [AlgebraId.A2, AlgebraId.C2, AlgebraId.G2])
+def test_reversed_denominator_annihilates_companion(algebra):
+    # a companion's characteristic polynomial is its reversed denominator;
+    # A2's denominators are not (anti-)palindromic, so only the reversal
+    # annihilates there and minimal_poly_check is False
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, Kind.SECOND)
+    gf = closed_form_gf(rs, basis)
+    companions = build_companions(rs, basis)
+    for den, companion in zip(gf.denominators, companions):
+        value = apply_poly_to_matrix(den[::-1], companion, 2)
+        assert not any(entry for row in value for entry in row)
+    assert minimal_poly_check(rs, gf, companions) is (algebra is not AlgebraId.A2)
