@@ -140,6 +140,30 @@ def test_verify_unreachable_tolerance_fails():
     assert proc.stdout.splitlines()[-1] == "FAILED"
 
 
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize(
+    "artifact, argv",
+    [
+        (
+            "verify_g2_2x2_samples50_seed7.json",
+            ("--algebra", "g2", "--max-m", "2", "--max-n", "2", "--samples", "50", "--seed", "7"),
+        ),
+        # this seed's first sample is singular for A1, so every index skips one
+        (
+            "verify_a1_4_samples100_seed585832.json",
+            ("--algebra", "a1", "--max-m", "4", "--samples", "100", "--seed", "585832"),
+        ),
+    ],
+)
+def test_verify_artifact_is_pinned(artifact, argv, capsys):
+    with open(os.path.join(_DATA, artifact), encoding="utf-8") as handle:
+        want = handle.read()
+    assert cli.main(["verify", *argv]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_seed_env_variable_matches_flag():
     via_env = run_cli(
         "verify", "--max-m", "0", "--max-n", "1", "--samples", "20",
