@@ -16,7 +16,13 @@ import os
 import sys
 
 from . import output
-from .genfunc import _index_box, closed_form_gf, first_kind_table, second_kind_table
+from .genfunc import (
+    _index_box,
+    closed_form_gf,
+    first_kind_table,
+    second_kind_poly,
+    second_kind_table,
+)
 from .numeric import DEFAULT_SEED, dimension_check, verify_ratio
 from .orbit import Kind
 from .polynomialize import build_basis
@@ -24,6 +30,8 @@ from .recurrence import recurrence_table
 from .rootsystem import AlgebraId, build_root_system
 
 _MAX_INDEX = 64
+# The sample cache of a basis holds about 0.3 KB per sample.
+_MAX_SAMPLES = 100_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,8 +89,11 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             continue
         if value < 0 or value > _MAX_INDEX:
             parser.error(f"--{name.replace('_', '-')} must be in 0..{_MAX_INDEX}")
-    if getattr(args, "samples", 1) <= 0:
+    samples = getattr(args, "samples", 1)
+    if samples <= 0:
         parser.error("--samples must be positive")
+    if samples > _MAX_SAMPLES:
+        parser.error(f"--samples must be at most {_MAX_SAMPLES}")
     if getattr(args, "tol", 1.0) <= 0:
         parser.error("--tol must be positive")
 
@@ -158,6 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         results = []
         passed = True
         for index in _index_box(rs.rank, *_table_indices(rs.rank, args)):
+            poly = second_kind_poly(rs, basis, *index)
             report = verify_ratio(
                 rs,
                 basis,
@@ -165,8 +177,9 @@ def main(argv: list[str] | None = None) -> int:
                 num_samples=args.samples,
                 tol=args.tol,
                 seed=seed,
+                poly=poly,
             )
-            dims = dimension_check(rs, basis, *index)
+            dims = dimension_check(rs, basis, *index, poly=poly)
             results.append(output.verify_result_obj(index, report, dims))
             if not (report.passed and dims[0] == dims[1]):
                 passed = False

@@ -6,6 +6,13 @@ phi_i} turns every Laurent exponential into a product of plain powers.
 The defining ratio of signed orbit sums is then checked against the
 polynomial at randomly sampled angles, and the value at the origin against
 the classical dimension formula (exact rational arithmetic there).
+
+The seeded points, the Weyl denominator and the variable values there do
+not depend on the index, so each basis draws and evaluates them once per
+(seed, sample count) and every index reads them back; only the numerator
+and the polynomial are evaluated per index.  Fixed-point power tables are
+built per call.  Fixed-point values are exact functions of the point, so
+the reports are bit-identical to evaluating everything afresh.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .genfunc import second_kind_poly
 from .orbit import Kind, signed_orbit_sum
@@ -51,9 +58,13 @@ class VerificationReport:
         return self.max_abs_error < self.tol
 
 
-def _unit_circle(pt: AnglePoint, rank: int) -> tuple[complex, ...]:
+def _fixed_axes(pt: AnglePoint, rank: int) -> tuple[tuple[int, int], ...]:
+    """The torus point e^{2 pi i phi_k} of these angles, embedded."""
     coords = (pt.phi, pt.psi)[:rank]
-    return tuple(cmath.exp(2j * math.pi * c) for c in coords)
+    return tuple(
+        (_fixed_embed(z.real), _fixed_embed(z.imag))
+        for z in (cmath.exp(2j * math.pi * c) for c in coords)
+    )
 
 
 def _fixed_embed(value: float) -> int:
@@ -83,19 +94,20 @@ class _FixedPoint:
     plain double evaluation leaves an absolute error around 1e-16 that
     the later division amplifies by 1/|denominator|.  Fixed-point keeps
     the absolute error near 2^-96, so only the relative rounding of the
-    final conversion survives.  Power tables are cached per point and
-    shared by every polynomial evaluated there; negative exponents use
-    the fixed-point inverse of each coordinate.
+    final conversion survives.  Power tables belong to one instance and
+    are shared by every polynomial it evaluates; negative exponents use
+    the fixed-point inverse of each coordinate.  A table only ever
+    extends the contiguous chain from exponent 0 (or from the inverse)
+    by one multiplication, so every power, and every value, is the same
+    bits whichever instance computes it and in whatever order.
     """
 
     __slots__ = ("axes", "_cache")
 
-    def __init__(self, z: tuple[complex, ...]):
-        self.axes = tuple(
-            (_fixed_embed(c.real), _fixed_embed(c.imag)) for c in z
-        )
+    def __init__(self, axes: tuple[tuple[int, int], ...]):
+        self.axes = axes
         one = (1 << _FIXED_BITS, 0)
-        self._cache = tuple({0: one, 1: axis} for axis in self.axes)
+        self._cache = tuple({0: one, 1: axis} for axis in axes)
 
     def _inverse(self, k: int) -> tuple[int, int]:
         re, im = self.axes[k]
@@ -132,35 +144,104 @@ class _FixedPoint:
         return (acc_re, acc_im)
 
 
-def _eval_poly_scaled(poly: XYPoly, nums: list[int], scale: int) -> float:
+class _Sample(NamedTuple):
+    """A torus point off the singular set, with its index-free values."""
+
+    point: AnglePoint
+    axes: tuple[tuple[int, int], ...]
+    denominator: complex
+    variables: tuple[int, ...]  # real parts, fixed point
+
+
+class _TorusSamples(NamedTuple):
+    used: tuple[_Sample, ...]
+    skipped: int
+
+
+def _draw_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusSamples:
+    """Draw the seeded points and evaluate the Weyl denominator and the
+    variables there; raises before returning if a variable is not real."""
+    rs = basis.rs
+    denominator = signed_orbit_sum(rs, rs.rho)
+    rng = random.Random(seed)
+    imag_limit = _fixed_embed(_IMAG_CUTOFF)
+    used = []
+    skipped = 0
+    for _ in range(num_samples):
+        pt = AnglePoint(rng.random(), rng.random() if rs.rank == 2 else 0.0)
+        fp = _FixedPoint(_fixed_axes(pt, rs.rank))
+        den_val = _fixed_complex(fp.eval(denominator))
+        if abs(den_val) < _SINGULAR_CUTOFF:
+            skipped += 1
+            continue
+        variables = [fp.eval(v) for v in basis.var_laurents]
+        if any(abs(v_im) >= imag_limit for _, v_im in variables):
+            raise ArithmeticError(f"variable value is not real at {pt}")
+        used.append(_Sample(pt, fp.axes, den_val, tuple(re for re, _ in variables)))
+    return _TorusSamples(tuple(used), skipped)
+
+
+def _torus_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusSamples:
+    """The basis's samples for this seed and count, drawn on first use.
+
+    The cache keeps only the most recent key, so its memory stays linear
+    in the sample count; a failed draw stores nothing.  Concurrent callers
+    at worst draw the same samples twice.
+    """
+    key = (seed, num_samples)
+    samples = basis._torus_samples.get(key)
+    if samples is None:
+        samples = _draw_samples(basis, seed, num_samples)
+        basis._torus_samples.clear()
+        basis._torus_samples[key] = samples
+    return samples
+
+
+def _scaled_evaluator(poly: XYPoly, scale: int) -> Callable[[Sequence[int]], float]:
     """Exact value of the polynomial at arguments nums[k] / 2^scale.
 
     Terms of a high-degree polynomial can reach 1e12 while the value
     stays near 1, so summing in doubles loses most of the answer.  With
     binary-rational arguments the sum collapses to one integer over a
-    power of two, and the final division rounds once.
+    power of two, and the final division rounds once.  The integer sum is
+    exact, so term order cannot matter.
     """
-    items = poly.terms()
+    items = list(poly._terms.items())
     if not items:
-        return 0.0
+        return lambda nums: 0.0
     if any(not isinstance(c, int) for _, c in items):
-        exact = poly.evaluate(tuple(Fraction(n, 1 << scale) for n in nums))
-        return float(exact)
+        return lambda nums: float(
+            poly.evaluate(tuple(Fraction(n, 1 << scale) for n in nums))
+        )
     top = max(sum(deg) for deg, _ in items)
-    tables = []
-    for k, base in enumerate(nums):
-        limit = max(deg[k] for deg, _ in items)
-        powers = [1]
-        for _ in range(limit):
-            powers.append(powers[-1] * base)
-        tables.append(powers)
-    acc = 0
-    for deg, coeff in items:
-        term = coeff
-        for k, d in enumerate(deg):
-            term *= tables[k][d]
-        acc += term << (scale * (top - sum(deg)))
-    return acc / (1 << (scale * top))
+    limits = [max(deg[k] for deg, _ in items) for k in range(poly.rank)]
+    shifted = [(deg, coeff, scale * (top - sum(deg))) for deg, coeff in items]
+    denominator = 1 << (scale * top)
+
+    def evaluate(nums: Sequence[int]) -> float:
+        tables = []
+        for base, limit in zip(nums, limits):
+            powers = [1]
+            for _ in range(limit):
+                powers.append(powers[-1] * base)
+            tables.append(powers)
+        acc = 0
+        for deg, coeff, shift in shifted:
+            term = coeff
+            for table, d in zip(tables, deg):
+                term *= table[d]
+            acc += term << shift
+        return acc / denominator
+
+    return evaluate
+
+
+def _index(rs: RootSystem, m: int, n: int | None) -> tuple[int, ...]:
+    if rs.rank == 1:
+        if n is not None:
+            raise ValueError("a rank-1 index takes no n")
+        return (m,)
+    return (m, 0 if n is None else n)
 
 
 def verify_ratio(
@@ -174,54 +255,43 @@ def verify_ratio(
     poly: XYPoly | None = None,
 ) -> VerificationReport:
     """Sample the defining ratio of signed orbit sums against the
-    polynomial; near-singular denominators are skipped and counted."""
+    polynomial; near-singular denominators are skipped and counted.
+
+    The points, the denominator and the variable values come from the
+    basis's sample cache, so a run over many indices with one seed and
+    sample count evaluates only each index's numerator.
+    """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    index = (m,) if rs.rank == 1 else (m, 0 if n is None else n)
+    index = _index(rs, m, n)
     if any(c < 0 for c in index):
         raise ValueError("indices must be nonnegative")
     if poly is None:
         poly = second_kind_poly(rs, basis, *index)
-    shifted = tuple(c + 1 for c in index)
-    numerator = signed_orbit_sum(rs, shifted)
-    denominator = signed_orbit_sum(rs, rs.rho)
-    rng = random.Random(DEFAULT_SEED if seed is None else seed)
-    max_err = 0.0
-    worst: AnglePoint | None = None
-    skipped = 0
-    used = 0
-    imag_limit = _fixed_embed(_IMAG_CUTOFF)
-    for _ in range(num_samples):
-        pt = AnglePoint(rng.random(), rng.random() if rs.rank == 2 else 0.0)
-        fp = _FixedPoint(_unit_circle(pt, rs.rank))
-        den_val = _fixed_complex(fp.eval(denominator))
-        if abs(den_val) < _SINGULAR_CUTOFF:
-            skipped += 1
-            continue
-        used += 1
-        rhs = _fixed_complex(fp.eval(numerator)) / den_val
-        variables = [fp.eval(v) for v in basis.var_laurents]
-        for _, v_im in variables:
-            if abs(v_im) >= imag_limit:
-                raise ArithmeticError(
-                    f"variable value is not real at {pt}"
-                )
-        lhs = _eval_poly_scaled(poly, [v_re for v_re, _ in variables], _FIXED_BITS)
-        err = abs(lhs - rhs)
-        if err > max_err or worst is None:
-            max_err = err
-            worst = pt
-    if used == 0:
+    numerator = signed_orbit_sum(rs, tuple(c + 1 for c in index))
+    samples = _torus_samples(
+        basis, DEFAULT_SEED if seed is None else seed, num_samples
+    )
+    if not samples.used:
         raise AllPointsSingularError(
             f"all {num_samples} samples were within {_SINGULAR_CUTOFF} of a wall"
         )
+    evaluate = _scaled_evaluator(poly, _FIXED_BITS)
+    max_err = 0.0
+    worst: AnglePoint | None = None
+    for sample in samples.used:
+        num_val = _fixed_complex(_FixedPoint(sample.axes).eval(numerator))
+        err = abs(evaluate(sample.variables) - num_val / sample.denominator)
+        if err > max_err or worst is None:
+            max_err = err
+            worst = sample.point
     return VerificationReport(
         samples=num_samples,
         max_abs_error=max_err,
         worst_point=worst,
-        skipped=skipped,
+        skipped=samples.skipped,
         tol=tol,
     )
 
@@ -248,6 +318,7 @@ def dimension_check(
     basis: VariableBasis,
     m: int,
     n: int | None = None,
+    poly: XYPoly | None = None,
 ) -> tuple[int, int]:
     """Exact substitution at the origin against the dimension formula.
 
@@ -257,11 +328,12 @@ def dimension_check(
     """
     if basis.kind is not Kind.SECOND:
         raise ValueError("dimension_check needs a second-kind basis")
-    index = (m,) if rs.rank == 1 else (m, 0 if n is None else n)
+    index = _index(rs, m, n)
     origin = tuple(
         sum(laurent._terms.values()) for laurent in basis.var_laurents
     )
-    poly = second_kind_poly(rs, basis, *index)
+    if poly is None:
+        poly = second_kind_poly(rs, basis, *index)
     left = poly.evaluate(origin)
     if isinstance(left, Fraction):
         if left.denominator != 1:

@@ -143,7 +143,10 @@ class VariableBasis:
     degree lower times one variable, computed with product rules: the
     dominant part of (the distinct orbit points of lambda) * var_i, built
     once per (dominant lambda, i) in ``_rules``.  Entries are only ever
-    added, so concurrent readers at worst recompute.
+    added, so concurrent readers at worst recompute.  ``_torus_samples``
+    holds the sampled points of ``numeric.verify_ratio`` for the most
+    recent (seed, count).  The caches are not constructor arguments, so
+    ``dataclasses.replace`` gives the new basis empty ones.
     """
 
     rs: RootSystem
@@ -152,10 +155,13 @@ class VariableBasis:
     leading_weights: tuple[Weight, ...]
     leading_coeffs: tuple[int, ...]
     _power_cache: dict[Degree, DominantCoeffs] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
     _rules: dict[tuple[Weight, int], tuple[tuple[Weight, int], ...]] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _torus_samples: dict[tuple[int, int], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def _product_rule(self, lam: Weight, i: int) -> tuple[tuple[Weight, int], ...]:

@@ -18,6 +18,7 @@ from weylcheb import (
     build_basis,
     build_root_system,
     cli,
+    numeric,
     second_kind_poly,
 )
 
@@ -270,12 +271,39 @@ def test_crosscheck_names_the_first_mismatch(monkeypatch, capsys):
         ("verify", "--tol", "0"),
         ("table", "--algebra", "e8"),
         ("no-such-command",),
+        ("verify", "--samples", "100001"),
     ],
 )
 def test_usage_errors_exit_with_code_two(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert proc.stderr
+
+
+def test_sample_limit_is_named(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--samples", str(cli._MAX_SAMPLES + 1)])
+    assert exc.value.code == 2
+    assert f"at most {cli._MAX_SAMPLES}" in capsys.readouterr().err
+
+
+def test_verify_computes_each_polynomial_once(monkeypatch, capsys):
+    # verify_ratio and dimension_check get the polynomial from the command
+    calls = []
+    original = cli.second_kind_poly
+
+    def counting(rs, basis, *index):
+        calls.append(index)
+        return original(rs, basis, *index)
+
+    def unused(*args):
+        raise AssertionError("polynomial recomputed inside numeric")
+
+    monkeypatch.setattr(cli, "second_kind_poly", counting)
+    monkeypatch.setattr(numeric, "second_kind_poly", unused)
+    assert cli.main(["verify", "--max-m", "1", "--max-n", "2", "--samples", "20"]) == 0
+    assert calls == [(m, n) for m in range(2) for n in range(3)]
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_output_flag_writes_file(tmp_path):

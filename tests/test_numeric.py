@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -11,9 +12,13 @@ import pytest
 from weylcheb import (
     AllPointsSingularError,
     AnglePoint,
+    Kind,
+    LaurentPoly,
     VerificationReport,
     XYPoly,
+    build_basis,
     dimension_check,
+    numeric,
     verify_ratio,
     weyl_dimension,
 )
@@ -104,6 +109,91 @@ def test_argument_guards(g2, g2_second, g2_first):
         verify_ratio(g2, g2_second, -1, 0)
     with pytest.raises(ValueError):
         dimension_check(g2, g2_first, 1, 0)
+
+
+def test_rank_one_rejects_a_second_index(a1, a1_second):
+    with pytest.raises(ValueError, match="rank-1"):
+        verify_ratio(a1, a1_second, 3, 5)
+    with pytest.raises(ValueError, match="rank-1"):
+        dimension_check(a1, a1_second, 3, 7)
+
+
+# (index, seed, sample count) in an order that revisits and alternates keys
+_CALLS = [
+    ((2, 1), 7, 40),
+    ((0, 3), 7, 40),
+    ((2, 1), 8, 40),
+    ((1, 1), 7, 30),
+    ((2, 1), 7, 40),
+    ((3, 0), 8, 40),
+    ((1, 1), 7, 30),
+]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_reused_basis_reports_equal_fresh_ones(g2, order):
+    shared = build_basis(g2, Kind.SECOND)
+    for index, seed, count in _CALLS[::order]:
+        fresh = build_basis(g2, Kind.SECOND)
+        want = verify_ratio(g2, fresh, *index, num_samples=count, seed=seed)
+        got = verify_ratio(g2, shared, *index, num_samples=count, seed=seed)
+        assert got == want, (index, seed, count)
+
+
+def test_sample_keys_do_not_collide(g2, a1):
+    basis = build_basis(g2, Kind.SECOND)
+    by_seed = [
+        verify_ratio(g2, basis, 2, 1, num_samples=40, seed=seed) for seed in (7, 8)
+    ]
+    assert by_seed[0].worst_point != by_seed[1].worst_point
+    by_count = [
+        numeric._torus_samples(basis, 7, count) for count in (30, 40, 30)
+    ]
+    assert [len(s.used) + s.skipped for s in by_count] == [30, 40, 30]
+    # This seed's first A1 sample is singular: alone it is all the samples,
+    # among 100 it is one skip.
+    a1_basis = build_basis(a1, Kind.SECOND)
+    verify_ratio(a1, a1_basis, 2, num_samples=100, seed=SINGULAR_SEED)
+    with pytest.raises(AllPointsSingularError):
+        verify_ratio(a1, a1_basis, 2, num_samples=1, seed=SINGULAR_SEED)
+    verify_ratio(a1, a1_basis, 2, num_samples=1, seed=7)
+    with pytest.raises(AllPointsSingularError):
+        verify_ratio(a1, a1_basis, 3, num_samples=1, seed=SINGULAR_SEED)
+
+
+def test_samples_are_drawn_once_per_key(g2, monkeypatch):
+    calls = []
+    original = numeric._FixedPoint.eval
+
+    def counting(self, laurent):
+        calls.append(laurent)
+        return original(self, laurent)
+
+    monkeypatch.setattr(numeric._FixedPoint, "eval", counting)
+    basis = build_basis(g2, Kind.SECOND)
+    for index in ((0, 0), (1, 2), (2, 1)):
+        report = verify_ratio(g2, basis, *index, num_samples=50, seed=7)
+        assert report.skipped == 0
+    # Denominator and both variables at the first call, numerators at each.
+    assert len(calls) == 50 * 3 + 50 * 3
+
+
+def test_not_real_variables_raise_on_every_call(g2, g2_second):
+    verify_ratio(g2, g2_second, 1, 0, num_samples=20, seed=3)
+    var_x = LaurentPoly(2, {(1, 0): 1})
+    bad = dataclasses.replace(
+        g2_second, var_laurents=(var_x, g2_second.var_laurents[1])
+    )
+    assert bad._torus_samples == {} and bad._power_cache == {}
+    one = XYPoly.constant(2, 1)
+    for index in ((1, 0), (1, 0), (0, 2)):
+        with pytest.raises(ArithmeticError, match="not real"):
+            verify_ratio(g2, bad, *index, num_samples=20, seed=3, poly=one)
+        assert bad._torus_samples == {}
+
+
+def test_dimension_check_uses_a_given_polynomial(g2, g2_second):
+    assert dimension_check(g2, g2_second, 1, 1, poly=XYPoly.constant(2, 5)) == (5, 64)
 
 
 def test_report_passed_property():
