@@ -165,6 +165,25 @@ def test_verify_artifact_is_pinned(artifact, argv, capsys):
     assert capsys.readouterr().out == want
 
 
+_G2_FIRST_4X4 = ("--algebra", "g2", "--kind", "first", "--max-m", "4", "--max-n", "4")
+
+
+@pytest.mark.parametrize(
+    "artifact, argv",
+    [
+        ("recurrence_table_a1_6.json", ("recurrence-table", "--algebra", "a1", "--max-m", "6")),
+        # G2 first-kind coefficients include fractions such as -3/8
+        ("table_g2_first_4x4.json", ("table", *_G2_FIRST_4X4)),
+        ("table_g2_first_4x4.json", ("recurrence-table", *_G2_FIRST_4X4)),
+    ],
+)
+def test_table_artifact_is_pinned(artifact, argv, capsys):
+    with open(os.path.join(_DATA, artifact), encoding="utf-8") as handle:
+        want = handle.read()
+    assert cli.main(list(argv)) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_seed_env_variable_matches_flag():
     via_env = run_cli(
         "verify", "--max-m", "0", "--max-n", "1", "--samples", "20",
