@@ -2,7 +2,14 @@
 
 Both table commands serialize through the same functions here, which is
 what makes their outputs byte-identical when the polynomials agree.
-JSON artifacts carry a top-level schema number and sorted keys.
+JSON artifacts carry a top-level schema number and sorted keys, in the
+layout of ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.
+
+Table artifacts are written directly in that layout, one string block per
+polynomial, because with ``indent`` set ``json.dumps`` runs CPython's
+pure-Python encoder: on a G2 16x16 table that made rendering slower than
+computing the table.  The generating-function, verify and crosscheck
+artifacts are small, so they still go through ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -35,6 +42,26 @@ def _subscript(index: tuple[int, ...]) -> str:
     return ",".join(str(c) for c in index)
 
 
+# Fixed text of one table entry term, at the nesting depth of the layout.
+_TERM_OPEN = '        {\n          "coeff": "'
+_TERM_DEGREE = '",\n          "degree": [\n            '
+_TERM_SEP = ",\n            "
+_TERM_CLOSE = "\n          ]\n        }"
+
+
+def _table_entry(index: tuple[int, ...], poly: XYPoly) -> str:
+    head = f'    {{\n      "m": {index[0]},\n'
+    if len(index) > 1:
+        head += f'      "n": {index[1]},\n'
+    terms = ",\n".join(
+        f"{_TERM_OPEN}{coeff}{_TERM_DEGREE}{_TERM_SEP.join(map(str, deg))}{_TERM_CLOSE}"
+        for deg, coeff in poly.terms()
+    )
+    if not terms:
+        return f'{head}      "poly": []\n    }}'
+    return f'{head}      "poly": [\n{terms}\n      ]\n    }}'
+
+
 def table_json(
     algebra: AlgebraId,
     kind: Kind,
@@ -42,19 +69,19 @@ def table_json(
     max_n: int | None,
     table: dict[tuple[int, ...], XYPoly],
 ) -> str:
-    body = {
-        "schema": SCHEMA_VERSION,
-        "algebra": algebra.value.lower(),
-        "kind": kind.value,
-        "max_m": max_m,
-        "polynomials": [
-            {**_index_obj(idx), "poly": table[idx].to_json_obj()}
-            for idx in sorted(table)
-        ],
-    }
+    """The table artifact, byte for byte what ``_canonical_json`` gives for
+    the body {schema, algebra, kind, max_m[, max_n], polynomials}, where each
+    polynomial is {m[, n], poly: ``XYPoly.to_json_obj()``}."""
+    head = (
+        f'{{\n  "algebra": {json.dumps(algebra.value.lower())},\n'
+        f'  "kind": {json.dumps(kind.value)},\n'
+        f'  "max_m": {max_m},\n'
+    )
     if max_n is not None:
-        body["max_n"] = max_n
-    return _canonical_json(body)
+        head += f'  "max_n": {max_n},\n'
+    entries = ",\n".join(_table_entry(idx, table[idx]) for idx in sorted(table))
+    polys = f"[\n{entries}\n  ]" if entries else "[]"
+    return f'{head}  "polynomials": {polys},\n  "schema": {SCHEMA_VERSION}\n}}\n'
 
 
 def table_text(
