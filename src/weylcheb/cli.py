@@ -5,8 +5,8 @@ route, same artifact format), genfunc (closed-form rational generating
 function), verify (numerical checks), crosscheck (both table routes,
 byte-for-byte; on a mismatch the artifact names the first differing index
 and both polynomials).  table, recurrence-table and crosscheck accept every
-algebra and kind.  Exit codes: 0 success, 1 verification or crosscheck
-failure, 2 usage errors.
+algebra and kind; verify takes a1, c2 and g2 with the second kind.  Exit
+codes: 0 success, 1 verification or crosscheck failure, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -163,6 +163,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "verify":
+        if algebra is AlgebraId.A2:
+            parser.error(
+                "verify does not support a2: its variables x and y are complex "
+                "conjugates, and the sampler evaluates real variable values only"
+            )
         if kind is not Kind.SECOND:
             parser.error("verify supports --kind second only")
         seed = _resolve_seed(args)
