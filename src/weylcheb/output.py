@@ -43,6 +43,8 @@ def _subscript(index: tuple[int, ...]) -> str:
 
 
 # Fixed text of one table entry term, at the nesting depth of the layout.
+# A coefficient is an int or a Fraction, whose str is the string
+# ``to_json_obj`` writes, str(Fraction(coeff)).
 _TERM_OPEN = '        {\n          "coeff": "'
 _TERM_DEGREE = '",\n          "degree": [\n            '
 _TERM_SEP = ",\n            "
@@ -79,9 +81,15 @@ def table_json(
     )
     if max_n is not None:
         head += f'  "max_n": {max_n},\n'
-    entries = ",\n".join(_table_entry(idx, table[idx]) for idx in sorted(table))
-    polys = f"[\n{entries}\n  ]" if entries else "[]"
-    return f'{head}  "polynomials": {polys},\n  "schema": {SCHEMA_VERSION}\n}}\n'
+    # one join over every piece, so the text is copied only once
+    parts = [head, '  "polynomials": [']
+    sep = "\n"
+    for idx in sorted(table):
+        parts += (sep, _table_entry(idx, table[idx]))
+        sep = ",\n"
+    parts.append("\n  ]" if table else "]")
+    parts.append(f',\n  "schema": {SCHEMA_VERSION}\n}}\n')
+    return "".join(parts)
 
 
 def table_text(
