@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from weylcheb import AlgebraId, Kind, XYPoly, output
 
@@ -56,22 +56,15 @@ def tables(draw):
     return algebra, kind, max_m, max_n, dict(zip(box, polys))
 
 
+# always run: an empty polynomial, a fractional coefficient, an empty table
+@example(case=(
+    AlgebraId.G2,
+    Kind.FIRST,
+    0,
+    1,
+    {(0, 0): XYPoly.zero(2), (0, 1): XYPoly(2, {(0, 1): Fraction(-3, 8), (1, 0): -1})},
+))
+@example(case=(AlgebraId.A1, Kind.SECOND, 0, None, {}))
 @given(case=tables())
 def test_table_json_matches_json_dumps(case):
-    assert output.table_json(*case) == _reference_table_json(*case)
-
-
-def test_table_json_with_empty_and_fractional_polynomials():
-    table = {
-        (0, 0): XYPoly.zero(2),
-        (0, 1): XYPoly(2, {(0, 1): Fraction(-3, 8), (1, 0): -1}),
-    }
-    case = (AlgebraId.G2, Kind.FIRST, 0, 1, table)
-    text = output.table_json(*case)
-    assert text == _reference_table_json(*case)
-    assert '"poly": []' in text and '"coeff": "-3/8"' in text
-
-
-def test_table_json_of_an_empty_table():
-    case = (AlgebraId.A1, Kind.SECOND, 0, None, {})
     assert output.table_json(*case) == _reference_table_json(*case)
