@@ -18,7 +18,7 @@ def _reference_table_json(algebra, kind, max_m, max_n, table) -> str:
         "kind": kind.value,
         "max_m": max_m,
         "polynomials": [
-            {**dict(zip("mn", idx)), "poly": table[idx].to_json_obj()}
+            dict(zip("mn", idx), poly=table[idx].to_json_obj())
             for idx in sorted(table)
         ],
     }
