@@ -59,7 +59,6 @@ from .rootsystem import (
     build_root_system,
     dominant_representative,
     inner_weight_root,
-    inner_weights,
     is_dominant,
     positive_roots,
     to_root_coords,
@@ -104,7 +103,6 @@ __all__ = [
     "first_kind_table",
     "gf_series_check",
     "inner_weight_root",
-    "inner_weights",
     "is_dominant",
     "minimal_poly_check",
     "normalize_index",

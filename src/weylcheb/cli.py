@@ -16,18 +16,12 @@ import os
 import sys
 
 from . import output
-from .genfunc import (
-    _index_box,
-    closed_form_gf,
-    first_kind_table,
-    second_kind_poly,
-    second_kind_table,
-)
+from .genfunc import closed_form_gf, first_kind_table, second_kind_poly, second_kind_table
 from .numeric import DEFAULT_SEED, dimension_check, verify_ratio
 from .orbit import Kind
 from .polynomialize import build_basis
 from .recurrence import recurrence_table
-from .rootsystem import AlgebraId, build_root_system
+from .rootsystem import AlgebraId, build_root_system, index_box
 
 _MAX_INDEX = 64
 # The sample cache of a basis holds about 0.3 KB per sample.
@@ -173,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         seed = _resolve_seed(args)
         results = []
         passed = True
-        for index in _index_box(rs.rank, *_table_indices(rs.rank, args)):
+        for index in index_box(rs.rank, *_table_indices(rs.rank, args)):
             poly = second_kind_poly(rs, basis, *index)
             report = verify_ratio(
                 rs,

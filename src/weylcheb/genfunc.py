@@ -23,7 +23,7 @@ from functools import lru_cache
 from .laurent import LaurentPoly, exact_divide
 from .orbit import Kind, orbit_sum, unit_weight
 from .polynomialize import VariableBasis, XYPoly, reduce
-from .rootsystem import RootSystem, Weight, act
+from .rootsystem import RootSystem, Weight, act, check_index, index_box
 
 log = logging.getLogger(__name__)
 
@@ -66,10 +66,7 @@ def coefficient_trace(rs: RootSystem, signs: SignClass, *index: int) -> LaurentP
     weights each position by its determinant.  This is an independent route
     to the same Laurent polynomials as the orbit sums.
     """
-    if len(index) != rs.rank:
-        raise ValueError("index rank mismatch")
-    if any(m < 0 for m in index):
-        raise ValueError("index entries must be nonnegative")
+    check_index(rs, index)
     mats = [diagonal_exp_matrix(rs, i) for i in range(rs.rank)]
     acc: dict[Weight, int | Fraction] = {}
     for j, det in enumerate(mats[0].dets):
@@ -95,10 +92,7 @@ def second_kind_poly(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPol
     at the rho-shifted index, rewritten over the variables."""
     if basis.kind is not Kind.SECOND:
         raise ValueError("second_kind_poly needs a second-kind basis")
-    if len(index) != rs.rank:
-        raise ValueError("index arity must match the rank")
-    if any(m < 0 for m in index):
-        raise ValueError("indices must be nonnegative")
+    check_index(rs, index)
     shifted = tuple(m + 1 for m in index)
     numerator = coefficient_trace(rs, SignClass.DIFFERENCE, *shifted)
     denominator = coefficient_trace(rs, SignClass.DIFFERENCE, *(1,) * rs.rank)
@@ -110,19 +104,8 @@ def first_kind_poly(rs: RootSystem, basis: VariableBasis, n: Weight) -> XYPoly:
     variables (non-normalized convention, so the index 0 gives |W|)."""
     if basis.kind is not Kind.FIRST:
         raise ValueError("first_kind_poly needs a first-kind basis")
-    if len(n) != rs.rank:
-        raise ValueError("index arity must match the rank")
-    if any(c < 0 for c in n):
-        raise ValueError("indices must be nonnegative")
+    check_index(rs, n)
     return reduce(basis, orbit_sum(rs, n))
-
-
-def _index_box(rank: int, max_m: int, max_n: int | None) -> list[tuple[int, ...]]:
-    if rank == 1:
-        return [(m,) for m in range(max_m + 1)]
-    if max_n is None:
-        raise ValueError("rank-2 tables need max_n")
-    return [(m, n) for m in range(max_m + 1) for n in range(max_n + 1)]
 
 
 def second_kind_table(
@@ -130,7 +113,7 @@ def second_kind_table(
 ) -> dict[tuple[int, ...], XYPoly]:
     return {
         idx: second_kind_poly(rs, basis, *idx)
-        for idx in _index_box(rs.rank, max_m, max_n)
+        for idx in index_box(rs.rank, max_m, max_n)
     }
 
 
@@ -139,7 +122,7 @@ def first_kind_table(
 ) -> dict[tuple[int, ...], XYPoly]:
     return {
         idx: first_kind_poly(rs, basis, idx)
-        for idx in _index_box(rs.rank, max_m, max_n)
+        for idx in index_box(rs.rank, max_m, max_n)
     }
 
 

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 from .genfunc import second_kind_poly
 from .orbit import Kind, signed_orbit_sum
 from .polynomialize import VariableBasis, XYPoly
-from .rootsystem import RootSystem, inner_weight_root, positive_roots
+from .rootsystem import RootSystem, check_index, inner_weight_root, positive_roots
 
 DEFAULT_SEED = 104729
 
@@ -236,19 +236,10 @@ def _scaled_evaluator(poly: XYPoly, scale: int) -> Callable[[Sequence[int]], flo
     return evaluate
 
 
-def _index(rs: RootSystem, m: int, n: int | None) -> tuple[int, ...]:
-    if rs.rank == 1:
-        if n is not None:
-            raise ValueError("a rank-1 index takes no n")
-        return (m,)
-    return (m, 0 if n is None else n)
-
-
 def verify_ratio(
     rs: RootSystem,
     basis: VariableBasis,
-    m: int,
-    n: int | None = None,
+    *index: int,
     num_samples: int = 100,
     tol: float = 1e-8,
     seed: int | None = None,
@@ -261,13 +252,13 @@ def verify_ratio(
     basis's sample cache, so a run over many indices with one seed and
     sample count evaluates only each index's numerator.
     """
+    if basis.kind is not Kind.SECOND:
+        raise ValueError("verify_ratio needs a second-kind basis")
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    index = _index(rs, m, n)
-    if any(c < 0 for c in index):
-        raise ValueError("indices must be nonnegative")
+    check_index(rs, index)
     if poly is None:
         poly = second_kind_poly(rs, basis, *index)
     numerator = signed_orbit_sum(rs, tuple(c + 1 for c in index))
@@ -316,8 +307,7 @@ def weyl_dimension(rs: RootSystem, index: tuple[int, ...]) -> int:
 def dimension_check(
     rs: RootSystem,
     basis: VariableBasis,
-    m: int,
-    n: int | None = None,
+    *index: int,
     poly: XYPoly | None = None,
 ) -> tuple[int, int]:
     """Exact substitution at the origin against the dimension formula.
@@ -328,7 +318,7 @@ def dimension_check(
     """
     if basis.kind is not Kind.SECOND:
         raise ValueError("dimension_check needs a second-kind basis")
-    index = _index(rs, m, n)
+    check_index(rs, index)
     origin = tuple(
         sum(laurent._terms.values()) for laurent in basis.var_laurents
     )

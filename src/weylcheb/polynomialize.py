@@ -152,7 +152,6 @@ class VariableBasis:
     rs: RootSystem
     kind: Kind
     var_laurents: tuple[LaurentPoly, ...]
-    leading_weights: tuple[Weight, ...]
     leading_coeffs: tuple[int, ...]
     _power_cache: dict[Degree, DominantCoeffs] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -222,7 +221,7 @@ def build_basis(rs: RootSystem, kind: Kind) -> VariableBasis:
         if not isinstance(c, int) or c <= 0:
             raise RuntimeError("variable expansion has unusable leading coefficient")
         leads.append(c)
-    return VariableBasis(rs, kind, vars_, weights, tuple(leads))
+    return VariableBasis(rs, kind, vars_, tuple(leads))
 
 
 # -- reduce / expand ---------------------------------------------------------

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .genfunc import RationalGF, _index_box, denominator_coeffs
+from .genfunc import RationalGF, denominator_coeffs
 from .laurent import LaurentPoly
 from .orbit import Kind, orbit_points, unit_weight
 from .polynomialize import VariableBasis, XYPoly, reduce
-from .rootsystem import RootSystem, Weight, act, dominant_representative
+from .rootsystem import RootSystem, Weight, check_index, dominant_representative, index_box
 
 
 @dataclass(frozen=True)
@@ -47,19 +47,15 @@ class NormalizedIndex:
 
 
 def normalize_index(rs: RootSystem, *n: int) -> NormalizedIndex:
-    """Fold the index via the reflection rule for rho-shifted weights.
-
-    Brute force over the whole group: with at most 12 elements this is
-    simpler than a chamber walk and obviously exhaustive.
-    """
+    """Fold the index via the reflection rule for rho-shifted weights: n + rho
+    goes to the dominant chamber, and a zero coordinate there puts it on a
+    wall.  Off the walls the element reaching the chamber is unique."""
     if len(n) != rs.rank:
         raise ValueError("index rank mismatch")
-    shifted = tuple(c + 1 for c in n)
-    for w in rs.elements:
-        image = act(rs, w, shifted)
-        if all(c > 0 for c in image):
-            return NormalizedIndex(w.det, tuple(c - 1 for c in image))
-    return NormalizedIndex(0, None)
+    w, image = dominant_representative(rs, tuple(c + 1 for c in n))
+    if 0 in image:
+        return NormalizedIndex(0, None)
+    return NormalizedIndex(w.det, tuple(c - 1 for c in image))
 
 
 def _fold(rs: RootSystem, kind: Kind, index: Weight) -> NormalizedIndex:
@@ -121,10 +117,7 @@ def _fill(
 
 def poly_via_recurrence(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPoly:
     """The polynomial at a dominant index, filling only what it depends on."""
-    if len(index) != rs.rank:
-        raise ValueError("index arity must match the rank")
-    if any(m < 0 for m in index):
-        raise ValueError("indices must be nonnegative")
+    check_index(rs, index)
     return _fill(rs, basis, [index])[index]
 
 
@@ -132,7 +125,7 @@ def recurrence_table(
     rs: RootSystem, basis: VariableBasis, max_m: int, max_n: int | None = None
 ) -> dict[tuple[int, ...], XYPoly]:
     """The full box in one demand-driven pass."""
-    box = _index_box(rs.rank, max_m, max_n)
+    box = index_box(rs.rank, max_m, max_n)
     table = _fill(rs, basis, box)
     return {idx: table[idx] for idx in box}
 

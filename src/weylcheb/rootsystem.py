@@ -9,6 +9,10 @@ Conventions: the simple root ``alpha_i`` written in weight coordinates is
 row ``i`` of the Cartan matrix, and the simple reflection acts by
 ``w_i(n)_j = n_j - n_i * C[i][j]``.  Root lengths are normalized so the
 short root has squared length 2.
+
+Every route indexes its polynomials by a dominant weight: one nonnegative
+integer per fundamental weight.  ``check_index`` is the one check of that
+contract and ``index_box`` the one table order.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ class RootSystem:
     cartan_inverse: FracMatrix
     elements: tuple[WeylElement, ...]
     rho: Weight
-    gram: FracMatrix
     symmetrizer: tuple[Fraction, ...]
 
     @property
@@ -146,24 +149,13 @@ def build_root_system(algebra: AlgebraId) -> RootSystem:
             f" expected {_WEYL_ORDER[algebra]}"
         )
 
-    inverse = _invert(cartan)
-    symmetrizer = _symmetrizer(cartan)
-    gram = tuple(
-        tuple(symmetrizer[i] * inverse[j][i] for j in range(d)) for i in range(d)
-    )
-    for i in range(d):
-        for j in range(d):
-            if gram[i][j] != gram[j][i]:
-                raise RuntimeError("gram matrix failed to symmetrize")
-
     return RootSystem(
         algebra=algebra,
         cartan=cartan,
-        cartan_inverse=inverse,
+        cartan_inverse=_invert(cartan),
         elements=tuple(elements),
         rho=(1,) * d,
-        gram=gram,
-        symmetrizer=symmetrizer,
+        symmetrizer=_symmetrizer(cartan),
     )
 
 
@@ -214,6 +206,24 @@ def is_dominant(mu: Weight) -> bool:
     return all(c >= 0 for c in mu)
 
 
+def check_index(rs: RootSystem, index: Weight) -> None:
+    """Reject anything but a table index: one nonnegative integer per
+    fundamental weight."""
+    if len(index) != rs.rank or not is_dominant(index):
+        raise ValueError(
+            f"a rank-{rs.rank} index takes {rs.rank} nonnegative entries, got {index}"
+        )
+
+
+def index_box(rank: int, max_m: int, max_n: int | None) -> list[Weight]:
+    """The table indices up to (max_m, max_n), in table order."""
+    if rank == 1:
+        return [(m,) for m in range(max_m + 1)]
+    if max_n is None:
+        raise ValueError("rank-2 tables need max_n")
+    return [(m, n) for m in range(max_m + 1) for n in range(max_n + 1)]
+
+
 def dominant_representative(rs: RootSystem, mu: Weight) -> tuple[WeylElement, Weight]:
     """First group element (in closure order) sending ``mu`` into the closed
     dominant chamber, together with the image.
@@ -254,13 +264,3 @@ def inner_weight_root(rs: RootSystem, mu: Weight, alpha_root: tuple[int, ...]) -
         (Fraction(mu[j] * alpha_root[j]) * rs.symmetrizer[j] for j in range(rs.rank)),
         start=Fraction(0),
     )
-
-
-def inner_weights(rs: RootSystem, mu: Weight, nu: Weight) -> Fraction:
-    """Invariant inner product of two weights via the gram matrix."""
-    d = rs.rank
-    total = Fraction(0)
-    for i in range(d):
-        for j in range(d):
-            total += mu[i] * rs.gram[i][j] * nu[j]
-    return total

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import logging
+
 import pytest
 
 import weylcheb.genfunc as genfunc_module
@@ -104,6 +107,23 @@ def test_series_expansion_agrees_with_direct_route(g2_gf, g2_second):
     assert gf_series_check(g2_gf, g2_second, 0, 0)
     assert gf_series_check(g2_gf, g2_second, 6, 6)
     assert gf_series_check(g2_gf, g2_second, 10, 10)
+
+
+def test_series_mismatch_names_the_index_and_both_polynomials(
+    caplog, g2_gf, g2_second
+):
+    numerator = dict(g2_gf.numerator)
+    numerator[(1, 1)] = numerator[(1, 1)] + XYPoly.constant(2, 1)
+    bad = dataclasses.replace(g2_gf, numerator=numerator)
+    with caplog.at_level(logging.WARNING, logger="weylcheb.genfunc"):
+        assert not gf_series_check(bad, g2_second, 3, 3)
+    direct = second_kind_poly(g2_second.rs, g2_second, 1, 1)
+    wrong = direct + XYPoly.constant(2, 1)
+    (record,) = [r for r in caplog.records if r.name == "weylcheb.genfunc"]
+    assert record.levelno == logging.WARNING
+    assert record.getMessage() == (
+        f"series mismatch at (1, 1): {wrong.as_text()} != {direct.as_text()}"
+    )
 
 
 def test_convolution_guard_trips_on_corrupted_denominator(

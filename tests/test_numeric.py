@@ -109,6 +109,10 @@ def test_argument_guards(g2, g2_second, g2_first):
         verify_ratio(g2, g2_second, -1, 0)
     with pytest.raises(ValueError):
         dimension_check(g2, g2_first, 1, 0)
+    for poly in (None, XYPoly.variable(2, 0)):
+        with pytest.raises(ValueError, match="second-kind basis"):
+            verify_ratio(g2, g2_first, 1, 0, num_samples=20, seed=7, poly=poly)
+    assert g2_first._torus_samples == {}
 
 
 def test_rank_one_rejects_a_second_index(a1, a1_second):
@@ -209,9 +213,13 @@ def test_report_passed_property():
     assert not failed.passed
 
 
-def test_weyl_dimension_oracle(g2):
+def test_weyl_dimension_oracle(g2, a2, c2):
     for index, want in DIMENSIONS.items():
         assert weyl_dimension(g2, index) == want
+    # Each algebra's root lengths enter through its symmetrizer.
+    indices = [(1, 0), (0, 1), (1, 1), (2, 0)]
+    for rs, wants in [(a2, [3, 3, 8, 6]), (c2, [4, 5, 16, 10])]:
+        assert [weyl_dimension(rs, index) for index in indices] == wants
 
 
 def test_dimension_check_grid(g2, g2_second):

@@ -9,15 +9,24 @@ from hypothesis import given, strategies as st
 
 from weylcheb import (
     AlgebraId,
+    Kind,
+    SignClass,
+    XYPoly,
     act,
+    build_basis,
     build_root_system,
+    coefficient_trace,
+    dimension_check,
     dominant_representative,
-    inner_weights,
+    first_kind_poly,
     is_dominant,
+    poly_via_recurrence,
     positive_roots,
+    second_kind_poly,
     to_root_coords,
+    verify_ratio,
 )
-from weylcheb.rootsystem import act_all
+from weylcheb.rootsystem import act_all, check_index
 from g2_reference import NEGATIVE_DET_WORDS
 
 ALL_ALGEBRAS = [AlgebraId.A1, AlgebraId.A2, AlgebraId.C2, AlgebraId.G2]
@@ -91,20 +100,6 @@ def test_rho_and_positive_roots(g2, c2, a2, a1):
             assert all(c >= 0 for c in alpha)
 
 
-@pytest.mark.parametrize("algebra", ALL_ALGEBRAS)
-def test_gram_invariance(algebra):
-    rs = build_root_system(algebra)
-    basis_weights = [
-        tuple(1 if i == j else 0 for j in range(rs.rank)) for i in range(rs.rank)
-    ]
-    for w in rs.elements:
-        for mu in basis_weights:
-            for nu in basis_weights:
-                assert inner_weights(rs, act(rs, w, mu), act(rs, w, nu)) == (
-                    inner_weights(rs, mu, nu)
-                )
-
-
 def test_act_examples(g2):
     w1 = next(w for w in g2.elements if w.word == (1,))
     assert act(g2, w1, (1, 0)) == (-1, 1)
@@ -165,3 +160,38 @@ def test_act_all_matches_act(algebra):
         act_all(rs, w, [(2**31,) + (0,) * (rs.rank - 1)])
     with pytest.raises(ValueError, match="rank mismatch"):
         act_all(rs, w, [(0,) * (rs.rank + 1)])
+
+
+@pytest.mark.parametrize(
+    "algebra, index",
+    [
+        (AlgebraId.A1, (1, 0)),
+        (AlgebraId.A1, (-1,)),
+        (AlgebraId.G2, (1,)),
+        (AlgebraId.G2, (-1, 0)),
+    ],
+    ids=["a1-arity", "a1-negative", "g2-arity", "g2-negative"],
+)
+def test_every_entry_point_raises_the_check_index_error(algebra, index):
+    rs = build_root_system(algebra)
+    second = build_basis(rs, Kind.SECOND)
+    first = build_basis(rs, Kind.FIRST)
+    one = XYPoly.constant(rs.rank, 1)
+    with pytest.raises(ValueError) as want:
+        check_index(rs, index)
+    assert f"rank-{rs.rank}" in str(want.value)
+    calls = {
+        "coefficient_trace": lambda: coefficient_trace(rs, SignClass.DIFFERENCE, *index),
+        "second_kind_poly": lambda: second_kind_poly(rs, second, *index),
+        "first_kind_poly": lambda: first_kind_poly(rs, first, index),
+        "poly_via_recurrence": lambda: poly_via_recurrence(rs, second, *index),
+        "verify_ratio": lambda: verify_ratio(
+            rs, second, *index, num_samples=20, seed=7, poly=one
+        ),
+        "dimension_check": lambda: dimension_check(rs, second, *index, poly=one),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(want.value), name
+    assert second._torus_samples == {}
