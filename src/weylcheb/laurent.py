@@ -7,12 +7,15 @@ serialized.  ``LaurentPoly`` is its Laurent view, ordered lexicographically
 (first coordinate most significant); ``polynomialize.XYPoly`` is the view
 over the variables.  Coefficients are Python ints wherever possible and
 ``fractions.Fraction`` otherwise; both are exact and mix freely.
+``exact_divide`` sweeps once, in decreasing lexicographic order, the box in
+which an exact quotient must lie.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
+from itertools import product
+from math import prod
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -21,6 +24,7 @@ if TYPE_CHECKING:
 Exponent = tuple[int, ...]
 Rational = int | Fraction
 
+# The most box positions exact_divide sweeps; a larger box is rejected up front.
 _DIVIDE_STEP_CAP = 10_000_000
 
 
@@ -259,14 +263,17 @@ class LaurentPoly(SparsePoly):
 def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Quotient ``num / den`` when the division is exact.
 
-    Repeated leading-term elimination under the lexicographic order.  In a
-    Laurent ring every monomial divides every other, so inexactness shows up
-    as a quotient exponent falling lexicographically below the bound
-    ``lexmin(num) - lexmin(den)`` (for an exact quotient every exponent sits
-    at or above it, because extreme terms of a product cannot cancel), or as
-    a runaway iteration; both raise NonDivisibleError, whose message names
-    the check that failed.  Rank 2 takes a pair inner loop, as ``__mul__``
-    does.
+    An exact quotient lies in the box [min num - min den, max num - max den],
+    taken per coordinate: the Newton polytope of a product is the sum of its
+    factors' (Ostrowski), so in each coordinate the top and bottom exponents
+    of a product are the sums of its factors'.  The box is swept once in
+    decreasing lexicographic order.  At each point q the remainder term at
+    q + lead(den) is final, because every later subtraction lands
+    lexicographically below it, so it fixes the coefficient of z^q.  A box
+    with more than ``_DIVIDE_STEP_CAP`` points is rejected before any
+    elimination, and a remainder left after the sweep means the division was
+    not exact; both raise NonDivisibleError, whose message names the check
+    that failed.  Rank 2 takes a pair inner loop, as ``__mul__`` does.
     """
     if num.rank != den.rank:
         raise ValueError("rank mismatch")
@@ -275,80 +282,63 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if not num:
         return LaurentPoly.zero(num.rank)
 
-    den_lead_exp, den_lead_coeff = den.leading()
-    den_rest = [(e, c) for e, c in den._terms.items() if e != den_lead_exp]
+    lead, lead_coeff = den.leading()
+    num_cols, den_cols = list(zip(*num._terms)), list(zip(*den._terms))
+    lo = tuple(min(a) - min(b) for a, b in zip(num_cols, den_cols))
+    hi = tuple(max(a) - max(b) for a, b in zip(num_cols, den_cols))
+    # Each point of the box, shifted by lead, is the remainder exponent it clears.
+    spans = [range(h + e, o + e - 1, -1) for o, h, e in zip(lo, hi, lead)]
+    size = prod(map(len, spans))
+    if size > _DIVIDE_STEP_CAP:
+        raise NonDivisibleError(
+            f"division not attempted: the quotient box {lo} to {hi} has {size}"
+            f" positions, over the cap {_DIVIDE_STEP_CAP}"
+        )
+    # The rest of the divisor, as offsets from its leading exponent.
+    rest = [
+        (tuple(a - b for a, b in zip(exp, lead)), c)
+        for exp, c in den._terms.items()
+        if exp != lead
+    ]
     rank2 = num.rank == 2
     if rank2:
-        l0, l1 = den_lead_exp
-        den_rest2 = [(e0, e1, c) for (e0, e1), c in den_rest]
-    num_min = min(num._terms)
-    den_min = min(den._terms)
-    bound = tuple(a - b for a, b in zip(num_min, den_min))
+        rest2 = [(d0, d1, c) for (d0, d1), c in rest]
 
     rem = dict(num._terms)
     quot: dict[Exponent, int | Fraction] = {}
-    # lazy max-heap over remainder exponents (negated for heapq)
-    heap = [tuple(-x for x in e) for e in rem]
-    heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
-    steps = 0
-    while heap:
-        neg = heappop(heap)
-        if rank2:
-            lead = (-neg[0], -neg[1])
-        else:
-            lead = tuple(-x for x in neg)
-        coeff = rem.pop(lead, 0)
+    for point in product(*spans):
+        coeff = rem.pop(point, 0)
         if not coeff:
             continue
-        steps += 1
-        if rank2:
-            qexp = (lead[0] - l0, lead[1] - l1)
-        else:
-            qexp = tuple(a - b for a, b in zip(lead, den_lead_exp))
-        if steps > _DIVIDE_STEP_CAP:
-            raise NonDivisibleError(
-                f"division did not terminate: step cap {_DIVIDE_STEP_CAP} reached"
-                f" at quotient exponent {qexp} (bound {bound})"
-            )
-        if qexp < bound:
-            raise NonDivisibleError(
-                f"no exact quotient exists: quotient exponent {qexp} falls"
-                f" below the bound {bound}"
-            )
-        if den_lead_coeff == 1:
+        if lead_coeff == 1:
             qc = coeff
-        elif den_lead_coeff == -1:
+        elif lead_coeff == -1:
             qc = -coeff
         else:
-            qc = _norm_coeff(Fraction(coeff) / Fraction(den_lead_coeff))
-        quot[qexp] = qc
+            qc = _norm_coeff(Fraction(coeff) / Fraction(lead_coeff))
+        quot[tuple(a - b for a, b in zip(point, lead))] = qc
         if rank2:
-            q0, q1 = qexp
-            for e0, e1, c in den_rest2:
-                key = (q0 + e0, q1 + e1)
+            p0, p1 = point
+            for d0, d1, c in rest2:
+                key = (p0 + d0, p1 + d1)
                 new = rem.get(key, 0) - qc * c
                 if new:
-                    if key not in rem:
-                        heappush(heap, (-key[0], -key[1]))
                     rem[key] = new
                 else:
                     del rem[key]
         else:
-            for exp, c in den_rest:
-                key = tuple(a + b for a, b in zip(qexp, exp))
+            for offset, c in rest:
+                key = tuple(a + b for a, b in zip(point, offset))
                 new = rem.get(key, 0) - qc * c
                 if new:
-                    if key not in rem:
-                        heappush(heap, tuple(-x for x in key))
                     rem[key] = new
                 else:
                     del rem[key]
     if rem:
-        lead = max(rem)
-        qexp = tuple(a - b for a, b in zip(lead, den_lead_exp))
+        top = max(rem)
+        qexp = tuple(a - b for a, b in zip(top, lead))
         raise NonDivisibleError(
-            f"nonzero remainder: {len(rem)} term(s) left, led by z^{lead}"
-            f" (quotient exponent {qexp}, bound {bound})"
+            f"nonzero remainder: {len(rem)} term(s) left, led by z^{top};"
+            f" quotient exponent {qexp} lies outside the box {lo} to {hi}"
         )
     return LaurentPoly._wrap(num.rank, quot)

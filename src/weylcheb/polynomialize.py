@@ -8,21 +8,22 @@ coefficient} and unfolded over orbits only when a full Laurent polynomial
 is asked for.
 
 ``reduce`` checks the whole input for Weyl invariance, keeps its dominant
-terms, and performs greedy elimination: repeatedly pick a dominance-maximal
-exponent of the working polynomial and subtract the dominant part of the
-matching monomial in the variables, which cancels that exponent exactly and
-only introduces exponents strictly below it in the dominance order.  The
-invariance check is what makes dropping the other terms exact: input and
-monomials are invariant, so the working polynomial stays invariant and its
-dominant part picks the same leaders and coefficients as the full one.
+terms, and eliminates them in one sweep over the dominant weights up to the
+input's top height, highest first, an order fixed before the sweep starts:
+at each weight it subtracts the dominant part of the matching monomial in
+the variables, which cancels that exponent exactly and only introduces
+exponents of strictly smaller height.  The invariance check is what makes
+dropping the other terms exact: input and monomials are invariant, so the
+working polynomial stays invariant and its dominant part picks the same
+leaders and coefficients as the full one.
 ``expand`` is the inverse substitution; the pair round-trips exactly.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .laurent import LaurentPoly, SparsePoly, _norm_coeff
@@ -262,40 +263,32 @@ def reduce(basis: VariableBasis, f: LaurentPoly) -> XYPoly:
     coefficient.  The check is what makes this exact; without it the
     non-dominant terms of a non-invariant input would be silently dropped.
 
-    Leaders are selected dominance-maximal via the root-height functional
-    (sum of root coordinates, kept integral by scaling with det C), which
-    is strictly monotone along dominance; ties under it are broken
-    lexicographically.  Each dominant exponent is cleared at most once, so
-    the step count is bounded by the number of dominant weights appearing.
+    The sweep visits every dominant weight whose height is at most the
+    input's top height, highest first and lexicographically descending
+    within a height.  Height is the root-height functional (sum of root
+    coordinates, kept integral by scaling with det C), and every
+    non-leading term of a monomial has strictly smaller height than its
+    leading weight, so each working coefficient is final when the sweep
+    reaches it.  A residue left after the sweep raises
+    NonDominantLeaderError.
     """
     rs = basis.rs
     _check_invariant(basis, f)
     weights = _height_weights(rs)
 
+    def height(mu: Weight) -> int:
+        return sum(w * x for w, x in zip(weights, mu))
+
     work = {exp: c for exp, c in f._terms.items() if min(exp) >= 0}
-    heap: list[tuple] = []
-    pushed: set[Weight] = set()
-
-    def push(exp: Weight) -> None:
-        pushed.add(exp)
-        height = sum(w * x for w, x in zip(weights, exp))
-        heapq.heappush(heap, (-height, tuple(-x for x in exp)))
-
-    for exp in work:
-        push(exp)
+    top = max(map(height, work), default=-1)
+    box = product(*(range(top // w + 1) for w in weights))
+    sweep = sorted(((h, mu) for mu in box if (h := height(mu)) <= top), reverse=True)
 
     out: dict[Degree, int | Fraction] = {}
-    cleared: set[Weight] = set()
-    while heap:
-        _, nege = heapq.heappop(heap)
-        exp = tuple(-x for x in nege)
-        pushed.discard(exp)
+    for _, exp in sweep:
         coeff = work.get(exp)
         if not coeff:
             continue
-        if exp in cleared:
-            raise RuntimeError("leader cleared twice; selection order broken")
-        cleared.add(exp)
         lead = 1
         for base, e in zip(basis.leading_coeffs, exp):
             lead *= base**e
@@ -308,11 +301,6 @@ def reduce(basis: VariableBasis, f: LaurentPoly) -> XYPoly:
             new = work.get(mexp, 0) - mono_coeff * mc
             if new:
                 work[mexp] = new
-                # Cache keys are dominant by construction; this check keeps
-                # a corrupted entry a NonDominantLeaderError, not a descent
-                # into negative degrees.
-                if mexp not in pushed and min(mexp) >= 0:
-                    push(mexp)
             else:
                 work.pop(mexp, None)
     if work:

@@ -217,10 +217,11 @@ def check_index(rs: RootSystem, index: Weight) -> None:
 
 def index_box(rank: int, max_m: int, max_n: int | None) -> list[Weight]:
     """The table indices up to (max_m, max_n), in table order."""
+    if (max_n is None) != (rank == 1):
+        bounds = "max_m only" if rank == 1 else "max_m and max_n"
+        raise ValueError(f"a rank-{rank} table takes {bounds}, got max_n={max_n}")
     if rank == 1:
         return [(m,) for m in range(max_m + 1)]
-    if max_n is None:
-        raise ValueError("rank-2 tables need max_n")
     return [(m, n) for m in range(max_m + 1) for n in range(max_n + 1)]
 
 

@@ -188,10 +188,12 @@ def test_rank_one_second_kind_is_plain_chebyshev(a1, a1_second):
     assert second_kind_poly(a1, a1_second, 3) == XYPoly(1, {(3,): 1, (1,): -2})
 
 
-def test_index_guards(g2, g2_second):
+def test_index_guards(g2, g2_second, a1, a1_second):
     with pytest.raises(ValueError):
         second_kind_poly(g2, g2_second, 1)
     with pytest.raises(ValueError):
         second_kind_poly(g2, g2_second, -1, 0)
     with pytest.raises(ValueError):
         second_kind_table(g2, g2_second, 2, None)
+    with pytest.raises(ValueError, match="rank-1"):
+        second_kind_table(a1, a1_second, 3, 5)

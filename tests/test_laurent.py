@@ -60,11 +60,28 @@ def test_exact_divide_round_trip_rank_one(a, b):
     assert exact_divide(a * b, b) == a
 
 
+# A divisor with two or more terms is not a unit, so it cannot divide z^e.
+@given(a=laurents, b=laurents.filter(lambda p: len(p) > 1), e=exponents)
+def test_exact_divide_rejects_a_non_exact_division(a, b, e):
+    with pytest.raises(NonDivisibleError):
+        exact_divide(a * b + LaurentPoly.monomial(2, e), b)
+
+
+@given(
+    a=laurents1,
+    b=laurents1.filter(lambda p: len(p) > 1),
+    e=st.integers(min_value=-4, max_value=4),
+)
+def test_exact_divide_rejects_a_non_exact_division_rank_one(a, b, e):
+    with pytest.raises(NonDivisibleError):
+        exact_divide(a * b + LaurentPoly.monomial(1, (e,)), b)
+
+
 def test_exact_divide_error_names_the_bound():
     one_plus_z = LaurentPoly(2, {(0, 0): 1, (1, 0): 1})
     z_minus_one = LaurentPoly(2, {(1, 0): 1, (0, 0): -1})
     with pytest.raises(
-        NonDivisibleError, match=r"quotient exponent \(-1, 0\) falls below the bound \(0, 0\)"
+        NonDivisibleError, match=r"quotient exponent \(-1, 0\) lies outside the box \(0, 0\)"
     ):
         exact_divide(one_plus_z, z_minus_one)
 
@@ -73,7 +90,7 @@ def test_exact_divide_non_unit_leading_coefficient_rank_two():
     # (z^2 + 1) / (2z + 1) is 1/2 z - 1/4 with remainder 5/4.
     den = LaurentPoly(2, {(1, 0): 2, (0, 0): 1})
     num = LaurentPoly(2, {(2, 0): 1, (0, 0): 1})
-    with pytest.raises(NonDivisibleError, match="below the bound"):
+    with pytest.raises(NonDivisibleError, match="outside the box"):
         exact_divide(num, den)
     assert exact_divide(den * num, den) == num
 
@@ -82,7 +99,7 @@ def test_exact_divide_error_names_the_step_cap(monkeypatch):
     monkeypatch.setattr(laurent, "_DIVIDE_STEP_CAP", 2)
     one_plus_z = LaurentPoly(2, {(0, 0): 1, (1, 0): 1})
     with pytest.raises(
-        NonDivisibleError, match=r"step cap 2 reached at quotient exponent \(0, 0\)"
+        NonDivisibleError, match=r"box \(0, 0\) to \(2, 0\) has 3 positions, over the cap 2"
     ):
         exact_divide(one_plus_z**3, one_plus_z)
 

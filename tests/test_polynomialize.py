@@ -141,6 +141,27 @@ def test_dominant_cache_matches_explicit_product(case):
     assert basis._power_cache[deg] == dominant
 
 
+@st.composite
+def polynomial_pairs(draw):
+    algebra = draw(st.sampled_from(ALGEBRAS))
+    kind = draw(st.sampled_from(list(Kind)))
+    rank = 1 if algebra is AlgebraId.A1 else 2
+    small = st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * rank), int_coeffs, max_size=4
+    ).map(lambda d: XYPoly(rank, d))
+    return algebra, kind, draw(small), draw(small)
+
+
+@given(case=polynomial_pairs())
+def test_reduce_is_a_ring_homomorphism(case):
+    algebra, kind, p, q = case
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, kind)
+    assert reduce(basis, expand(basis, p) * expand(basis, q)) == p * q
+    assert reduce(basis, expand(basis, p) - expand(basis, q)) == p - q
+    assert reduce(basis, LaurentPoly.zero(rs.rank)) == XYPoly.zero(rs.rank)
+
+
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("algebra", [AlgebraId.A1, AlgebraId.A2, AlgebraId.C2])
 def test_expand_after_reduce_on_orbit_sums_other_algebras(algebra, kind):
