@@ -280,7 +280,7 @@ def reduce(basis: VariableBasis, f: LaurentPoly) -> XYPoly:
         return sum(w * x for w, x in zip(weights, mu))
 
     work = {exp: c for exp, c in f._terms.items() if min(exp) >= 0}
-    top = max(map(height, work), default=-1)
+    top = max(map(height, work), default=-1)  # no input terms: an empty sweep
     box = product(*(range(top // w + 1) for w in weights))
     sweep = sorted(((h, mu) for mu in box if (h := height(mu)) <= top), reverse=True)
 
