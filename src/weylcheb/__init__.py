@@ -58,10 +58,7 @@ from .rootsystem import (
     act,
     build_root_system,
     dominant_representative,
-    inner_weight_root,
     is_dominant,
-    positive_roots,
-    to_root_coords,
 )
 
 __version__ = "0.1.0"
@@ -102,19 +99,16 @@ __all__ = [
     "first_kind_poly",
     "first_kind_table",
     "gf_series_check",
-    "inner_weight_root",
     "is_dominant",
     "minimal_poly_check",
     "normalize_index",
     "orbit_sum",
     "poly_via_recurrence",
-    "positive_roots",
     "recurrence_table",
     "reduce",
     "second_kind_poly",
     "second_kind_table",
     "signed_orbit_sum",
-    "to_root_coords",
     "unit_weight",
     "variable_laurents",
     "verify_ratio",

@@ -12,6 +12,7 @@ codes: 0 success, 1 verification or crosscheck failure, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -88,8 +89,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error("--samples must be positive")
     if samples > _MAX_SAMPLES:
         parser.error(f"--samples must be at most {_MAX_SAMPLES}")
-    if getattr(args, "tol", 1.0) <= 0:
-        parser.error("--tol must be positive")
+    if not 0 < getattr(args, "tol", 1.0) < math.inf:
+        parser.error("--tol must be finite and positive")
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 from .genfunc import second_kind_poly
 from .orbit import Kind, signed_orbit_sum
 from .polynomialize import VariableBasis, XYPoly
-from .rootsystem import RootSystem, check_index, inner_weight_root, positive_roots
+from .rootsystem import RootSystem, check_index
 
 DEFAULT_SEED = 104729
 
@@ -256,8 +256,8 @@ def verify_ratio(
         raise ValueError("verify_ratio needs a second-kind basis")
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     check_index(rs, index)
     if poly is None:
         poly = second_kind_poly(rs, basis, *index)
@@ -288,20 +288,19 @@ def verify_ratio(
 
 
 def weyl_dimension(rs: RootSystem, index: tuple[int, ...]) -> int:
-    """Classical dimension formula, evaluated with exact rationals over the
-    positive roots."""
+    """Weyl dimension formula over the positive coroots c: the product of
+    <lambda + rho, c> / <rho, c>, in exact integers."""
     if len(index) != rs.rank:
         raise ValueError("index rank mismatch")
-    shifted = tuple(c + 1 for c in index)
-    value = Fraction(1)
-    for alpha in positive_roots(rs):
-        value *= Fraction(
-            inner_weight_root(rs, shifted, alpha),
-            inner_weight_root(rs, rs.rho, alpha),
-        )
-    if value.denominator != 1:
+    shifted = tuple(c + r for c, r in zip(index, rs.rho))
+    numerator = denominator = 1
+    for coroot in rs.positive_coroots:
+        numerator *= sum(a * b for a, b in zip(coroot, shifted))
+        denominator *= sum(a * b for a, b in zip(coroot, rs.rho))
+    value, rest = divmod(numerator, denominator)
+    if rest:
         raise ArithmeticError("dimension did not come out integral")
-    return int(value)
+    return value
 
 
 def dimension_check(

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .laurent import LaurentPoly, SparsePoly, _norm_coeff
 from .orbit import Kind, orbit_points, unit_weight, variable_laurents
-from .rootsystem import RootSystem, Weight, _det, act_all
+from .rootsystem import RootSystem, Weight, act_all
 
 
 class NotInvariantError(ValueError):
@@ -246,13 +246,6 @@ def _check_invariant(basis: VariableBasis, f: LaurentPoly) -> None:
                 )
 
 
-def _height_weights(rs: RootSystem) -> tuple[int, ...]:
-    """Integer weights of the root-height functional scaled by det C: the
-    height of mu is sum(mu_i * weights[i]) / det C."""
-    det = _det(rs.cartan)
-    return tuple(int(det * sum(row)) for row in rs.cartan_inverse)
-
-
 def reduce(basis: VariableBasis, f: LaurentPoly) -> XYPoly:
     """Rewrite the invariant Laurent polynomial ``f`` over the variables.
 
@@ -265,16 +258,17 @@ def reduce(basis: VariableBasis, f: LaurentPoly) -> XYPoly:
 
     The sweep visits every dominant weight whose height is at most the
     input's top height, highest first and lexicographically descending
-    within a height.  Height is the root-height functional (sum of root
-    coordinates, kept integral by scaling with det C), and every
-    non-leading term of a monomial has strictly smaller height than its
-    leading weight, so each working coefficient is final when the sweep
-    reaches it.  A residue left after the sweep raises
+    within a height.  The height of mu is its pairing with 2 rho^v, the sum
+    of the positive coroots: an integer that every positive root raises by
+    at least 2.  Every non-leading term of a monomial lies a sum of
+    positive roots below its leading weight, so it has strictly smaller
+    height and each working coefficient is final when the sweep reaches
+    it.  A residue left after the sweep raises
     NonDominantLeaderError.
     """
     rs = basis.rs
     _check_invariant(basis, f)
-    weights = _height_weights(rs)
+    weights = tuple(map(sum, zip(*rs.positive_coroots)))
 
     def height(mu: Weight) -> int:
         return sum(w * x for w, x in zip(weights, mu))

@@ -7,8 +7,7 @@ closure of the simple reflections and cached.
 
 Conventions: the simple root ``alpha_i`` written in weight coordinates is
 row ``i`` of the Cartan matrix, and the simple reflection acts by
-``w_i(n)_j = n_j - n_i * C[i][j]``.  Root lengths are normalized so the
-short root has squared length 2.
+``w_i(n)_j = n_j - n_i * C[i][j]``.
 
 Every route indexes its polynomials by a dominant weight: one nonnegative
 integer per fundamental weight.  ``check_index`` is the one check of that
@@ -20,12 +19,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 Weight = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
-FracMatrix = tuple[tuple[Fraction, ...], ...]
 
 # Coordinates this far out would overflow no Python int, but they signal a
 # runaway caller; everything acceptance-sized stays tiny.
@@ -69,10 +66,9 @@ class WeylElement:
 class RootSystem:
     algebra: AlgebraId
     cartan: IntMatrix
-    cartan_inverse: FracMatrix
     elements: tuple[WeylElement, ...]
     rho: Weight
-    symmetrizer: tuple[Fraction, ...]
+    positive_coroots: IntMatrix
 
     @property
     def rank(self) -> int:
@@ -110,17 +106,6 @@ def _reflection_matrix(cartan: IntMatrix, i: int) -> IntMatrix:
     )
 
 
-def _invert(cartan: IntMatrix) -> FracMatrix:
-    if len(cartan) == 1:
-        return ((Fraction(1, cartan[0][0]),),)
-    (a, b), (c, d) = cartan
-    det = a * d - b * c
-    return (
-        (Fraction(d, det), Fraction(-b, det)),
-        (Fraction(-c, det), Fraction(a, det)),
-    )
-
-
 @lru_cache(maxsize=None)
 def build_root_system(algebra: AlgebraId) -> RootSystem:
     """Construct (and cache) the full root-system record for ``algebra``."""
@@ -149,23 +134,17 @@ def build_root_system(algebra: AlgebraId) -> RootSystem:
             f" expected {_WEYL_ORDER[algebra]}"
         )
 
+    # Row i of w's matrix pairs a weight with the coroot w^-1(alpha_i^v), so
+    # the rows are all the coroots; a coroot is positive exactly when it
+    # pairs positively with rho = (1, ..., 1).
+    coroots = {row for w in elements for row in w.matrix if sum(row) > 0}
     return RootSystem(
         algebra=algebra,
         cartan=cartan,
-        cartan_inverse=_invert(cartan),
         elements=tuple(elements),
         rho=(1,) * d,
-        symmetrizer=_symmetrizer(cartan),
+        positive_coroots=tuple(sorted(coroots)),
     )
-
-
-def _symmetrizer(cartan: IntMatrix) -> tuple[Fraction, ...]:
-    # d_i = (alpha_i, alpha_i)/2, scaled so the minimum (short root) is 1.
-    if len(cartan) == 1:
-        return (Fraction(1),)
-    d2 = Fraction(cartan[1][0], cartan[0][1])
-    low = min(Fraction(1), d2)
-    return (Fraction(1) / low, d2 / low)
 
 
 def act(rs: RootSystem, w: WeylElement, mu: Weight) -> Weight:
@@ -193,15 +172,6 @@ def act_all(rs: RootSystem, w: WeylElement, weights: list[Weight]) -> list[Weigh
     return [(a * x + b * y, c * x + e * y) for x, y in weights]
 
 
-def to_root_coords(rs: RootSystem, mu: Weight) -> tuple[Fraction, ...]:
-    """Coordinates of ``mu`` over the simple roots (rational in general)."""
-    d = rs.rank
-    inv = rs.cartan_inverse
-    return tuple(
-        sum((mu[i] * inv[i][j] for i in range(d)), start=Fraction(0)) for j in range(d)
-    )
-
-
 def is_dominant(mu: Weight) -> bool:
     return all(c >= 0 for c in mu)
 
@@ -209,9 +179,10 @@ def is_dominant(mu: Weight) -> bool:
 def check_index(rs: RootSystem, index: Weight) -> None:
     """Reject anything but a table index: one nonnegative integer per
     fundamental weight."""
-    if len(index) != rs.rank or not is_dominant(index):
+    if len(index) != rs.rank or not all(isinstance(c, int) and c >= 0 for c in index):
         raise ValueError(
-            f"a rank-{rs.rank} index takes {rs.rank} nonnegative entries, got {index}"
+            f"a rank-{rs.rank} index takes {rs.rank} nonnegative integer entries,"
+            f" got {index}"
         )
 
 
@@ -220,6 +191,9 @@ def index_box(rank: int, max_m: int, max_n: int | None) -> list[Weight]:
     if (max_n is None) != (rank == 1):
         bounds = "max_m only" if rank == 1 else "max_m and max_n"
         raise ValueError(f"a rank-{rank} table takes {bounds}, got max_n={max_n}")
+    for name, bound in (("max_m", max_m), ("max_n", max_n)):
+        if bound is not None and not (isinstance(bound, int) and bound >= 0):
+            raise ValueError(f"{name} must be a nonnegative integer, got {bound!r}")
     if rank == 1:
         return [(m,) for m in range(max_m + 1)]
     return [(m, n) for m in range(max_m + 1) for n in range(max_n + 1)]
@@ -237,31 +211,3 @@ def dominant_representative(rs: RootSystem, mu: Weight) -> tuple[WeylElement, We
         if is_dominant(image):
             return w, image
     raise RuntimeError("orbit failed to meet the dominant chamber")
-
-
-def positive_roots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """All positive roots, as integer coordinate vectors over the simple
-    roots, sorted lexicographically."""
-    roots: set[Weight] = set()
-    for i in range(rs.rank):
-        simple = rs.cartan[i]
-        for w in rs.elements:
-            roots.add(act(rs, w, simple))
-    positive = []
-    for root in roots:
-        coords = to_root_coords(rs, root)
-        if any(c.denominator != 1 for c in coords):
-            raise RuntimeError("root with non-integer root coordinates")
-        ints = tuple(int(c) for c in coords)
-        if all(c >= 0 for c in ints):
-            positive.append(ints)
-    return tuple(sorted(positive))
-
-
-def inner_weight_root(rs: RootSystem, mu: Weight, alpha_root: tuple[int, ...]) -> Fraction:
-    """Invariant inner product of a weight (weight coordinates) with a root
-    (root coordinates), in the short-root-squared-length-2 normalization."""
-    return sum(
-        (Fraction(mu[j] * alpha_root[j]) * rs.symmetrizer[j] for j in range(rs.rank)),
-        start=Fraction(0),
-    )

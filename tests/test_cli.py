@@ -293,6 +293,8 @@ def test_crosscheck_names_the_first_mismatch(monkeypatch, capsys):
         ("no-such-command",),
         ("verify", "--samples", "100001"),
         ("verify", "--algebra", "a2"),
+        ("verify", "--tol", "nan"),
+        ("verify", "--tol", "inf"),
     ],
 )
 def test_usage_errors_exit_with_code_two(argv):

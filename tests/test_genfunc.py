@@ -195,5 +195,7 @@ def test_index_guards(g2, g2_second, a1, a1_second):
         second_kind_poly(g2, g2_second, -1, 0)
     with pytest.raises(ValueError):
         second_kind_table(g2, g2_second, 2, None)
+    with pytest.raises(ValueError, match="max_m"):
+        second_kind_table(g2, g2_second, -1, 2)
     with pytest.raises(ValueError, match="rank-1"):
         second_kind_table(a1, a1_second, 3, 5)

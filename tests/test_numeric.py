@@ -106,6 +106,10 @@ def test_argument_guards(g2, g2_second, g2_first):
     with pytest.raises(ValueError):
         verify_ratio(g2, g2_second, 1, 0, tol=0.0)
     with pytest.raises(ValueError):
+        verify_ratio(g2, g2_second, 1, 0, tol=float("nan"))
+    with pytest.raises(ValueError):
+        verify_ratio(g2, g2_second, 1, 0, tol=float("inf"))
+    with pytest.raises(ValueError):
         verify_ratio(g2, g2_second, -1, 0)
     with pytest.raises(ValueError):
         dimension_check(g2, g2_first, 1, 0)
@@ -216,7 +220,7 @@ def test_report_passed_property():
 def test_weyl_dimension_oracle(g2, a2, c2):
     for index, want in DIMENSIONS.items():
         assert weyl_dimension(g2, index) == want
-    # Each algebra's root lengths enter through its symmetrizer.
+    # Each algebra's root lengths enter through its positive coroots.
     indices = [(1, 0), (0, 1), (1, 1), (2, 0)]
     for rs, wants in [(a2, [3, 3, 8, 6]), (c2, [4, 5, 16, 10])]:
         assert [weyl_dimension(rs, index) for index in indices] == wants

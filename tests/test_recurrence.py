@@ -169,6 +169,8 @@ def test_recurrence_guards(g2, g2_second, a1, a1_second):
         poly_via_recurrence(a1, a1_second, 1, 0)
     with pytest.raises(ValueError):
         recurrence_table(g2, g2_second, 3)
+    with pytest.raises(ValueError, match="max_m"):
+        recurrence_table(g2, g2_second, -1, 2)
     with pytest.raises(ValueError, match="rank-1"):
         recurrence_table(a1, a1_second, 3, 5)
 

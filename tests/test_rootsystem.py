@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,9 +19,7 @@ from weylcheb import (
     first_kind_poly,
     is_dominant,
     poly_via_recurrence,
-    positive_roots,
     second_kind_poly,
-    to_root_coords,
     verify_ratio,
 )
 from weylcheb.rootsystem import act_all, check_index
@@ -91,13 +87,16 @@ def test_g2_negative_det_words(g2):
 
 
 def test_rho_and_positive_roots(g2, c2, a2, a1):
-    assert to_root_coords(g2, g2.rho) == (Fraction(5), Fraction(3))
     for rs, count in [(a1, 1), (a2, 3), (c2, 4), (g2, 6)]:
-        roots = positive_roots(rs)
-        assert len(roots) == count
-        # every positive root has nonnegative root coordinates
-        for alpha in roots:
-            assert all(c >= 0 for c in alpha)
+        coroots = rs.positive_coroots
+        # at rank <= 2 the reflections are exactly the det = -1 elements
+        assert len(coroots) == count == sum(w.det == -1 for w in rs.elements)
+        for coroot in coroots:
+            assert sum(c * r for c, r in zip(coroot, rs.rho)) > 0
+        # every simple root has height <alpha_i, 2 rho^v> = 2
+        two_rho_check = [sum(column) for column in zip(*coroots)]
+        for alpha in rs.cartan:
+            assert sum(a * h for a, h in zip(alpha, two_rho_check)) == 2
 
 
 def test_act_examples(g2):
@@ -169,8 +168,10 @@ def test_act_all_matches_act(algebra):
         (AlgebraId.A1, (-1,)),
         (AlgebraId.G2, (1,)),
         (AlgebraId.G2, (-1, 0)),
+        (AlgebraId.A1, (2.0,)),
+        (AlgebraId.G2, (1.5, 0)),
     ],
-    ids=["a1-arity", "a1-negative", "g2-arity", "g2-negative"],
+    ids=["a1-arity", "a1-negative", "g2-arity", "g2-negative", "a1-float", "g2-float"],
 )
 def test_every_entry_point_raises_the_check_index_error(algebra, index):
     rs = build_root_system(algebra)
