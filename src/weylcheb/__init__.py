@@ -9,9 +9,7 @@ test suite plays against each other.
 
 from .genfunc import (
     ConvolutionNotTerminatingError,
-    DiagonalExpMatrix,
     RationalGF,
-    SignClass,
     closed_form_gf,
     coefficient_trace,
     diagonal_exp_matrix,
@@ -42,7 +40,6 @@ from .polynomialize import (
     reduce,
 )
 from .recurrence import (
-    CompanionMatrix,
     NormalizedIndex,
     apply_poly_to_matrix,
     build_companions,
@@ -67,10 +64,8 @@ __all__ = [
     "AlgebraId",
     "AllPointsSingularError",
     "AnglePoint",
-    "CompanionMatrix",
     "ConvolutionNotTerminatingError",
     "DEFAULT_SEED",
-    "DiagonalExpMatrix",
     "Kind",
     "LaurentPoly",
     "NonDivisibleError",
@@ -79,7 +74,6 @@ __all__ = [
     "NotInvariantError",
     "RationalGF",
     "RootSystem",
-    "SignClass",
     "VariableBasis",
     "VerificationReport",
     "WeylElement",

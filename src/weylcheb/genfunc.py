@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentPoly, exact_divide
@@ -32,54 +30,30 @@ class ConvolutionNotTerminatingError(ArithmeticError):
     """Numerator entries persist beyond the denominator degree bound."""
 
 
-class SignClass(Enum):
-    PLUS = "plus"
-    MINUS = "minus"
-    DIFFERENCE = "difference"
-
-
-@dataclass(frozen=True)
-class DiagonalExpMatrix:
-    """Diagonal exponential matrix for one fundamental weight.
-
-    entries[j] is the weight w_j . lambda_i, with j running over the group
-    elements in root-system order (the same order for every i), and dets[j]
-    the determinant of w_j, splitting positions into the two sign classes.
-    """
-
-    entries: tuple[Weight, ...]
-    dets: tuple[int, ...]
-
-
 @lru_cache(maxsize=None)
-def diagonal_exp_matrix(rs: RootSystem, i: int) -> DiagonalExpMatrix:
+def diagonal_exp_matrix(rs: RootSystem, i: int) -> tuple[Weight, ...]:
+    """Diagonal of the exponential matrix for the fundamental weight
+    lambda_i: entry j is w_j . lambda_i, with j running over the group
+    elements in root-system order (the same order for every i)."""
     lam = unit_weight(rs, i)
-    entries = tuple(act(rs, w, lam) for w in rs.elements)
-    dets = tuple(w.det for w in rs.elements)
-    return DiagonalExpMatrix(entries, dets)
+    return tuple(act(rs, w, lam) for w in rs.elements)
 
 
-def coefficient_trace(rs: RootSystem, signs: SignClass, *index: int) -> LaurentPoly:
-    """Coefficient of p1^m1 ... pd^md in the resolvent-product trace.
-
-    Summed over diagonal positions of the chosen sign class; DIFFERENCE
-    weights each position by its determinant.  This is an independent route
-    to the same Laurent polynomials as the orbit sums.
+def coefficient_trace(rs: RootSystem, *index: int) -> LaurentPoly:
+    """Coefficient of p1^m1 ... pd^md in the resolvent-product trace, each
+    diagonal position weighted by the determinant of its group element.
+    This is an independent route to the same Laurent polynomials as the
+    signed orbit sums.
     """
     check_index(rs, index)
-    mats = [diagonal_exp_matrix(rs, i) for i in range(rs.rank)]
-    acc: dict[Weight, int | Fraction] = {}
-    for j, det in enumerate(mats[0].dets):
-        if signs is SignClass.PLUS and det != 1:
-            continue
-        if signs is SignClass.MINUS and det != -1:
-            continue
+    diagonals = [diagonal_exp_matrix(rs, i) for i in range(rs.rank)]
+    acc: dict[Weight, int] = {}
+    for w, *entries in zip(rs.elements, *diagonals):
         exp = tuple(
-            sum(m * mats[k].entries[j][c] for k, m in enumerate(index))
+            sum(m * entry[c] for m, entry in zip(index, entries))
             for c in range(rs.rank)
         )
-        weight = det if signs is SignClass.DIFFERENCE else 1
-        new = acc.get(exp, 0) + weight
+        new = acc.get(exp, 0) + w.det
         if new:
             acc[exp] = new
         else:
@@ -94,8 +68,8 @@ def second_kind_poly(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPol
         raise ValueError("second_kind_poly needs a second-kind basis")
     check_index(rs, index)
     shifted = tuple(m + 1 for m in index)
-    numerator = coefficient_trace(rs, SignClass.DIFFERENCE, *shifted)
-    denominator = coefficient_trace(rs, SignClass.DIFFERENCE, *(1,) * rs.rank)
+    numerator = coefficient_trace(rs, *shifted)
+    denominator = coefficient_trace(rs, *(1,) * rs.rank)
     return reduce(basis, exact_divide(numerator, denominator))
 
 
@@ -149,10 +123,9 @@ def denominator_coeffs(rs: RootSystem, basis: VariableBasis, i: int) -> tuple[XY
     orbit (the det classes hit every orbit point exactly once at rank 2),
     hence W-invariant and reducible.
     """
-    mat = diagonal_exp_matrix(rs, i)
     coeffs: list[LaurentPoly] = [LaurentPoly.one(rs.rank)]
-    for mu, det in zip(mat.entries, mat.dets):
-        if det != 1:
+    for mu, w in zip(diagonal_exp_matrix(rs, i), rs.elements):
+        if w.det != 1:
             continue
         factor = LaurentPoly.monomial(rs.rank, mu)
         nxt = [coeffs[0]]
@@ -200,23 +173,22 @@ def gf_series_check(
     compare every coefficient up to (max_m, max_n) with the direct route."""
     rs = basis.rs
     p_coeffs, q_coeffs = gf.denominators
+    box = index_box(2, max_m, max_n)
     series: dict[tuple[int, int], XYPoly] = {}
-    for m in range(max_m + 1):
-        for n in range(max_n + 1):
-            acc = gf.numerator.get((m, n), XYPoly.zero(2))
-            for a in range(min(m, len(p_coeffs) - 1) + 1):
-                for b in range(min(n, len(q_coeffs) - 1) + 1):
-                    if a == 0 and b == 0:
-                        continue
-                    acc = acc - p_coeffs[a] * q_coeffs[b] * series[(m - a, n - b)]
-            series[(m, n)] = acc
-    for m in range(max_m + 1):
-        for n in range(max_n + 1):
-            direct = second_kind_poly(rs, basis, m, n)
-            if series[(m, n)] != direct:
-                log.warning(
-                    "series mismatch at (%d, %d): %s != %s",
-                    m, n, series[(m, n)].as_text(), direct.as_text(),
-                )
-                return False
+    for m, n in box:
+        acc = gf.numerator.get((m, n), XYPoly.zero(2))
+        for a in range(min(m, len(p_coeffs) - 1) + 1):
+            for b in range(min(n, len(q_coeffs) - 1) + 1):
+                if a == 0 and b == 0:
+                    continue
+                acc = acc - p_coeffs[a] * q_coeffs[b] * series[(m - a, n - b)]
+        series[(m, n)] = acc
+    for m, n in box:
+        direct = second_kind_poly(rs, basis, m, n)
+        if series[(m, n)] != direct:
+            log.warning(
+                "series mismatch at (%d, %d): %s != %s",
+                m, n, series[(m, n)].as_text(), direct.as_text(),
+            )
+            return False
     return True

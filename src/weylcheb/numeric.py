@@ -254,8 +254,8 @@ def verify_ratio(
     """
     if basis.kind is not Kind.SECOND:
         raise ValueError("verify_ratio needs a second-kind basis")
-    if num_samples <= 0:
-        raise ValueError("num_samples must be positive")
+    if type(num_samples) is not int or num_samples <= 0:
+        raise ValueError(f"num_samples must be a positive integer, got {num_samples!r}")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
     check_index(rs, index)
@@ -290,8 +290,8 @@ def verify_ratio(
 def weyl_dimension(rs: RootSystem, index: tuple[int, ...]) -> int:
     """Weyl dimension formula over the positive coroots c: the product of
     <lambda + rho, c> / <rho, c>, in exact integers."""
-    if len(index) != rs.rank:
-        raise ValueError("index rank mismatch")
+    if len(index) != rs.rank or not all(type(c) is int for c in index):
+        raise ValueError(f"a rank-{rs.rank} weight takes {rs.rank} integer entries, got {index}")
     shifted = tuple(c + r for c, r in zip(index, rs.rho))
     numerator = denominator = 1
     for coroot in rs.positive_coroots:

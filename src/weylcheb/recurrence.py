@@ -50,8 +50,8 @@ def normalize_index(rs: RootSystem, *n: int) -> NormalizedIndex:
     """Fold the index via the reflection rule for rho-shifted weights: n + rho
     goes to the dominant chamber, and a zero coordinate there puts it on a
     wall.  Off the walls the element reaching the chamber is unique."""
-    if len(n) != rs.rank:
-        raise ValueError("index rank mismatch")
+    if len(n) != rs.rank or not all(type(c) is int for c in n):
+        raise ValueError(f"a rank-{rs.rank} index takes {rs.rank} integer entries, got {n}")
     w, image = dominant_representative(rs, tuple(c + 1 for c in n))
     if 0 in image:
         return NormalizedIndex(0, None)
@@ -133,82 +133,53 @@ def recurrence_table(
 # -- companion matrices -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompanionMatrix:
-    """Square matrix over XYPoly: recurrence coefficients down the first
-    column, identity shift on the superdiagonal."""
-
-    entries: tuple[tuple[XYPoly, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
+Companion = tuple[tuple[XYPoly, ...], ...]
 
 
-def build_companions(
-    rs: RootSystem, basis: VariableBasis
-) -> tuple[CompanionMatrix, CompanionMatrix]:
-    """One companion per axis, from the closed-form denominator of that
-    axis: column k steps the index, first column folds back with the
-    negated denominator coefficients."""
+def build_companions(rs: RootSystem, basis: VariableBasis) -> tuple[Companion, ...]:
+    """One companion per axis, as a tuple of rows, from the closed-form
+    denominator of that axis: the negated denominator coefficients down the
+    first column, an identity shift on the superdiagonal."""
+    if rs.rank != 2:
+        raise ValueError("companions are implemented for rank-2 systems")
+    one = XYPoly.constant(rs.rank, 1)
+    zero = XYPoly.zero(rs.rank)
     mats = []
     for i in range(rs.rank):
         coeffs = denominator_coeffs(rs, basis, i)
         size = len(coeffs) - 1
-        zero = XYPoly.zero(rs.rank)
-        rows = []
-        for r in range(size):
-            row = [-coeffs[r + 1]]
-            for c in range(1, size):
-                row.append(XYPoly.constant(rs.rank, 1) if c == r + 1 else zero)
-            rows.append(tuple(row))
-        mats.append(CompanionMatrix(tuple(rows)))
+        mats.append(tuple(
+            (-coeffs[r + 1], *(one if c == r + 1 else zero for c in range(1, size)))
+            for r in range(size)
+        ))
     return tuple(mats)
 
 
-def _mat_mul(a, b, rank: int):
-    size = len(a)
-    out = []
-    for r in range(size):
-        row = []
-        for c in range(size):
-            acc = XYPoly.zero(rank)
-            for k in range(size):
-                if a[r][k] and b[k][c]:
-                    acc = acc + a[r][k] * b[k][c]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _mat_add_scaled_identity(m, coeff: XYPoly):
-    size = len(m)
-    return tuple(
-        tuple(m[r][c] + coeff if r == c else m[r][c] for c in range(size))
-        for r in range(size)
-    )
-
-
 def apply_poly_to_matrix(
-    coeffs: tuple[XYPoly, ...], mat: CompanionMatrix, rank: int
-) -> tuple[tuple[XYPoly, ...], ...]:
-    """Horner evaluation of sum_k coeffs[k] M^k as a matrix over XYPoly."""
-    size = mat.size
+    coeffs: tuple[XYPoly, ...], mat: Companion, rank: int
+) -> Companion:
+    """Horner evaluation of sum_k coeffs[k] M^k as a matrix over XYPoly.
+
+    Defined for companions only: A M shifts each row of A one column right
+    and puts the row's pairing with M's first column in front.
+    """
+    first = [row[0] for row in mat]
     zero = XYPoly.zero(rank)
-    acc = tuple(
-        tuple(coeffs[-1] if r == c else zero for c in range(size))
-        for r in range(size)
-    )
-    for k in range(len(coeffs) - 2, -1, -1):
-        acc = _mat_mul(acc, mat.entries, rank)
-        acc = _mat_add_scaled_identity(acc, coeffs[k])
-    return acc
+    acc = [[zero] * len(mat) for _ in mat]
+    for coeff in reversed(coeffs):
+        acc = [
+            [sum((a * b for a, b in zip(row, first) if a and b), zero), *row[:-1]]
+            for row in acc
+        ]
+        for r, row in enumerate(acc):
+            row[r] = row[r] + coeff
+    return tuple(tuple(row) for row in acc)
 
 
 def minimal_poly_check(
     rs: RootSystem,
     gf: RationalGF,
-    companions: tuple[CompanionMatrix, CompanionMatrix],
+    companions: tuple[Companion, ...],
 ) -> bool:
     """Each closed-form denominator annihilates its companion matrix.
 

@@ -178,8 +178,8 @@ def is_dominant(mu: Weight) -> bool:
 
 def check_index(rs: RootSystem, index: Weight) -> None:
     """Reject anything but a table index: one nonnegative integer per
-    fundamental weight."""
-    if len(index) != rs.rank or not all(isinstance(c, int) and c >= 0 for c in index):
+    fundamental weight.  An integer is an ``int`` that is not a ``bool``."""
+    if len(index) != rs.rank or not all(type(c) is int and c >= 0 for c in index):
         raise ValueError(
             f"a rank-{rs.rank} index takes {rs.rank} nonnegative integer entries,"
             f" got {index}"
@@ -192,7 +192,7 @@ def index_box(rank: int, max_m: int, max_n: int | None) -> list[Weight]:
         bounds = "max_m only" if rank == 1 else "max_m and max_n"
         raise ValueError(f"a rank-{rank} table takes {bounds}, got max_n={max_n}")
     for name, bound in (("max_m", max_m), ("max_n", max_n)):
-        if bound is not None and not (isinstance(bound, int) and bound >= 0):
+        if bound is not None and not (type(bound) is int and bound >= 0):
             raise ValueError(f"{name} must be a nonnegative integer, got {bound!r}")
     if rank == 1:
         return [(m,) for m in range(max_m + 1)]

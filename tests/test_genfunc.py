@@ -10,7 +10,6 @@ import pytest
 import weylcheb.genfunc as genfunc_module
 from weylcheb import (
     ConvolutionNotTerminatingError,
-    SignClass,
     XYPoly,
     act,
     closed_form_gf,
@@ -20,7 +19,6 @@ from weylcheb import (
     first_kind_poly,
     first_kind_table,
     gf_series_check,
-    orbit_sum,
     reduce,
     second_kind_poly,
     second_kind_table,
@@ -33,34 +31,22 @@ from g2_reference import K_TABLE, P1_COEFFS, P2_COEFFS, SECOND_KIND, SINGULAR_EL
 def test_diagonal_matrices_follow_element_order(g2):
     for i in range(2):
         mat = diagonal_exp_matrix(g2, i)
-        assert len(mat.entries) == 12
-        assert mat.dets.count(1) == 6 and mat.dets.count(-1) == 6
+        assert len(mat) == 12
         lam = unit_weight(g2, i)
         for j, w in enumerate(g2.elements):
-            assert mat.entries[j] == act(g2, w, lam)
-            assert mat.dets[j] == w.det
+            assert mat[j] == act(g2, w, lam)
 
 
 def test_trace_equals_orbit_sums(g2):
     for m in range(9):
         for n in range(9):
-            assert coefficient_trace(g2, SignClass.DIFFERENCE, m, n) == (
-                signed_orbit_sum(g2, (m, n))
-            )
-    # the two unsigned classes add up to the full orbit sum
-    for idx in [(0, 0), (2, 1), (5, 3), (8, 8)]:
-        total = coefficient_trace(g2, SignClass.PLUS, *idx) + coefficient_trace(
-            g2, SignClass.MINUS, *idx
-        )
-        assert total == orbit_sum(g2, idx)
+            assert coefficient_trace(g2, m, n) == signed_orbit_sum(g2, (m, n))
 
 
 def test_trace_singular_element(g2):
     from weylcheb import LaurentPoly
 
-    assert coefficient_trace(g2, SignClass.DIFFERENCE, 1, 1) == LaurentPoly(
-        2, SINGULAR_ELEMENT
-    )
+    assert coefficient_trace(g2, 1, 1) == LaurentPoly(2, SINGULAR_ELEMENT)
 
 
 def test_second_kind_matches_reference_table(g2, g2_second):
@@ -124,6 +110,16 @@ def test_series_mismatch_names_the_index_and_both_polynomials(
     assert record.getMessage() == (
         f"series mismatch at (1, 1): {wrong.as_text()} != {direct.as_text()}"
     )
+
+
+def test_series_check_compares_the_origin_and_rejects_bad_bounds(g2_gf, g2_second):
+    numerator = dict(g2_gf.numerator)
+    numerator[(0, 0)] = XYPoly.constant(2, 5)
+    bad = dataclasses.replace(g2_gf, numerator=numerator)
+    assert not gf_series_check(bad, g2_second, 0, 0)
+    for max_m, max_n in [(-1, -1), (-1, 3), (3, -1), (2.0, 2), (2, True)]:
+        with pytest.raises(ValueError, match="max_"):
+            gf_series_check(bad, g2_second, max_m, max_n)
 
 
 def test_convolution_guard_trips_on_corrupted_denominator(
@@ -197,5 +193,7 @@ def test_index_guards(g2, g2_second, a1, a1_second):
         second_kind_table(g2, g2_second, 2, None)
     with pytest.raises(ValueError, match="max_m"):
         second_kind_table(g2, g2_second, -1, 2)
+    with pytest.raises(ValueError, match="max_n"):
+        second_kind_table(g2, g2_second, 2, True)
     with pytest.raises(ValueError, match="rank-1"):
         second_kind_table(a1, a1_second, 3, 5)

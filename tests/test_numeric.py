@@ -103,6 +103,9 @@ def test_all_points_singular(a1, a1_second):
 def test_argument_guards(g2, g2_second, g2_first):
     with pytest.raises(ValueError):
         verify_ratio(g2, g2_second, 1, 0, num_samples=0)
+    for num_samples in (True, 2.5):
+        with pytest.raises(ValueError, match="num_samples"):
+            verify_ratio(g2, g2_second, 1, 0, num_samples=num_samples)
     with pytest.raises(ValueError):
         verify_ratio(g2, g2_second, 1, 0, tol=0.0)
     with pytest.raises(ValueError):
@@ -224,6 +227,11 @@ def test_weyl_dimension_oracle(g2, a2, c2):
     indices = [(1, 0), (0, 1), (1, 1), (2, 0)]
     for rs, wants in [(a2, [3, 3, 8, 6]), (c2, [4, 5, 16, 10])]:
         assert [weyl_dimension(rs, index) for index in indices] == wants
+    # Negative weights are in the domain; non-int and bool entries are not.
+    assert weyl_dimension(a2, (-1, 0)) == 0
+    for index in [(2.0, 0), (1, True), (0,)]:
+        with pytest.raises(ValueError, match="rank-2"):
+            weyl_dimension(g2, index)
 
 
 def test_dimension_check_grid(g2, g2_second):

@@ -30,6 +30,9 @@ def test_normalize_index_examples(g2):
     assert normalize_index(g2, 2, 0) == NormalizedIndex(1, (2, 0))
     assert normalize_index(g2, -2, 1) == NormalizedIndex(-1, (0, 0))
     assert normalize_index(g2, 4, 7) == NormalizedIndex(1, (4, 7))
+    for index in [(1.5, 0), (True, 0), (0, 2.0)]:
+        with pytest.raises(ValueError, match="rank-2"):
+            normalize_index(g2, *index)
 
 
 def test_normalize_index_matches_signed_sums(g2):
@@ -124,12 +127,12 @@ def test_single_step_multiplication_identities(g2, g2_second, g2_tables):
 
 def test_companion_layout(g2, g2_second):
     mx, my = build_companions(g2, g2_second)
-    assert mx.size == 6 and my.size == 6
-    assert mx.entries[0][0].as_text() == "x-1"
-    assert mx.entries[2][0].as_text() == "x^{2}-2y-1"
-    assert mx.entries[5][0].as_text() == "-1"
-    assert my.entries[0][0].as_text() == "-x+y-1"
-    assert my.entries[2][0] == XYPoly(
+    assert len(mx) == 6 and len(my) == 6
+    assert mx[0][0].as_text() == "x-1"
+    assert mx[2][0].as_text() == "x^{2}-2y-1"
+    assert mx[5][0].as_text() == "-1"
+    assert my[0][0].as_text() == "-x+y-1"
+    assert my[2][0] == XYPoly(
         2,
         {(3, 0): -2, (2, 0): 1, (1, 0): 2, (0, 0): -1, (1, 1): 4, (0, 1): 4,
          (0, 2): 1},
@@ -139,7 +142,7 @@ def test_companion_layout(g2, g2_second):
     for mat in (mx, my):
         for r in range(6):
             for c in range(1, 6):
-                assert mat.entries[r][c] == (one if c == r + 1 else zero)
+                assert mat[r][c] == (one if c == r + 1 else zero)
 
 
 def test_minimal_polynomials(g2, g2_gf, g2_second):
@@ -173,6 +176,8 @@ def test_recurrence_guards(g2, g2_second, a1, a1_second):
         recurrence_table(g2, g2_second, -1, 2)
     with pytest.raises(ValueError, match="rank-1"):
         recurrence_table(a1, a1_second, 3, 5)
+    with pytest.raises(ValueError, match="rank-2"):
+        build_companions(a1, a1_second)
 
 
 def _gf_table(rs, basis, max_m, max_n=None):

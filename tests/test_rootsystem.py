@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from weylcheb import (
     AlgebraId,
     Kind,
-    SignClass,
     XYPoly,
     act,
     build_basis,
@@ -170,8 +169,13 @@ def test_act_all_matches_act(algebra):
         (AlgebraId.G2, (-1, 0)),
         (AlgebraId.A1, (2.0,)),
         (AlgebraId.G2, (1.5, 0)),
+        (AlgebraId.A1, (True,)),
+        (AlgebraId.G2, (0, False)),
     ],
-    ids=["a1-arity", "a1-negative", "g2-arity", "g2-negative", "a1-float", "g2-float"],
+    ids=[
+        "a1-arity", "a1-negative", "g2-arity", "g2-negative", "a1-float", "g2-float",
+        "a1-bool", "g2-bool",
+    ],
 )
 def test_every_entry_point_raises_the_check_index_error(algebra, index):
     rs = build_root_system(algebra)
@@ -182,7 +186,7 @@ def test_every_entry_point_raises_the_check_index_error(algebra, index):
         check_index(rs, index)
     assert f"rank-{rs.rank}" in str(want.value)
     calls = {
-        "coefficient_trace": lambda: coefficient_trace(rs, SignClass.DIFFERENCE, *index),
+        "coefficient_trace": lambda: coefficient_trace(rs, *index),
         "second_kind_poly": lambda: second_kind_poly(rs, second, *index),
         "first_kind_poly": lambda: first_kind_poly(rs, first, index),
         "poly_via_recurrence": lambda: poly_via_recurrence(rs, second, *index),
