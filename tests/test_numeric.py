@@ -6,8 +6,10 @@ import cmath
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from weylcheb import (
     AllPointsSingularError,
@@ -249,3 +251,29 @@ def test_dimension_check_rank_one(a1, a1_second):
     # m-th second-kind polynomial tracks an (m+1)-dimensional representation
     for m in range(7):
         assert dimension_check(a1, a1_second, m) == (m + 1, m + 1)
+
+
+def test_dimension_check_rejects_a_non_integral_value(g2, g2_second):
+    half = XYPoly.constant(2, Fraction(1, 2))
+    with pytest.raises(ArithmeticError, match="not integral"):
+        dimension_check(g2, g2_second, 1, 1, poly=half)
+
+
+_coeffs = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.fractions(max_denominator=10**6).filter(lambda c: c.denominator != 1),
+)
+
+
+@given(
+    rank=st.integers(1, 2),
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, 8), st.integers(0, 8)), _coeffs, max_size=12
+    ),
+    nums=st.tuples(*[st.integers(-(16 << 96), 16 << 96)] * 2),
+)
+def test_scaled_evaluator_is_the_exact_value_rounded_once(rank, terms, nums):
+    poly = XYPoly(rank, {deg[:rank]: c for deg, c in terms.items()})
+    nums = nums[:rank]
+    exact = poly.evaluate(tuple(Fraction(n, 1 << 96) for n in nums))
+    assert numeric._scaled_evaluator(poly, 96)(nums) == float(exact)
