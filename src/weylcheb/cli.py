@@ -91,6 +91,15 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error(f"--samples must be at most {_MAX_SAMPLES}")
     if not 0 < getattr(args, "tol", 1.0) < math.inf:
         parser.error("--tol must be finite and positive")
+    if args.command == "genfunc" and (args.algebra == "a1" or args.kind != "second"):
+        parser.error("genfunc supports rank-2 algebras with --kind second")
+    if args.command == "verify" and args.algebra == "a2":
+        parser.error(
+            "verify does not support a2: its variables x and y are complex "
+            "conjugates, and the sampler evaluates real variable values only"
+        )
+    if args.command == "verify" and args.kind != "second":
+        parser.error("verify supports --kind second only")
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -147,8 +156,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "genfunc":
-        if rs.rank != 2 or kind is not Kind.SECOND:
-            parser.error("genfunc supports rank-2 algebras with --kind second")
         gf = closed_form_gf(rs, basis)
         if args.format == "json":
             text = output.gf_json(algebra, kind, gf)
@@ -158,13 +165,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "verify":
-        if algebra is AlgebraId.A2:
-            parser.error(
-                "verify does not support a2: its variables x and y are complex "
-                "conjugates, and the sampler evaluates real variable values only"
-            )
-        if kind is not Kind.SECOND:
-            parser.error("verify supports --kind second only")
         seed = _resolve_seed(args)
         results = []
         passed = True

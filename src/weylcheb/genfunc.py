@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly, exact_divide
 from .orbit import Kind, orbit_sum, unit_weight
-from .polynomialize import VariableBasis, XYPoly, reduce
+from .polynomialize import VariableBasis, XYPoly, _check_basis, reduce
 from .rootsystem import RootSystem, Weight, act, check_index, index_box
 
 log = logging.getLogger(__name__)
@@ -53,11 +53,7 @@ def coefficient_trace(rs: RootSystem, *index: int) -> LaurentPoly:
             sum(m * entry[c] for m, entry in zip(index, entries))
             for c in range(rs.rank)
         )
-        new = acc.get(exp, 0) + w.det
-        if new:
-            acc[exp] = new
-        else:
-            del acc[exp]
+        acc[exp] = acc.get(exp, 0) + w.det
     return LaurentPoly(rs.rank, acc)
 
 
@@ -67,6 +63,7 @@ def second_kind_poly(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPol
     if basis.kind is not Kind.SECOND:
         raise ValueError("second_kind_poly needs a second-kind basis")
     check_index(rs, index)
+    _check_basis(rs, basis)
     shifted = tuple(m + 1 for m in index)
     numerator = coefficient_trace(rs, *shifted)
     denominator = coefficient_trace(rs, *(1,) * rs.rank)
@@ -79,6 +76,7 @@ def first_kind_poly(rs: RootSystem, basis: VariableBasis, n: Weight) -> XYPoly:
     if basis.kind is not Kind.FIRST:
         raise ValueError("first_kind_poly needs a first-kind basis")
     check_index(rs, n)
+    _check_basis(rs, basis)
     return reduce(basis, orbit_sum(rs, n))
 
 
@@ -123,6 +121,7 @@ def denominator_coeffs(rs: RootSystem, basis: VariableBasis, i: int) -> tuple[XY
     orbit (the det classes hit every orbit point exactly once at rank 2),
     hence W-invariant and reducible.
     """
+    _check_basis(rs, basis)
     coeffs: list[LaurentPoly] = [LaurentPoly.one(rs.rank)]
     for mu, w in zip(diagonal_exp_matrix(rs, i), rs.elements):
         if w.det != 1:

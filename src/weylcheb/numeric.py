@@ -21,12 +21,11 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .genfunc import second_kind_poly
 from .orbit import Kind, signed_orbit_sum
-from .polynomialize import VariableBasis, XYPoly
+from .polynomialize import VariableBasis, XYPoly, _check_basis
 from .rootsystem import RootSystem, check_index
 
 DEFAULT_SEED = 104729
@@ -87,61 +86,40 @@ def _fixed_complex(value: tuple[int, int]) -> complex:
     )
 
 
-class _FixedPoint:
+def _fixed_eval(axes: tuple[tuple[int, int], ...], laurent) -> tuple[int, int]:
     """Laurent evaluation at one torus point in 96-fractional-bit integers.
 
     Near a wall of the Weyl chamber the signed sums almost cancel, and
     plain double evaluation leaves an absolute error around 1e-16 that
     the later division amplifies by 1/|denominator|.  Fixed-point keeps
     the absolute error near 2^-96, so only the relative rounding of the
-    final conversion survives.  Power tables belong to one instance and
-    are shared by every polynomial it evaluates; negative exponents use
-    the fixed-point inverse of each coordinate.  A table only ever
-    extends the contiguous chain from exponent 0 (or from the inverse)
-    by one multiplication, so every power, and every value, is the same
-    bits whichever instance computes it and in whatever order.
+    final conversion survives.  Each axis's powers are built per call,
+    outward from exponent 0: upward by the coordinate, downward by its
+    fixed-point inverse.
     """
-
-    __slots__ = ("axes", "_cache")
-
-    def __init__(self, axes: tuple[tuple[int, int], ...]):
-        self.axes = axes
-        one = (1 << _FIXED_BITS, 0)
-        self._cache = tuple({0: one, 1: axis} for axis in axes)
-
-    def _inverse(self, k: int) -> tuple[int, int]:
-        re, im = self.axes[k]
+    terms = laurent._terms
+    one = (1 << _FIXED_BITS, 0)
+    tables = []
+    for axis, column in zip(axes, zip(*terms)):
+        re, im = axis
         norm = (re * re + im * im) >> _FIXED_BITS
-        return ((re << _FIXED_BITS) // norm, (-im << _FIXED_BITS) // norm)
-
-    def _power(self, k: int, e: int) -> tuple[int, int]:
-        cache = self._cache[k]
-        found = cache.get(e)
-        if found is not None:
-            return found
-        step = 1 if e > 0 else -1
-        base = cache[1] if e > 0 else cache.setdefault(-1, self._inverse(k))
-        j = e
-        while j - step not in cache:
-            j -= step
-        value = cache[j - step]
-        while j != e + step:
-            value = _fixed_mul(value, base)
-            cache[j] = value
-            j += step
-        return value
-
-    def eval(self, laurent) -> tuple[int, int]:
-        acc_re = 0
-        acc_im = 0
-        # The sums are exact integers, so term order cannot matter.
-        for exp, coeff in laurent._terms.items():
-            w = self._power(0, exp[0])
-            for k in range(1, len(self.axes)):
-                w = _fixed_mul(w, self._power(k, exp[k]))
-            acc_re += coeff * w[0]
-            acc_im += coeff * w[1]
-        return (acc_re, acc_im)
+        inverse = ((re << _FIXED_BITS) // norm, (-im << _FIXED_BITS) // norm)
+        powers = {0: one}
+        for base, step, stop in ((axis, 1, max(column)), (inverse, -1, min(column))):
+            value = one
+            for e in range(step, stop + step, step):
+                value = powers[e] = _fixed_mul(value, base)
+        tables.append(powers)
+    acc_re = 0
+    acc_im = 0
+    # The sums are exact integers, so term order cannot matter.
+    for exp, coeff in terms.items():
+        w = tables[0][exp[0]]
+        for k in range(1, len(tables)):
+            w = _fixed_mul(w, tables[k][exp[k]])
+        acc_re += coeff * w[0]
+        acc_im += coeff * w[1]
+    return (acc_re, acc_im)
 
 
 class _Sample(NamedTuple):
@@ -169,15 +147,15 @@ def _draw_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusSa
     skipped = 0
     for _ in range(num_samples):
         pt = AnglePoint(rng.random(), rng.random() if rs.rank == 2 else 0.0)
-        fp = _FixedPoint(_fixed_axes(pt, rs.rank))
-        den_val = _fixed_complex(fp.eval(denominator))
+        axes = _fixed_axes(pt, rs.rank)
+        den_val = _fixed_complex(_fixed_eval(axes, denominator))
         if abs(den_val) < _SINGULAR_CUTOFF:
             skipped += 1
             continue
-        variables = [fp.eval(v) for v in basis.var_laurents]
+        variables = [_fixed_eval(axes, v) for v in basis.var_laurents]
         if any(abs(v_im) >= imag_limit for _, v_im in variables):
             raise ArithmeticError(f"variable value is not real at {pt}")
-        used.append(_Sample(pt, fp.axes, den_val, tuple(re for re, _ in variables)))
+        used.append(_Sample(pt, axes, den_val, tuple(re for re, _ in variables)))
     return _TorusSamples(tuple(used), skipped)
 
 
@@ -203,20 +181,19 @@ def _scaled_evaluator(poly: XYPoly, scale: int) -> Callable[[Sequence[int]], flo
     Terms of a high-degree polynomial can reach 1e12 while the value
     stays near 1, so summing in doubles loses most of the answer.  With
     binary-rational arguments the sum collapses to one integer over a
-    power of two, and the final division rounds once.  The integer sum is
-    exact, so term order cannot matter.
+    power of two, and the final division rounds once.  Fractional
+    coefficients go over their common denominator into the same sum.  The
+    integer sum is exact, so term order cannot matter.
     """
-    items = list(poly._terms.items())
-    if not items:
-        return lambda nums: 0.0
-    if any(not isinstance(c, int) for _, c in items):
-        return lambda nums: float(
-            poly.evaluate(tuple(Fraction(n, 1 << scale) for n in nums))
-        )
-    top = max(sum(deg) for deg, _ in items)
-    limits = [max(deg[k] for deg, _ in items) for k in range(poly.rank)]
-    shifted = [(deg, coeff, scale * (top - sum(deg))) for deg, coeff in items]
-    denominator = 1 << (scale * top)
+    items = poly._terms.items()
+    common = math.lcm(*(coeff.denominator for _, coeff in items))
+    top = max((sum(deg) for deg, _ in items), default=0)
+    limits = [max((deg[k] for deg, _ in items), default=0) for k in range(poly.rank)]
+    shifted = [
+        (deg, coeff.numerator * (common // coeff.denominator), scale * (top - sum(deg)))
+        for deg, coeff in items
+    ]
+    denominator = common << (scale * top)
 
     def evaluate(nums: Sequence[int]) -> float:
         tables = []
@@ -259,6 +236,7 @@ def verify_ratio(
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
     check_index(rs, index)
+    _check_basis(rs, basis)
     if poly is None:
         poly = second_kind_poly(rs, basis, *index)
     numerator = signed_orbit_sum(rs, tuple(c + 1 for c in index))
@@ -273,7 +251,7 @@ def verify_ratio(
     max_err = 0.0
     worst: AnglePoint | None = None
     for sample in samples.used:
-        num_val = _fixed_complex(_FixedPoint(sample.axes).eval(numerator))
+        num_val = _fixed_complex(_fixed_eval(sample.axes, numerator))
         err = abs(evaluate(sample.variables) - num_val / sample.denominator)
         if err > max_err or worst is None:
             max_err = err
@@ -318,14 +296,13 @@ def dimension_check(
     if basis.kind is not Kind.SECOND:
         raise ValueError("dimension_check needs a second-kind basis")
     check_index(rs, index)
+    _check_basis(rs, basis)
     origin = tuple(
         sum(laurent._terms.values()) for laurent in basis.var_laurents
     )
     if poly is None:
         poly = second_kind_poly(rs, basis, *index)
     left = poly.evaluate(origin)
-    if isinstance(left, Fraction):
-        if left.denominator != 1:
-            raise ArithmeticError("polynomial value at the origin not integral")
-        left = int(left)
-    return left, weyl_dimension(rs, index)
+    if left.denominator != 1:
+        raise ArithmeticError("polynomial value at the origin not integral")
+    return int(left), weyl_dimension(rs, index)

@@ -34,11 +34,7 @@ def signed_orbit_sum(rs: RootSystem, k: Weight) -> LaurentPoly:
     acc: dict[Weight, int] = {}
     for w in rs.elements:
         exp = act(rs, w, k)
-        new = acc.get(exp, 0) + w.det
-        if new:
-            acc[exp] = new
-        else:
-            acc.pop(exp, None)
+        acc[exp] = acc.get(exp, 0) + w.det
     return LaurentPoly(rs.rank, acc)
 
 

@@ -27,8 +27,15 @@ SCHEMA_VERSION = 1
 _KIND_LABEL = {Kind.FIRST: "C", Kind.SECOND: "U"}
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _canonical_json(algebra: AlgebraId, kind: Kind, **fields) -> str:
+    """The artifact {schema, algebra, kind, **fields} in canonical layout."""
+    body = {
+        "schema": SCHEMA_VERSION,
+        "algebra": algebra.value.lower(),
+        "kind": kind.value,
+        **fields,
+    }
+    return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
 def _index_obj(index: tuple[int, ...]) -> dict:
@@ -72,8 +79,8 @@ def table_json(
     table: dict[tuple[int, ...], XYPoly],
 ) -> str:
     """The table artifact, byte for byte what ``_canonical_json`` gives for
-    the body {schema, algebra, kind, max_m[, max_n], polynomials}, where each
-    polynomial is {m[, n], poly: ``XYPoly.to_json_obj()``}."""
+    the fields max_m[, max_n] and polynomials, where each polynomial is
+    {m[, n], poly: ``XYPoly.to_json_obj()``}."""
     head = (
         f'{{\n  "algebra": {json.dumps(algebra.value.lower())},\n'
         f'  "kind": {json.dumps(kind.value)},\n'
@@ -118,18 +125,16 @@ def _t_poly_text(coeffs, parameter: str) -> str:
 
 
 def gf_json(algebra: AlgebraId, kind: Kind, gf: RationalGF) -> str:
-    body = {
-        "schema": SCHEMA_VERSION,
-        "algebra": algebra.value.lower(),
-        "kind": kind.value,
-        "P1": [c.to_json_obj() for c in gf.denominators[0]],
-        "P2": [c.to_json_obj() for c in gf.denominators[1]],
-        "K": [
+    return _canonical_json(
+        algebra,
+        kind,
+        P1=[c.to_json_obj() for c in gf.denominators[0]],
+        P2=[c.to_json_obj() for c in gf.denominators[1]],
+        K=[
             {"i": i, "j": j, "poly": gf.numerator[(i, j)].to_json_obj()}
             for i, j in sorted(gf.numerator)
         ],
-    }
-    return _canonical_json(body)
+    )
 
 
 def gf_text(gf: RationalGF, latex: bool) -> str:
@@ -150,15 +155,7 @@ def verify_json(
     results: list[dict],
     passed: bool,
 ) -> str:
-    body = {
-        "schema": SCHEMA_VERSION,
-        "algebra": algebra.value.lower(),
-        "kind": kind.value,
-        "seed": seed,
-        "results": results,
-        "passed": passed,
-    }
-    return _canonical_json(body)
+    return _canonical_json(algebra, kind, seed=seed, results=results, passed=passed)
 
 
 def verify_result_obj(
@@ -193,15 +190,9 @@ def verify_text(results: list[dict], passed: bool) -> str:
 def crosscheck_json(
     algebra: AlgebraId, kind: Kind, max_m: int, max_n: int | None, mismatch: dict | None
 ) -> str:
-    body = {
-        "schema": SCHEMA_VERSION,
-        "algebra": algebra.value.lower(),
-        "kind": kind.value,
-        "max_m": max_m,
-        "match": mismatch is None,
-    }
+    fields = {"max_m": max_m, "match": mismatch is None}
     if max_n is not None:
-        body["max_n"] = max_n
+        fields["max_n"] = max_n
     if mismatch is not None:
-        body["first_mismatch"] = mismatch
-    return _canonical_json(body)
+        fields["first_mismatch"] = mismatch
+    return _canonical_json(algebra, kind, **fields)

@@ -225,6 +225,13 @@ def build_basis(rs: RootSystem, kind: Kind) -> VariableBasis:
     return VariableBasis(rs, kind, vars_, tuple(leads))
 
 
+def _check_basis(rs: RootSystem, basis: VariableBasis) -> None:
+    if basis.rs.algebra is not rs.algebra:
+        raise ValueError(
+            f"the basis was built for {basis.rs.algebra.value}, not for {rs.algebra.value}"
+        )
+
+
 # -- reduce / expand ---------------------------------------------------------
 
 
@@ -283,15 +290,14 @@ def reduce(basis: VariableBasis, f: LaurentPoly) -> XYPoly:
         coeff = work.get(exp)
         if not coeff:
             continue
-        lead = 1
-        for base, e in zip(basis.leading_coeffs, exp):
-            lead *= base**e
+        monomial = basis._dominant_monomial(exp)
+        lead = monomial[exp]
         if lead == 1:
             mono_coeff = coeff
         else:
             mono_coeff = _norm_coeff(Fraction(coeff) / lead)
         out[exp] = mono_coeff
-        for mexp, mc in basis._dominant_monomial(exp).items():
+        for mexp, mc in monomial.items():
             new = work.get(mexp, 0) - mono_coeff * mc
             if new:
                 work[mexp] = new
@@ -313,9 +319,5 @@ def expand(basis: VariableBasis, p: XYPoly) -> LaurentPoly:
     acc: DominantCoeffs = {}
     for deg, coeff in p._terms.items():
         for lam, c in basis._dominant_monomial(deg).items():
-            new = acc.get(lam, 0) + coeff * c
-            if new:
-                acc[lam] = new
-            else:
-                del acc[lam]
+            acc[lam] = acc.get(lam, 0) + coeff * c
     return basis._unfold(acc)

@@ -32,7 +32,7 @@ from typing import Iterable
 from .genfunc import RationalGF, denominator_coeffs
 from .laurent import LaurentPoly
 from .orbit import Kind, orbit_points, unit_weight
-from .polynomialize import VariableBasis, XYPoly, reduce
+from .polynomialize import VariableBasis, XYPoly, _check_basis, reduce
 from .rootsystem import RootSystem, Weight, check_index, dominant_representative, index_box
 
 
@@ -70,6 +70,7 @@ def _fill(
     """The targets and every index they depend on.  Target t comes from
     t - lambda_i, i the first coordinate with t_i > 0; what it needs lies
     strictly below t in dominance, so the explicit stack terminates."""
+    _check_basis(rs, basis)
     kind = basis.kind
     rules = []
     for i in range(rs.rank):

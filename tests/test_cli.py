@@ -317,6 +317,27 @@ def test_verify_rejects_a2_naming_its_complex_variables(capsys):
     assert "complex conjugates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("genfunc", "--algebra", "a1"),
+        ("genfunc", "--kind", "first"),
+        ("verify", "--algebra", "a2"),
+        ("verify", "--kind", "first"),
+    ],
+)
+def test_usage_errors_come_before_any_work(argv, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("built a root system or basis for a usage error")
+
+    monkeypatch.setattr(cli, "build_root_system", no_work)
+    monkeypatch.setattr(cli, "build_basis", no_work)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_computes_each_polynomial_once(monkeypatch, capsys):
     # verify_ratio and dimension_check get the polynomial from the command
     calls = []

@@ -176,13 +176,13 @@ def test_sample_keys_do_not_collide(g2, a1):
 
 def test_samples_are_drawn_once_per_key(g2, monkeypatch):
     calls = []
-    original = numeric._FixedPoint.eval
+    original = numeric._fixed_eval
 
-    def counting(self, laurent):
+    def counting(axes, laurent):
         calls.append(laurent)
-        return original(self, laurent)
+        return original(axes, laurent)
 
-    monkeypatch.setattr(numeric._FixedPoint, "eval", counting)
+    monkeypatch.setattr(numeric, "_fixed_eval", counting)
     basis = build_basis(g2, Kind.SECOND)
     for index in ((0, 0), (1, 2), (2, 1)):
         report = verify_ratio(g2, basis, *index, num_samples=50, seed=7)

@@ -15,10 +15,20 @@ from weylcheb import (
     NotInvariantError,
     XYPoly,
     build_basis,
+    build_companions,
     build_root_system,
+    closed_form_gf,
+    dimension_check,
     expand,
+    first_kind_poly,
+    first_kind_table,
     orbit_sum,
+    poly_via_recurrence,
+    recurrence_table,
     reduce,
+    second_kind_poly,
+    second_kind_table,
+    verify_ratio,
 )
 
 ALGEBRAS = (AlgebraId.A1, AlgebraId.A2, AlgebraId.C2, AlgebraId.G2)
@@ -71,6 +81,33 @@ def test_basis_construction_all_cases():
     g2 = build_root_system(AlgebraId.G2)
     assert build_basis(g2, Kind.SECOND).leading_coeffs == (1, 1)
     assert build_basis(g2, Kind.FIRST).leading_coeffs == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "entry, kind, args",
+    [
+        (second_kind_poly, Kind.SECOND, (1, 1)),
+        (second_kind_table, Kind.SECOND, (1, 1)),
+        (first_kind_poly, Kind.FIRST, ((1, 1),)),
+        (first_kind_table, Kind.FIRST, (1, 1)),
+        (poly_via_recurrence, Kind.SECOND, (1, 1)),
+        (recurrence_table, Kind.FIRST, (1, 1)),
+        (closed_form_gf, Kind.SECOND, ()),
+        (build_companions, Kind.SECOND, ()),
+        (verify_ratio, Kind.SECOND, (1, 1)),
+        (dimension_check, Kind.SECOND, (1, 1)),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_a_basis_of_another_algebra_is_rejected(entry, kind, args, g2, g2_second):
+    """A C2 basis passed with G2 is rejected, also when the right
+    polynomial comes with it."""
+    c2_basis = build_basis(build_root_system(AlgebraId.C2), kind)
+    given_poly = {}
+    if entry in (verify_ratio, dimension_check):
+        given_poly["poly"] = second_kind_poly(g2, g2_second, 1, 1)
+    with pytest.raises(ValueError, match="built for C2, not for G2"):
+        entry(g2, c2_basis, *args, **given_poly)
 
 
 @given(p=xypolys)
