@@ -24,6 +24,7 @@ import io
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,13 +60,20 @@ def commands() -> list[list[str]]:
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one in-process ``cli.main`` call."""
+    """Exit code, stdout and stderr of one in-process ``cli.main`` call.
+
+    An exception that escapes ends as it would end the command: its
+    traceback on stderr and exit code 1, so the other entries still run.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
     return code, out.getvalue(), err.getvalue()
 
 
