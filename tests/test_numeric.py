@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from weylcheb import (
     AllPointsSingularError,
@@ -272,6 +272,9 @@ _coeffs = st.one_of(
     ),
     nums=st.tuples(*[st.integers(-(16 << 96), 16 << 96)] * 2),
 )
+@example(rank=2, terms={}, nums=(1 << 96, 3))
+@example(rank=2, terms={(3, 1): -7, (0, 0): 2}, nums=(5 << 95, -(1 << 94)))
+@example(rank=1, terms={(2, 0): Fraction(1, 3), (0, 0): Fraction(-5, 7)}, nums=(3 << 96, 0))
 def test_scaled_evaluator_is_the_exact_value_rounded_once(rank, terms, nums):
     poly = XYPoly(rank, {deg[:rank]: c for deg, c in terms.items()})
     nums = nums[:rank]
