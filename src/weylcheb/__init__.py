@@ -36,7 +36,6 @@ from .polynomialize import (
     VariableBasis,
     XYPoly,
     build_basis,
-    expand,
     reduce,
 )
 from .recurrence import (
@@ -89,7 +88,6 @@ __all__ = [
     "dimension_check",
     "dominant_representative",
     "exact_divide",
-    "expand",
     "first_kind_poly",
     "first_kind_table",
     "gf_series_check",

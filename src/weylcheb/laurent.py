@@ -16,13 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
-
-if TYPE_CHECKING:
-    from .rootsystem import WeylElement
+from typing import Mapping
 
 Exponent = tuple[int, ...]
-Rational = int | Fraction
 
 # The most box positions exact_divide sweeps; a larger box is rejected up front.
 _DIVIDE_STEP_CAP = 10_000_000
@@ -183,19 +179,6 @@ class SparsePoly:
             return self.zero(self.rank)
         return self._wrap(self.rank, {e: _norm_coeff(c * factor) for e, c in self._terms.items()})
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined termwise")
-        result = self._wrap(self.rank, {(0,) * self.rank: 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self) -> list[dict]:
@@ -203,10 +186,6 @@ class SparsePoly:
             {self._json_key: list(exp), "coeff": str(Fraction(coeff))}
             for exp, coeff in self.terms()
         ]
-
-    @classmethod
-    def from_json_obj(cls, rank: int, obj: Iterable[dict]):
-        return cls(rank, {tuple(rec[cls._json_key]): Fraction(rec["coeff"]) for rec in obj})
 
 
 class LaurentPoly(SparsePoly):
@@ -220,8 +199,8 @@ class LaurentPoly(SparsePoly):
         return cls(rank, {(0,) * rank: 1})
 
     @classmethod
-    def monomial(cls, rank: int, exp: Exponent, coeff: "int | Fraction" = 1) -> "LaurentPoly":
-        return cls(rank, {tuple(exp): coeff})
+    def monomial(cls, rank: int, exp: Exponent) -> "LaurentPoly":
+        return cls(rank, {tuple(exp): 1})
 
     def leading(self) -> tuple[Exponent, "int | Fraction"]:
         if not self._terms:
@@ -234,30 +213,6 @@ class LaurentPoly(SparsePoly):
             return "LaurentPoly(0)"
         bits = [f"{c}*z^{e}" for e, c in self.terms()]
         return "LaurentPoly(" + " + ".join(bits) + ")"
-
-    def evaluate(self, point: Sequence[complex]) -> complex:
-        """Value at a point with all coordinates nonzero (negative exponents
-        need inverses)."""
-        if len(point) != self.rank:
-            raise ValueError("point rank mismatch")
-        if any(z == 0 for z in point):
-            raise ValueError("evaluation point has a zero coordinate")
-        total = 0j
-        for exp, coeff in self._terms.items():
-            value = complex(coeff)
-            for z, e in zip(point, exp):
-                if e:
-                    value *= z**e
-            total += value
-        return total
-
-    def apply_weyl(self, rs, w: "WeylElement") -> "LaurentPoly":
-        """Transport exponents through the group element ``w``.
-
-        Exponent maps are bijective, so no collisions occur."""
-        from .rootsystem import act
-
-        return self._wrap(self.rank, {act(rs, w, e): c for e, c in self._terms.items()})
 
 
 def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:

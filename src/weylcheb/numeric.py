@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 from .genfunc import second_kind_poly
 from .orbit import Kind, signed_orbit_sum
 from .polynomialize import VariableBasis, XYPoly, _check_basis
-from .rootsystem import RootSystem, check_index
+from .rootsystem import RootSystem, check_index, check_weight
 
 DEFAULT_SEED = 104729
 
@@ -175,13 +175,14 @@ def _torus_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusS
     return samples
 
 
-def _scaled_evaluator(poly: XYPoly, scale: int) -> Callable[[Sequence[int]], float]:
-    """Exact value of the polynomial at arguments nums[k] / 2^scale.
+def _scaled_evaluator(poly: XYPoly, scale: int) -> tuple[Callable[[Sequence[int]], int], int]:
+    """Exact value of the polynomial at arguments nums[k] / 2^scale, as an
+    evaluator of the integer sum and the one denominator it is over.
 
     Terms of a high-degree polynomial can reach 1e12 while the value
     stays near 1, so summing in doubles loses most of the answer.  With
     binary-rational arguments the sum collapses to one integer over a
-    power of two, and the final division rounds once.  Fractional
+    power of two, and dividing the two rounds once.  Fractional
     coefficients go over their common denominator into the same sum.  The
     integer sum is exact, so term order cannot matter.
     """
@@ -195,7 +196,7 @@ def _scaled_evaluator(poly: XYPoly, scale: int) -> Callable[[Sequence[int]], flo
     ]
     denominator = common << (scale * top)
 
-    def evaluate(nums: Sequence[int]) -> float:
+    def evaluate(nums: Sequence[int]) -> int:
         tables = []
         for base, limit in zip(nums, limits):
             powers = [1]
@@ -208,9 +209,9 @@ def _scaled_evaluator(poly: XYPoly, scale: int) -> Callable[[Sequence[int]], flo
             for table, d in zip(tables, deg):
                 term *= table[d]
             acc += term << shift
-        return acc / denominator
+        return acc
 
-    return evaluate
+    return evaluate, denominator
 
 
 def verify_ratio(
@@ -247,12 +248,12 @@ def verify_ratio(
         raise AllPointsSingularError(
             f"all {num_samples} samples were within {_SINGULAR_CUTOFF} of a wall"
         )
-    evaluate = _scaled_evaluator(poly, _FIXED_BITS)
+    evaluate, scaled_denominator = _scaled_evaluator(poly, _FIXED_BITS)
     max_err = 0.0
     worst: AnglePoint | None = None
     for sample in samples.used:
         num_val = _fixed_complex(_fixed_eval(sample.axes, numerator))
-        err = abs(evaluate(sample.variables) - num_val / sample.denominator)
+        err = abs(evaluate(sample.variables) / scaled_denominator - num_val / sample.denominator)
         if err > max_err or worst is None:
             max_err = err
             worst = sample.point
@@ -268,8 +269,7 @@ def verify_ratio(
 def weyl_dimension(rs: RootSystem, index: tuple[int, ...]) -> int:
     """Weyl dimension formula over the positive coroots c: the product of
     <lambda + rho, c> / <rho, c>, in exact integers."""
-    if len(index) != rs.rank or not all(type(c) is int for c in index):
-        raise ValueError(f"a rank-{rs.rank} weight takes {rs.rank} integer entries, got {index}")
+    check_weight(rs, index)
     shifted = tuple(c + r for c, r in zip(index, rs.rho))
     numerator = denominator = 1
     for coroot in rs.positive_coroots:
@@ -290,8 +290,8 @@ def dimension_check(
     """Exact substitution at the origin against the dimension formula.
 
     At the origin every exponential is 1, so each variable value is just
-    the coefficient sum of its Laurent expansion; the substitution stays
-    in exact arithmetic.
+    the coefficient sum of its Laurent expansion; the substitution is the
+    exact evaluator at integer arguments (scale 0).
     """
     if basis.kind is not Kind.SECOND:
         raise ValueError("dimension_check needs a second-kind basis")
@@ -302,7 +302,8 @@ def dimension_check(
     )
     if poly is None:
         poly = second_kind_poly(rs, basis, *index)
-    left = poly.evaluate(origin)
-    if left.denominator != 1:
+    evaluate, denominator = _scaled_evaluator(poly, 0)
+    left, rest = divmod(evaluate(origin), denominator)
+    if rest:
         raise ArithmeticError("polynomial value at the origin not integral")
-    return int(left), weyl_dimension(rs, index)
+    return left, weyl_dimension(rs, index)

@@ -1,6 +1,6 @@
 """Rewriting invariant Laurent polynomials as polynomials in the variables.
 
-Both directions work in the dominant chamber.  Every Weyl orbit meets the
+The work happens in the dominant chamber.  Every Weyl orbit meets the
 closed dominant chamber exactly once, so a W-invariant Laurent polynomial
 is fixed by its coefficients on dominant exponents.  Monomials in the
 variables are invariant; they are cached as {dominant exponent:
@@ -16,7 +16,6 @@ exponents of strictly smaller height.  The invariance check is what makes
 dropping the other terms exact: input and monomials are invariant, so the
 working polynomial stays invariant and its dominant part picks the same
 leaders and coefficients as the full one.
-``expand`` is the inverse substitution; the pair round-trips exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
 
 from .laurent import LaurentPoly, SparsePoly, _norm_coeff
 from .orbit import Kind, orbit_points, unit_weight, variable_laurents
@@ -71,32 +69,8 @@ class XYPoly(SparsePoly):
     def constant(cls, rank: int, c: int | Fraction) -> "XYPoly":
         return cls(rank, {(0,) * rank: c})
 
-    @classmethod
-    def variable(cls, rank: int, i: int) -> "XYPoly":
-        deg = tuple(1 if j == i else 0 for j in range(rank))
-        return cls(rank, {deg: 1})
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(d) for d in self._terms)
-
     def __repr__(self) -> str:
         return f"XYPoly({self.as_text() or '0'})"
-
-    def evaluate(self, values: Sequence) -> object:
-        """Substitute values for the variables; exact when the inputs are
-        exact (int/Fraction), complex otherwise."""
-        if len(values) != self.rank:
-            raise ValueError("value rank mismatch")
-        total = 0
-        for deg, coeff in self._terms.items():
-            v = coeff
-            for base, e in zip(values, deg):
-                if e:
-                    v = v * base**e
-            total = total + v
-        return total
 
     # -- rendering -------------------------------------------------------
 
@@ -136,11 +110,9 @@ class VariableBasis:
     """The polynomial variables of one kind over one root system, with their
     Laurent expansions and a monomial cache.
 
-    ``leading_coeffs[i]`` is the coefficient of the fundamental weight in
-    var i's expansion: 1 for the second kind, the stabilizer order for the
-    first.  Every monomial in the variables is W-invariant, so the cache
-    keeps only its dominant coefficients: ``_power_cache`` maps a degree
-    vector to {dominant exponent: coefficient}.  An entry is the entry one
+    Every monomial in the variables is W-invariant, so the cache keeps only
+    its dominant coefficients: ``_power_cache`` maps a degree vector to
+    {dominant exponent: coefficient}.  An entry is the entry one
     degree lower times one variable, computed with product rules: the
     dominant part of (the distinct orbit points of lambda) * var_i, built
     once per (dominant lambda, i) in ``_rules``.  Entries are only ever
@@ -153,7 +125,6 @@ class VariableBasis:
     rs: RootSystem
     kind: Kind
     var_laurents: tuple[LaurentPoly, ...]
-    leading_coeffs: tuple[int, ...]
     _power_cache: dict[Degree, DominantCoeffs] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -214,15 +185,15 @@ class VariableBasis:
 
 
 def build_basis(rs: RootSystem, kind: Kind) -> VariableBasis:
+    """The variables of ``kind`` over ``rs``.  Each variable's coefficient at
+    its fundamental weight must be a positive integer: 1 for the second
+    kind, the stabilizer order for the first."""
     vars_ = variable_laurents(rs, kind)
-    weights = tuple(unit_weight(rs, i) for i in range(rs.rank))
-    leads = []
     for i, v in enumerate(vars_):
-        c = v.coeff(weights[i])
+        c = v.coeff(unit_weight(rs, i))
         if not isinstance(c, int) or c <= 0:
             raise RuntimeError("variable expansion has unusable leading coefficient")
-        leads.append(c)
-    return VariableBasis(rs, kind, vars_, tuple(leads))
+    return VariableBasis(rs, kind, vars_)
 
 
 def _check_basis(rs: RootSystem, basis: VariableBasis) -> None:
@@ -232,7 +203,7 @@ def _check_basis(rs: RootSystem, basis: VariableBasis) -> None:
         )
 
 
-# -- reduce / expand ---------------------------------------------------------
+# -- reduce ------------------------------------------------------------------
 
 
 def _check_invariant(basis: VariableBasis, f: LaurentPoly) -> None:
@@ -311,13 +282,3 @@ def reduce(basis: VariableBasis, f: LaurentPoly) -> XYPoly:
         )
     return XYPoly(rs.rank, out)
 
-
-def expand(basis: VariableBasis, p: XYPoly) -> LaurentPoly:
-    """Substitute the variable expansions back into ``p``: the dominant
-    coefficients of its monomials are summed, then unfolded once over the
-    orbits."""
-    acc: DominantCoeffs = {}
-    for deg, coeff in p._terms.items():
-        for lam, c in basis._dominant_monomial(deg).items():
-            acc[lam] = acc.get(lam, 0) + coeff * c
-    return basis._unfold(acc)

@@ -33,7 +33,9 @@ from .genfunc import RationalGF, denominator_coeffs
 from .laurent import LaurentPoly
 from .orbit import Kind, orbit_points, unit_weight
 from .polynomialize import VariableBasis, XYPoly, _check_basis, reduce
-from .rootsystem import RootSystem, Weight, check_index, dominant_representative, index_box
+from .rootsystem import (
+    RootSystem, Weight, check_index, check_weight, dominant_representative, index_box
+)
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,7 @@ def normalize_index(rs: RootSystem, *n: int) -> NormalizedIndex:
     """Fold the index via the reflection rule for rho-shifted weights: n + rho
     goes to the dominant chamber, and a zero coordinate there puts it on a
     wall.  Off the walls the element reaching the chamber is unique."""
-    if len(n) != rs.rank or not all(type(c) is int for c in n):
-        raise ValueError(f"a rank-{rs.rank} index takes {rs.rank} integer entries, got {n}")
+    check_weight(rs, n)
     w, image = dominant_representative(rs, tuple(c + 1 for c in n))
     if 0 in image:
         return NormalizedIndex(0, None)
@@ -156,16 +157,15 @@ def build_companions(rs: RootSystem, basis: VariableBasis) -> tuple[Companion, .
     return tuple(mats)
 
 
-def apply_poly_to_matrix(
-    coeffs: tuple[XYPoly, ...], mat: Companion, rank: int
-) -> Companion:
+def apply_poly_to_matrix(coeffs: tuple[XYPoly, ...], mat: Companion) -> Companion:
     """Horner evaluation of sum_k coeffs[k] M^k as a matrix over XYPoly.
 
     Defined for companions only: A M shifts each row of A one column right
-    and puts the row's pairing with M's first column in front.
+    and puts the row's pairing with M's first column in front.  The rank
+    is that of the companion's entries.
     """
     first = [row[0] for row in mat]
-    zero = XYPoly.zero(rank)
+    zero = XYPoly.zero(mat[0][0].rank)
     acc = [[zero] * len(mat) for _ in mat]
     for coeff in reversed(coeffs):
         acc = [
@@ -188,9 +188,17 @@ def minimal_poly_check(
     t^d P(1/t), so by Cayley-Hamilton the reversal always annihilates it,
     and the denominator itself does exactly when it is palindromic or
     anti-palindromic.  That holds for C2 and G2; on A2 this returns False.
+    Both ``gf`` and ``companions`` must have one entry per axis of ``rs``;
+    otherwise this raises ValueError naming both counts.
     """
+    counts = (len(gf.denominators), len(companions))
+    if counts != (rs.rank, rs.rank):
+        raise ValueError(
+            f"a rank-{rs.rank} check takes {rs.rank} denominators and"
+            f" {rs.rank} companions, got {counts[0]} and {counts[1]}"
+        )
     for coeffs, mat in zip(gf.denominators, companions):
-        value = apply_poly_to_matrix(coeffs, mat, rs.rank)
+        value = apply_poly_to_matrix(coeffs, mat)
         if any(entry for row in value for entry in row):
             return False
     return True

@@ -11,7 +11,8 @@ row ``i`` of the Cartan matrix, and the simple reflection acts by
 
 Every route indexes its polynomials by a dominant weight: one nonnegative
 integer per fundamental weight.  ``check_index`` is the one check of that
-contract and ``index_box`` the one table order.
+contract and ``index_box`` the one table order.  ``check_weight`` is the
+check for functions whose domain also holds negative weights.
 """
 
 from __future__ import annotations
@@ -184,6 +185,14 @@ def check_index(rs: RootSystem, index: Weight) -> None:
             f"a rank-{rs.rank} index takes {rs.rank} nonnegative integer entries,"
             f" got {index}"
         )
+
+
+def check_weight(rs: RootSystem, mu: Weight) -> None:
+    """Reject anything but a weight: one integer per fundamental weight,
+    negative entries allowed.  An integer is an ``int`` that is not a
+    ``bool``."""
+    if len(mu) != rs.rank or not all(type(c) is int for c in mu):
+        raise ValueError(f"a rank-{rs.rank} weight takes {rs.rank} integer entries, got {mu}")
 
 
 def index_box(rank: int, max_m: int, max_n: int | None) -> list[Weight]:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from weylcheb import (
+    AlgebraId,
     AllPointsSingularError,
     AnglePoint,
     Kind,
@@ -19,12 +20,14 @@ from weylcheb import (
     VerificationReport,
     XYPoly,
     build_basis,
+    build_root_system,
     dimension_check,
     numeric,
     verify_ratio,
     weyl_dimension,
 )
 from g2_reference import DIMENSIONS
+from reference import evaluate
 
 # first sample of this seed lands within the singular cutoff for A1
 SINGULAR_SEED = 585832
@@ -33,7 +36,7 @@ SINGULAR_SEED = 585832
 def eval_vars(basis, *angles):
     """Variable values at the torus point with these angles."""
     z = tuple(cmath.exp(2j * math.pi * a) for a in angles)
-    return tuple(v.evaluate(z) for v in basis.var_laurents)
+    return tuple(evaluate(v, z) for v in basis.var_laurents)
 
 
 def test_eval_vars_at_origin(g2_second):
@@ -118,7 +121,7 @@ def test_argument_guards(g2, g2_second, g2_first):
         verify_ratio(g2, g2_second, -1, 0)
     with pytest.raises(ValueError):
         dimension_check(g2, g2_first, 1, 0)
-    for poly in (None, XYPoly.variable(2, 0)):
+    for poly in (None, XYPoly(2, {(1, 0): 1})):
         with pytest.raises(ValueError, match="second-kind basis"):
             verify_ratio(g2, g2_first, 1, 0, num_samples=20, seed=7, poly=poly)
     assert g2_first._torus_samples == {}
@@ -236,15 +239,24 @@ def test_weyl_dimension_oracle(g2, a2, c2):
             weyl_dimension(g2, index)
 
 
-def test_dimension_check_grid(g2, g2_second):
-    for m in range(9):
-        for n in range(9):
-            left, right = dimension_check(g2, g2_second, m, n)
-            assert left == right
-    assert dimension_check(g2, g2_second, 0, 0) == (1, 1)
-    assert dimension_check(g2, g2_second, 1, 0) == (7, 7)
-    assert dimension_check(g2, g2_second, 0, 1) == (14, 14)
-    assert dimension_check(g2, g2_second, 1, 1) == (64, 64)
+# Grid bound and known dimensions per algebra.
+_DIMENSION_GRIDS = {
+    AlgebraId.A2: (6, {(0, 0): 1, (1, 0): 3, (0, 1): 3, (1, 1): 8}),
+    AlgebraId.C2: (6, {(0, 0): 1, (1, 0): 4, (0, 1): 5, (1, 1): 16}),
+    AlgebraId.G2: (8, {(0, 0): 1, (1, 0): 7, (0, 1): 14, (1, 1): 64}),
+}
+
+
+def test_dimension_check_grid():
+    for algebra, (bound, known) in _DIMENSION_GRIDS.items():
+        rs = build_root_system(algebra)
+        basis = build_basis(rs, Kind.SECOND)
+        for m in range(bound + 1):
+            for n in range(bound + 1):
+                left, right = dimension_check(rs, basis, m, n)
+                assert left == right, (algebra, m, n)
+        for index, dim in known.items():
+            assert dimension_check(rs, basis, *index) == (dim, dim), (algebra, index)
 
 
 def test_dimension_check_rank_one(a1, a1_second):
@@ -278,5 +290,6 @@ _coeffs = st.one_of(
 def test_scaled_evaluator_is_the_exact_value_rounded_once(rank, terms, nums):
     poly = XYPoly(rank, {deg[:rank]: c for deg, c in terms.items()})
     nums = nums[:rank]
-    exact = poly.evaluate(tuple(Fraction(n, 1 << 96) for n in nums))
-    assert numeric._scaled_evaluator(poly, 96)(nums) == float(exact)
+    exact = evaluate(poly, tuple(Fraction(n, 1 << 96) for n in nums))
+    evaluator, denominator = numeric._scaled_evaluator(poly, 96)
+    assert evaluator(nums) / denominator == float(exact)

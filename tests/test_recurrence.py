@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from weylcheb import (
@@ -54,8 +56,8 @@ def test_normalize_index_matches_signed_sums(g2):
 
 def test_base_cases(g2, g2_second):
     assert poly_via_recurrence(g2, g2_second, 0, 0) == XYPoly.constant(2, 1)
-    assert poly_via_recurrence(g2, g2_second, 1, 0) == XYPoly.variable(2, 0)
-    assert poly_via_recurrence(g2, g2_second, 0, 1) == XYPoly.variable(2, 1)
+    assert poly_via_recurrence(g2, g2_second, 1, 0) == XYPoly(2, {(1, 0): 1})
+    assert poly_via_recurrence(g2, g2_second, 0, 1) == XYPoly(2, {(0, 1): 1})
 
 
 def test_spot_values(g2, g2_second):
@@ -109,7 +111,7 @@ def test_single_step_multiplication_identities(g2, g2_second, g2_tables):
     gf_table, _ = g2_tables
     for var_index in range(2):
         laurent = g2_second.var_laurents[var_index]
-        variable = XYPoly.variable(2, var_index)
+        variable = XYPoly(2, {(1 - var_index, var_index): 1})
         origin_coeff = laurent.coeff((0, 0))
         for m in range(9):
             for n in range(9):
@@ -150,17 +152,32 @@ def test_minimal_polynomials(g2, g2_gf, g2_second):
     assert minimal_poly_check(g2, g2_gf, companions)
     # constant polynomial 1 maps any companion to the identity matrix
     one = (XYPoly.constant(2, 1),)
-    applied = apply_poly_to_matrix(one, companions[0], 2)
+    applied = apply_poly_to_matrix(one, companions[0])
     for r in range(6):
         for c in range(6):
             want = XYPoly.constant(2, 1) if r == c else XYPoly.zero(2)
             assert applied[r][c] == want
     # dropping the top coefficient leaves a nonzero matrix: the degree is
     # genuinely minimal
-    truncated = apply_poly_to_matrix(
-        g2_gf.denominators[0][:6], companions[0], 2
-    )
+    truncated = apply_poly_to_matrix(g2_gf.denominators[0][:6], companions[0])
     assert any(entry for row in truncated for entry in row)
+
+
+@pytest.mark.parametrize("algebra", [AlgebraId.A2, AlgebraId.G2])
+def test_minimal_poly_check_rejects_a_count_mismatch(algebra):
+    """Too few companions would leave an axis unchecked, so the check
+    raises instead of passing on what it was given."""
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, Kind.SECOND)
+    gf = closed_form_gf(rs, basis)
+    companions = build_companions(rs, basis)
+    for given, count in (((), 0), (companions[:1], 1)):
+        want = rf"takes 2 denominators and 2 companions, got 2 and {count}$"
+        with pytest.raises(ValueError, match=want):
+            minimal_poly_check(rs, gf, given)
+    short_gf = dataclasses.replace(gf, denominators=gf.denominators[:1])
+    with pytest.raises(ValueError, match=r"got 1 and 2"):
+        minimal_poly_check(rs, short_gf, companions)
 
 
 def test_recurrence_guards(g2, g2_second, a1, a1_second):
@@ -235,6 +252,6 @@ def test_reversed_denominator_annihilates_companion(algebra):
     gf = closed_form_gf(rs, basis)
     companions = build_companions(rs, basis)
     for den, companion in zip(gf.denominators, companions):
-        value = apply_poly_to_matrix(den[::-1], companion, 2)
+        value = apply_poly_to_matrix(den[::-1], companion)
         assert not any(entry for row in value for entry in row)
     assert minimal_poly_check(rs, gf, companions) is (algebra is not AlgebraId.A2)

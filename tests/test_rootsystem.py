@@ -17,11 +17,13 @@ from weylcheb import (
     dominant_representative,
     first_kind_poly,
     is_dominant,
+    normalize_index,
     poly_via_recurrence,
     second_kind_poly,
     verify_ratio,
+    weyl_dimension,
 )
-from weylcheb.rootsystem import act_all, check_index
+from weylcheb.rootsystem import act_all, check_index, check_weight
 from g2_reference import NEGATIVE_DET_WORDS
 
 ALL_ALGEBRAS = [AlgebraId.A1, AlgebraId.A2, AlgebraId.C2, AlgebraId.G2]
@@ -200,3 +202,38 @@ def test_every_entry_point_raises_the_check_index_error(algebra, index):
             call()
         assert str(got.value) == str(want.value), name
     assert second._torus_samples == {}
+
+
+@pytest.mark.parametrize(
+    "algebra, weight",
+    [
+        (AlgebraId.A1, (1, 0)),
+        (AlgebraId.G2, (1,)),
+        (AlgebraId.A1, (2.0,)),
+        (AlgebraId.G2, (1.5, 0)),
+        (AlgebraId.A1, (True,)),
+        (AlgebraId.G2, (0, False)),
+    ],
+    ids=["a1-arity", "g2-arity", "a1-float", "g2-float", "a1-bool", "g2-bool"],
+)
+def test_weight_functions_raise_the_check_weight_error(algebra, weight):
+    """normalize_index and weyl_dimension share one weight check, whose
+    message names the rank; negative entries are in their domain."""
+    rs = build_root_system(algebra)
+    with pytest.raises(ValueError) as want:
+        check_weight(rs, weight)
+    assert str(want.value) == (
+        f"a rank-{rs.rank} weight takes {rs.rank} integer entries, got {weight}"
+    )
+    calls = {
+        "normalize_index": lambda: normalize_index(rs, *weight),
+        "weyl_dimension": lambda: weyl_dimension(rs, weight),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(want.value), name
+    negative = (-1,) + (0,) * (rs.rank - 1)
+    check_weight(rs, negative)
+    assert weyl_dimension(rs, negative) == 0
+    assert normalize_index(rs, *negative).sign == 0
