@@ -3,7 +3,7 @@
 Commands: table (generating-function route), recurrence-table (recurrence
 route, same artifact format), genfunc (closed-form rational generating
 function), verify (numerical checks), crosscheck (both table routes,
-byte-for-byte; on a mismatch the artifact names the first differing index
+entry by entry; on a mismatch the artifact names the first differing index
 and both polynomials).  table, recurrence-table and crosscheck accept every
 algebra and kind; verify takes a1, c2 and g2 with the second kind.  Exit
 codes: 0 success, 1 verification or crosscheck failure, 2 usage errors.
@@ -100,6 +100,11 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         )
     if args.command == "verify" and args.kind != "second":
         parser.error("verify supports --kind second only")
+    if args.output:
+        parent = os.path.dirname(args.output) or "."
+        writable = os.path.isdir(parent) and os.access(parent, os.W_OK)
+        if os.path.isdir(args.output) or not writable:
+            parser.error(f"--output must be a file in a writable directory, got {args.output}")
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -127,9 +132,12 @@ def _table_indices(rank: int, args) -> tuple[int, int | None]:
     return args.max_m, (args.max_n if rank == 2 else None)
 
 
-def _first_mismatch(via_gf: dict, via_rec: dict) -> dict:
-    """The first index, in table order, where the two routes differ."""
-    idx = min(i for i in via_gf if via_gf[i] != via_rec[i])
+def _first_mismatch(via_gf: dict, via_rec: dict) -> dict | None:
+    """The first index, in table order, where the two routes differ, or None.
+    Equal polynomials render to equal text, and unequal ones do not."""
+    idx = min((i for i in via_gf if via_gf[i] != via_rec[i]), default=None)
+    if idx is None:
+        return None
     texts = {"gf": via_gf[idx].as_text(), "recurrence": via_rec[idx].as_text()}
     return {**output._index_obj(idx), **texts}
 
@@ -194,9 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         max_m, max_n = _table_indices(rs.rank, args)
         via_gf = gf_table(rs, basis, max_m, max_n)
         via_rec = recurrence_table(rs, basis, max_m, max_n)
-        gf_text = output.table_json(algebra, kind, max_m, max_n, via_gf)
-        rec_text = output.table_json(algebra, kind, max_m, max_n, via_rec)
-        mismatch = None if gf_text == rec_text else _first_mismatch(via_gf, via_rec)
+        mismatch = _first_mismatch(via_gf, via_rec)
         if args.format == "json":
             text = output.crosscheck_json(algebra, kind, max_m, max_n, mismatch)
         else:

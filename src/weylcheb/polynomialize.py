@@ -1,32 +1,20 @@
 """Rewriting invariant Laurent polynomials as polynomials in the variables.
 
 The work happens in the dominant chamber.  Every Weyl orbit meets the
-closed dominant chamber exactly once, so a W-invariant Laurent polynomial
-is fixed by its coefficients on dominant exponents.  Monomials in the
-variables are invariant; they are cached as {dominant exponent:
-coefficient} and unfolded over orbits only when a full Laurent polynomial
-is asked for.
-
-``reduce`` checks the whole input for Weyl invariance, keeps its dominant
-terms, and eliminates them in one sweep over the dominant weights up to the
-input's top height, highest first, an order fixed before the sweep starts:
-at each weight it subtracts the dominant part of the matching monomial in
-the variables, which cancels that exponent exactly and only introduces
-exponents of strictly smaller height.  The invariance check is what makes
-dropping the other terms exact: input and monomials are invariant, so the
-working polynomial stays invariant and its dominant part picks the same
-leaders and coefficients as the full one.
+closed dominant chamber exactly once, so a W-invariant Laurent polynomial,
+such as a monomial in the variables, is fixed by its dominant coefficients.
+``reduce`` checks its input for Weyl invariance, then cancels its dominant
+terms one leading weight at a time, highest first, in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 from .laurent import LaurentPoly, SparsePoly, _norm_coeff
 from .orbit import Kind, orbit_points, unit_weight, variable_laurents
-from .rootsystem import RootSystem, Weight, act_all
+from .rootsystem import RootSystem, Weight, act_all, dominant_sweep, height
 
 
 class NotInvariantError(ValueError):
@@ -169,6 +157,11 @@ class VariableBasis:
                         result[mu] = new
                     else:
                         del result[mu]
+            lead = result[degrees]
+            if lead != 1 and any(c % lead for c in result.values()):
+                raise ArithmeticError(
+                    f"leading coefficient {lead} does not divide monomial {degrees}"
+                )
         self._power_cache[degrees] = result
         return result
 
@@ -188,6 +181,8 @@ def build_basis(rs: RootSystem, kind: Kind) -> VariableBasis:
     """The variables of ``kind`` over ``rs``.  Each variable's coefficient at
     its fundamental weight must be a positive integer: 1 for the second
     kind, the stabilizer order for the first."""
+    if not isinstance(kind, Kind):
+        raise ValueError(f"kind must be a Kind, got {kind!r}")
     vars_ = variable_laurents(rs, kind)
     for i, v in enumerate(vars_):
         c = v.coeff(unit_weight(rs, i))
@@ -227,49 +222,32 @@ def _check_invariant(basis: VariableBasis, f: LaurentPoly) -> None:
 def reduce(basis: VariableBasis, f: LaurentPoly) -> XYPoly:
     """Rewrite the invariant Laurent polynomial ``f`` over the variables.
 
-    After the invariance check on the whole input, only dominant terms are
-    kept: an invariant polynomial is fixed by its dominant coefficients, and
-    every monomial subtracted is invariant, so the working polynomial stays
-    invariant and its dominant part alone decides each leader and
-    coefficient.  The check is what makes this exact; without it the
-    non-dominant terms of a non-invariant input would be silently dropped.
-
-    The sweep visits every dominant weight whose height is at most the
-    input's top height, highest first and lexicographically descending
-    within a height.  The height of mu is its pairing with 2 rho^v, the sum
-    of the positive coroots: an integer that every positive root raises by
-    at least 2.  Every non-leading term of a monomial lies a sum of
-    positive roots below its leading weight, so it has strictly smaller
-    height and each working coefficient is final when the sweep reaches
-    it.  A residue left after the sweep raises
-    NonDominantLeaderError.
+    Only dominant terms are worked on.  That is exact because the input is
+    checked to be invariant and every monomial subtracted is, so the
+    dominant part alone decides each leader and coefficient.  The leaders
+    come in ``dominant_sweep`` order up to the input's top height: the
+    other terms of a monomial lie a sum of positive roots below its leader,
+    hence lower in height, so each working coefficient is final when the
+    sweep reaches it.  A monomial's leading coefficient divides all its
+    coefficients, so an integer input is worked on in integers and only an
+    output coefficient can be a ``Fraction``.  A residue left after the
+    sweep raises NonDominantLeaderError.
     """
     rs = basis.rs
     _check_invariant(basis, f)
-    weights = tuple(map(sum, zip(*rs.positive_coroots)))
-
-    def height(mu: Weight) -> int:
-        return sum(w * x for w, x in zip(weights, mu))
-
     work = {exp: c for exp, c in f._terms.items() if min(exp) >= 0}
-    top = max(map(height, work), default=-1)  # no input terms: an empty sweep
-    box = product(*(range(top // w + 1) for w in weights))
-    sweep = sorted(((h, mu) for mu in box if (h := height(mu)) <= top), reverse=True)
+    top = max((height(rs, exp) for exp in work), default=-1)  # no terms: no sweep
 
     out: dict[Degree, int | Fraction] = {}
-    for _, exp in sweep:
+    for exp in dominant_sweep(rs, top):
         coeff = work.get(exp)
         if not coeff:
             continue
         monomial = basis._dominant_monomial(exp)
         lead = monomial[exp]
-        if lead == 1:
-            mono_coeff = coeff
-        else:
-            mono_coeff = _norm_coeff(Fraction(coeff) / lead)
-        out[exp] = mono_coeff
+        out[exp] = coeff if lead == 1 else _norm_coeff(Fraction(coeff, lead))
         for mexp, mc in monomial.items():
-            new = work.get(mexp, 0) - mono_coeff * mc
+            new = work.get(mexp, 0) - coeff * (mc // lead)
             if new:
                 work[mexp] = new
             else:
@@ -281,4 +259,3 @@ def reduce(basis: VariableBasis, f: LaurentPoly) -> XYPoly:
             " invariant ring spanned by the variables"
         )
     return XYPoly(rs.rank, out)
-

@@ -34,7 +34,8 @@ from .laurent import LaurentPoly
 from .orbit import Kind, orbit_points, unit_weight
 from .polynomialize import VariableBasis, XYPoly, _check_basis, reduce
 from .rootsystem import (
-    RootSystem, Weight, check_index, check_weight, dominant_representative, index_box
+    RootSystem, Weight, check_index, check_weight, dominant_representative, dominant_sweep,
+    height, index_box,
 )
 
 
@@ -70,7 +71,8 @@ def _fill(
 ) -> dict[Weight, XYPoly]:
     """The targets and every index they depend on.  Target t comes from
     t - lambda_i, i the first coordinate with t_i > 0; what it needs lies
-    strictly below t in dominance, so the explicit stack terminates."""
+    strictly below t in dominance, hence in height and later in the sweep
+    that plans it.  The entries are filled in reverse plan order."""
     _check_basis(rs, basis)
     kind = basis.kind
     rules = []
@@ -78,37 +80,28 @@ def _fill(
         orbit = orbit_points(rs, unit_weight(rs, i))
         multiplier = reduce(basis, LaurentPoly(rs.rank, dict.fromkeys(orbit, 1)))
         rules.append((multiplier, orbit))
+    zero = (0,) * rs.rank
+    needed = set(targets)
+    plans = []
+    for t in dominant_sweep(rs, max((height(rs, t) for t in needed), default=0)):
+        if t not in needed or t == zero:
+            continue
+        i = next(j for j, c in enumerate(t) if c > 0)
+        base = tuple(c - 1 if j == i else c for j, c in enumerate(t))
+        multiplier, orbit = rules[i]
+        divisor = 0
+        others = []
+        for mu in orbit:
+            norm = _fold(rs, kind, tuple(b + m for b, m in zip(base, mu)))
+            if norm.index == t:
+                divisor += norm.sign
+            elif norm.sign:
+                others.append(norm)
+        needed.update((base, *(norm.index for norm in others)))
+        plans.append((t, multiplier, base, others, divisor))
     seed = 1 if kind is Kind.SECOND else len(rs.elements)
-    table = {(0,) * rs.rank: XYPoly.constant(rs.rank, seed)}
-    plans: dict[Weight, tuple] = {}
-    stack = list(targets)
-    while stack:
-        t = stack[-1]
-        if t in table:
-            stack.pop()
-            continue
-        plan = plans.get(t)
-        if plan is None:
-            i = next(j for j, c in enumerate(t) if c > 0)
-            base = tuple(c - 1 if j == i else c for j, c in enumerate(t))
-            multiplier, orbit = rules[i]
-            divisor = 0
-            others = []
-            for mu in orbit:
-                norm = _fold(rs, kind, tuple(b + m for b, m in zip(base, mu)))
-                if norm.index == t:
-                    divisor += norm.sign
-                elif norm.sign:
-                    others.append(norm)
-            plan = plans[t] = (multiplier, base, others, divisor)
-        multiplier, base, others, divisor = plan
-        needed = (base, *(norm.index for norm in others))
-        missing = [idx for idx in needed if idx not in table]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        del plans[t]
+    table = {zero: XYPoly.constant(rs.rank, seed)}
+    for t, multiplier, base, others, divisor in reversed(plans):
         acc = multiplier * table[base]
         for norm in others:
             term = table[norm.index]
@@ -126,7 +119,7 @@ def poly_via_recurrence(rs: RootSystem, basis: VariableBasis, *index: int) -> XY
 def recurrence_table(
     rs: RootSystem, basis: VariableBasis, max_m: int, max_n: int | None = None
 ) -> dict[tuple[int, ...], XYPoly]:
-    """The full box in one demand-driven pass."""
+    """The full box, filled with what it depends on."""
     box = index_box(rs.rank, max_m, max_n)
     table = _fill(rs, basis, box)
     return {idx: table[idx] for idx in box}

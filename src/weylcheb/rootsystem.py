@@ -11,8 +11,9 @@ row ``i`` of the Cartan matrix, and the simple reflection acts by
 
 Every route indexes its polynomials by a dominant weight: one nonnegative
 integer per fundamental weight.  ``check_index`` is the one check of that
-contract and ``index_box`` the one table order.  ``check_weight`` is the
-check for functions whose domain also holds negative weights.
+contract, ``index_box`` the one table order and ``dominant_sweep`` the one
+order of the exact sweeps.  ``check_weight`` is the check for functions
+whose domain also holds negative weights.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import product
+from operator import mul
 
 Weight = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -70,6 +73,8 @@ class RootSystem:
     elements: tuple[WeylElement, ...]
     rho: Weight
     positive_coroots: IntMatrix
+    # heights[i] is the height <lambda_i, 2 rho^v> of fundamental weight i.
+    heights: Weight
 
     @property
     def rank(self) -> int:
@@ -138,13 +143,14 @@ def build_root_system(algebra: AlgebraId) -> RootSystem:
     # Row i of w's matrix pairs a weight with the coroot w^-1(alpha_i^v), so
     # the rows are all the coroots; a coroot is positive exactly when it
     # pairs positively with rho = (1, ..., 1).
-    coroots = {row for w in elements for row in w.matrix if sum(row) > 0}
+    coroots = tuple(sorted({row for w in elements for row in w.matrix if sum(row) > 0}))
     return RootSystem(
         algebra=algebra,
         cartan=cartan,
         elements=tuple(elements),
         rho=(1,) * d,
-        positive_coroots=tuple(sorted(coroots)),
+        positive_coroots=coroots,
+        heights=tuple(map(sum, zip(*coroots))),
     )
 
 
@@ -175,6 +181,20 @@ def act_all(rs: RootSystem, w: WeylElement, weights: list[Weight]) -> list[Weigh
 
 def is_dominant(mu: Weight) -> bool:
     return all(c >= 0 for c in mu)
+
+
+def height(rs: RootSystem, mu: Weight) -> int:
+    """The pairing with 2 rho^v: every positive root raises it by at least 2."""
+    return sum(map(mul, rs.heights, mu))
+
+
+def dominant_sweep(rs: RootSystem, top: int) -> list[Weight]:
+    """The dominant weights of height at most ``top``, highest first and
+    lexicographically descending within a height.  A weight minus a sum of
+    positive roots has strictly smaller height, so it comes later."""
+    box = product(*(range(top // h + 1) for h in rs.heights))
+    sweep = sorted(((s, mu) for mu in box if (s := height(rs, mu)) <= top), reverse=True)
+    return [mu for _, mu in sweep]
 
 
 def check_index(rs: RootSystem, index: Weight) -> None:

@@ -277,6 +277,15 @@ def test_crosscheck_names_the_first_mismatch(monkeypatch, capsys):
     assert capsys.readouterr().out == "crosscheck 3x3: MISMATCH\n"
 
 
+def test_crosscheck_compares_the_polynomials_without_rendering_them(monkeypatch, capsys):
+    def no_render(*args):
+        raise AssertionError("rendered a table to compare the routes")
+
+    monkeypatch.setattr(cli.output, "table_json", no_render)
+    assert cli.main(["crosscheck", "--max-m", "2", "--max-n", "2", "--format", "plain"]) == 0
+    assert capsys.readouterr().out == "crosscheck 2x2: match\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -296,6 +305,8 @@ def test_crosscheck_names_the_first_mismatch(monkeypatch, capsys):
         ("verify", "--algebra", "a2"),
         ("verify", "--tol", "nan"),
         ("verify", "--tol", "inf"),
+        ("table", "--max-m", "1", "--max-n", "1", "--output", "/nonexistent/dir/x.json"),
+        ("table", "--max-m", "1", "--max-n", "1", "--output", "."),
     ],
 )
 def test_usage_errors_exit_with_code_two(argv):
@@ -325,6 +336,8 @@ def test_verify_rejects_a2_naming_its_complex_variables(capsys):
         ("genfunc", "--kind", "first"),
         ("verify", "--algebra", "a2"),
         ("verify", "--kind", "first"),
+        ("table", "--max-m", "1", "--max-n", "1", "--output", "/nonexistent/dir/x.json"),
+        ("table", "--max-m", "1", "--max-n", "1", "--output", "."),
     ],
 )
 def test_usage_errors_come_before_any_work(argv, monkeypatch, capsys):

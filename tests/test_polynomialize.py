@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -234,3 +236,49 @@ def test_reduce_reports_a_residue_it_cannot_eliminate(g2):
     basis._power_cache[(1, 0)] = {(1, 0): 1, (0, 0): 1, (-1, 1): 1}
     with pytest.raises(NonDominantLeaderError, match=r"1 residual term.*\(-1, 1\)"):
         reduce(basis, basis.var_laurents[0])
+
+
+@pytest.mark.parametrize("kind", ["second", "first", None])
+def test_build_basis_rejects_a_kind_that_is_not_a_kind(g2, kind):
+    # a string kind used to build the first-kind variables under a
+    # second-kind seed: the table read 12 at (0, 0) and 2x-2 at (1, 0)
+    with pytest.raises(ValueError, match=re.escape(f"got {kind!r}")):
+        build_basis(g2, kind)
+
+
+def test_first_kind_elimination_makes_no_working_fractions(g2, monkeypatch):
+    """The elimination runs in integers, so a first-kind table creates at
+    most one Fraction per output term."""
+    created = []
+    make = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        created.append(cls)
+        return make(cls, *args, **kwargs)
+
+    basis = build_basis(g2, Kind.FIRST)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    table = first_kind_table(g2, basis, 8, 8)
+    monkeypatch.undo()
+    terms = sum(len(poly) for poly in table.values())
+    assert terms == 3878
+    assert len(created) <= terms
+
+
+def test_a_lead_that_does_not_divide_its_monomial_is_refused(g2):
+    """A basis from dataclasses.replace skips build_basis.  With x + 1 as a
+    variable, integer elimination would truncate, so the monomial is
+    refused when it is cached."""
+    first = build_basis(g2, Kind.FIRST)
+    x, y = first.var_laurents
+    bad = dataclasses.replace(first, var_laurents=(x + LaurentPoly.one(2), y))
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        reduce(bad, orbit_sum(g2, (1, 0)))
+
+
+def test_reduce_keeps_a_fractional_input_exact(g2, g2_first):
+    # the elimination subtracts coeff * (mc // lead), which stays exact
+    # when coeff is a Fraction; coeff * mc // lead would floor it
+    f = orbit_sum(g2, (2, 1))
+    third = Fraction(1, 3)
+    assert reduce(g2_first, f.scale(third)) == reduce(g2_first, f).scale(third)

@@ -1,4 +1,4 @@
-"""Recurrence route: index folding, demand-driven tables, companion matrices."""
+"""Recurrence route: index folding, planned tables, companion matrices."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import pytest
 from weylcheb import (
     AlgebraId,
     Kind,
+    NonDominantLeaderError,
     NormalizedIndex,
     XYPoly,
     apply_poly_to_matrix,
@@ -19,11 +20,17 @@ from weylcheb import (
     first_kind_table,
     minimal_poly_check,
     normalize_index,
+    orbit_sum,
     poly_via_recurrence,
+    polynomialize,
+    recurrence,
     recurrence_table,
+    reduce,
+    rootsystem,
     second_kind_table,
     signed_orbit_sum,
 )
+from weylcheb.recurrence import _fill
 from g2_reference import P1_COEFFS, P2_COEFFS
 
 
@@ -195,6 +202,41 @@ def test_recurrence_guards(g2, g2_second, a1, a1_second):
         recurrence_table(a1, a1_second, 3, 5)
     with pytest.raises(ValueError, match="rank-2"):
         build_companions(a1, a1_second)
+
+
+def test_fill_builds_the_box_and_the_entries_it_needs(g2, g2_second):
+    # the x-step for (a, b) needs (a + 1, b - 1), so the box's right edge
+    # pulls in entries out to (32, 0)
+    table = _fill(g2, g2_second, rootsystem.index_box(2, 16, 16))
+    outside = [idx for idx in table if max(idx) > 16]
+    assert (len(table), len(outside), max(table)) == (489, 200, (32, 0))
+
+
+_WRONG_SWEEPS = {
+    "drop-top": lambda sweep: sweep[1:],
+    "drop-x": lambda sweep: [mu for mu in sweep if mu != (1, 0)],
+    "reversed": lambda sweep: sweep[::-1],
+}
+
+
+@pytest.mark.parametrize("wrong", list(_WRONG_SWEEPS.values()), ids=list(_WRONG_SWEEPS))
+def test_a_wrong_sweep_makes_both_routes_raise(wrong, monkeypatch, g2, g2_second):
+    """The sweep only orders the work.  A short or reversed one leaves a
+    residue in reduce and a missing entry in the fill, never a wrong
+    answer."""
+    honest = rootsystem.dominant_sweep
+
+    def patched(rs, top):
+        return wrong(honest(rs, top))
+
+    with monkeypatch.context() as m:
+        m.setattr(polynomialize, "dominant_sweep", patched)
+        with pytest.raises(NonDominantLeaderError):
+            reduce(g2_second, orbit_sum(g2, (2, 1)))
+    with monkeypatch.context() as m:
+        m.setattr(recurrence, "dominant_sweep", patched)
+        with pytest.raises(KeyError):
+            recurrence_table(g2, g2_second, 2, 2)
 
 
 def _gf_table(rs, basis, max_m, max_n=None):

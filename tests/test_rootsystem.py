@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,7 +25,7 @@ from weylcheb import (
     verify_ratio,
     weyl_dimension,
 )
-from weylcheb.rootsystem import act_all, check_index, check_weight
+from weylcheb.rootsystem import act_all, check_index, check_weight, dominant_sweep, height
 from g2_reference import NEGATIVE_DET_WORDS
 
 ALL_ALGEBRAS = [AlgebraId.A1, AlgebraId.A2, AlgebraId.C2, AlgebraId.G2]
@@ -237,3 +239,31 @@ def test_weight_functions_raise_the_check_weight_error(algebra, weight):
     check_weight(rs, negative)
     assert weyl_dimension(rs, negative) == 0
     assert normalize_index(rs, *negative).sign == 0
+
+
+HEIGHTS = {AlgebraId.A1: (1,), AlgebraId.A2: (2, 2), AlgebraId.C2: (3, 4), AlgebraId.G2: (6, 10)}
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS)
+def test_dominant_sweep_orders_the_dominant_weights_by_height(algebra):
+    """The sweep is every dominant weight of height at most top, highest
+    first and lexicographically descending within a height, and a dominant
+    weight below another by a positive root comes after it."""
+    rs = build_root_system(algebra)
+    assert rs.heights == HEIGHTS[algebra]
+    assert rs.heights == tuple(map(sum, zip(*rs.positive_coroots)))
+    roots = {act(rs, w, alpha) for w in rs.elements for alpha in rs.cartan}
+    positive = [alpha for alpha in roots if height(rs, alpha) > 0]
+    assert len(positive) == len(rs.positive_coroots)
+    assert all(height(rs, alpha) >= 2 for alpha in positive)
+    for top in (-1, 0, 1, 7, 24):
+        box = product(range(top + 1), repeat=rs.rank)
+        brute = [mu for mu in box if height(rs, mu) <= top]
+        sweep = dominant_sweep(rs, top)
+        assert sweep == sorted(brute, key=lambda mu: (height(rs, mu), mu), reverse=True)
+        place = {mu: k for k, mu in enumerate(sweep)}
+        for mu in sweep:
+            for alpha in positive:
+                lower = tuple(a - b for a, b in zip(mu, alpha))
+                if is_dominant(lower):
+                    assert place[lower] > place[mu], (mu, alpha)
