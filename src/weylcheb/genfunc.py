@@ -17,11 +17,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 
-from .laurent import LaurentPoly, exact_divide
+from .laurent import LaurentPoly, NonDivisibleError
 from .orbit import Kind, orbit_sum, unit_weight
-from .polynomialize import VariableBasis, XYPoly, _check_basis, reduce
-from .rootsystem import RootSystem, Weight, act, check_index, index_box
+from .polynomialize import VariableBasis, XYPoly, _check_basis, _check_symmetry, reduce
+from .rootsystem import RootSystem, Weight, act, check_index, dominant_sweep, height, index_box
 
 log = logging.getLogger(__name__)
 
@@ -57,6 +58,46 @@ def coefficient_trace(rs: RootSystem, *index: int) -> LaurentPoly:
     return LaurentPoly(rs.rank, acc)
 
 
+def exact_divide(
+    rs: RootSystem, numerator: LaurentPoly, denominator: LaurentPoly
+) -> dict[Weight, int]:
+    """Dominant coefficients of the invariant quotient ``numerator / A_rho``,
+    by Racah's recursion (Humphreys, Lie Algebras, section 24):
+    q[mu] = num[mu+rho] - sum over e != rho of den[e] q[dom(mu+rho-e)].
+    rho - e is a nonzero sum of positive roots and folding raises a weight,
+    so ``dominant_sweep`` has fixed each q looked up.  By the Weyl character
+    formula the division is exact, with no remainder to sweep, when the
+    numerator is anti-invariant and the denominator is A_rho: anti-invariant,
+    with rho its only strictly dominant term, at coefficient 1.  Both are
+    checked; a failure raises NonDivisibleError.  The name is shared with
+    ``laurent.exact_divide``, the full Laurent division, because
+    ``bench/tracing.py`` times this division as ``genfunc.exact_divide``."""
+    num, den, rho = numerator._terms, denominator._terms, rs.rho
+    _check_symmetry(rs, num, -1, NonDivisibleError, "the numerator")
+    _check_symmetry(rs, den, -1, NonDivisibleError, "the denominator")
+    strict = {e: c for e, c in den.items() if min(e) > 0}
+    if strict != {rho: 1}:
+        raise NonDivisibleError(f"the denominator is not A_rho: strictly dominant terms {strict}")
+    rest = [(tuple(map(sub, rho, e)), c) for e, c in den.items() if e != rho]
+    top = max((height(rs, tuple(map(sub, nu, rho))) for nu in num if min(nu) > 0), default=-1)
+    folds: dict[Weight, Weight] = {}  # nu -> dom(nu)
+    quot: dict[Weight, int] = {}
+    for mu in dominant_sweep(rs, top):
+        coeff = num.get(tuple(map(add, mu, rho)), 0)
+        for offset, c in rest:
+            nu = tuple(map(add, mu, offset))
+            dom = folds.get(nu)
+            if dom is None:  # reflect in root i while coordinate i < 0; each raises the height
+                dom = nu
+                while (i := next((i for i, a in enumerate(dom) if a < 0), -1)) >= 0:
+                    dom = tuple(a - dom[i] * r for a, r in zip(dom, rs.cartan[i]))
+                folds[nu] = dom
+            coeff -= c * quot.get(dom, 0)
+        if coeff:
+            quot[mu] = coeff
+    return quot
+
+
 def second_kind_poly(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPoly:
     """Second-kind polynomial at a dominant index: the character quotient
     at the rho-shifted index, rewritten over the variables."""
@@ -67,7 +108,7 @@ def second_kind_poly(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPol
     shifted = tuple(m + 1 for m in index)
     numerator = coefficient_trace(rs, *shifted)
     denominator = coefficient_trace(rs, *(1,) * rs.rank)
-    return reduce(basis, exact_divide(numerator, denominator))
+    return reduce(basis, exact_divide(rs, numerator, denominator))
 
 
 def first_kind_poly(rs: RootSystem, basis: VariableBasis, n: Weight) -> XYPoly:

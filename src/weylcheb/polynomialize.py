@@ -3,7 +3,8 @@
 The work happens in the dominant chamber.  Every Weyl orbit meets the
 closed dominant chamber exactly once, so a W-invariant Laurent polynomial,
 such as a monomial in the variables, is fixed by its dominant coefficients.
-``reduce`` checks its input for Weyl invariance, then cancels its dominant
+``reduce`` takes an invariant Laurent polynomial, which it checks for Weyl
+invariance, or just its dominant coefficients, then cancels the dominant
 terms one leading weight at a time, highest first, in integers.
 """
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .laurent import LaurentPoly, SparsePoly, _norm_coeff
 from .orbit import Kind, orbit_points, unit_weight, variable_laurents
-from .rootsystem import RootSystem, Weight, act_all, dominant_sweep, height
+from .rootsystem import RootSystem, Weight, act_all, dominant_sweep, height, is_dominant
 
 
 class NotInvariantError(ValueError):
@@ -201,41 +202,46 @@ def _check_basis(rs: RootSystem, basis: VariableBasis) -> None:
 # -- reduce ------------------------------------------------------------------
 
 
-def _check_invariant(basis: VariableBasis, f: LaurentPoly) -> None:
-    # Generator invariance implies full group invariance.  Reflections map
-    # exponents bijectively, so f is fixed by one exactly when every term's
-    # image carries the same coefficient.
-    rs = basis.rs
-    terms = f._terms
+def _check_symmetry(rs: RootSystem, terms: dict, sign: int, error: type, what: str) -> None:
+    """Raise ``error`` at the first term whose image under a simple reflection
+    does not carry ``sign`` times its coefficient.  Generator symmetry implies
+    group symmetry, and reflections map exponents bijectively."""
     exps = list(terms)
     for w in rs.generators:
         for exp, image in zip(exps, act_all(rs, w, exps)):
             c = terms[exp]
-            if terms.get(image) != c:
-                raise NotInvariantError(
-                    f"input is not Weyl-invariant: z^{exp} has coefficient {c},"
-                    f" its image z^{image} under simple reflection {w.word[0]}"
-                    f" has {terms.get(image, 0)}"
+            if terms.get(image) != sign * c:
+                raise error(
+                    f"{what} is not Weyl-{'' if sign == 1 else 'anti-'}invariant: z^{exp}"
+                    f" has coefficient {c}, its image z^{image} under simple reflection"
+                    f" {w.word[0]} has {terms.get(image, 0)}"
                 )
 
 
-def reduce(basis: VariableBasis, f: LaurentPoly) -> XYPoly:
-    """Rewrite the invariant Laurent polynomial ``f`` over the variables.
+def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
+    """Rewrite the invariant ``f``, a Laurent polynomial or the dict of its
+    dominant coefficients, over the variables.
 
-    Only dominant terms are worked on.  That is exact because the input is
-    checked to be invariant and every monomial subtracted is, so the
-    dominant part alone decides each leader and coefficient.  The leaders
-    come in ``dominant_sweep`` order up to the input's top height: the
-    other terms of a monomial lie a sum of positive roots below its leader,
-    hence lower in height, so each working coefficient is final when the
-    sweep reaches it.  A monomial's leading coefficient divides all its
-    coefficients, so an integer input is worked on in integers and only an
-    output coefficient can be a ``Fraction``.  A residue left after the
-    sweep raises NonDominantLeaderError.
+    Only dominant terms are worked on.  That is exact because a Laurent
+    input is checked to be invariant, a dict is the dominant part of exactly
+    one invariant once its keys are checked dominant, and every monomial
+    subtracted is invariant.  The leaders come in ``dominant_sweep`` order
+    up to the input's top height: the other terms of a monomial lie a sum
+    of positive roots below its leader, hence lower in height, so each
+    working coefficient is final when the sweep reaches it.  A monomial's
+    leading coefficient divides all its coefficients, so an integer input
+    is worked on in integers and only an output coefficient can be a
+    ``Fraction``.  A residue left after the sweep raises
+    NonDominantLeaderError.
     """
     rs = basis.rs
-    _check_invariant(basis, f)
-    work = {exp: c for exp, c in f._terms.items() if min(exp) >= 0}
+    if isinstance(f, dict):
+        if bad := [exp for exp in f if len(exp) != rs.rank or not is_dominant(exp)]:
+            raise ValueError(f"dominant coefficients keyed by a non-dominant weight {bad[0]}")
+        work = {exp: c for exp, c in f.items() if c}
+    else:
+        _check_symmetry(rs, f._terms, 1, NotInvariantError, "input")
+        work = {exp: c for exp, c in f._terms.items() if min(exp) >= 0}
     top = max((height(rs, exp) for exp in work), default=-1)  # no terms: no sweep
 
     out: dict[Degree, int | Fraction] = {}

@@ -53,6 +53,6 @@ def test_traced_gf_table_pass_counts_the_work(monkeypatch):
     }
     assert counts == {
         "polynomialize.reduce_leaders": 1368,
-        "laurent.quotient_terms": 13867,
+        "laurent.quotient_terms": 1484,
         "output.bytes": 152439,
     }
