@@ -9,9 +9,13 @@ import pytest
 
 import weylcheb.genfunc as genfunc_module
 from weylcheb import (
+    AlgebraId,
     ConvolutionNotTerminatingError,
+    LaurentPoly,
+    NonDivisibleError,
     XYPoly,
     act,
+    build_root_system,
     closed_form_gf,
     coefficient_trace,
     diagonal_exp_matrix,
@@ -23,7 +27,11 @@ from weylcheb import (
     second_kind_table,
     signed_orbit_sum,
     unit_weight,
+    weyl_dimension,
 )
+from weylcheb import laurent
+from weylcheb.orbit import orbit_points
+from weylcheb.rootsystem import index_box
 from g2_reference import K_TABLE, P1_COEFFS, P2_COEFFS, SECOND_KIND, SINGULAR_ELEMENT
 from reference import expand
 
@@ -44,9 +52,36 @@ def test_trace_equals_orbit_sums(g2):
 
 
 def test_trace_singular_element(g2):
-    from weylcheb import LaurentPoly
-
     assert coefficient_trace(g2, 1, 1) == LaurentPoly(2, SINGULAR_ELEMENT)
+
+
+@pytest.mark.parametrize("algebra", list(AlgebraId))
+def test_dominant_division_is_the_dominant_part_of_the_full_quotient(algebra):
+    """The dominant-chamber division against the full Laurent division, and
+    the character it returns against the Weyl dimension formula."""
+    rs = build_root_system(algebra)
+    den = signed_orbit_sum(rs, rs.rho)
+    box = index_box(1, 12, None) if rs.rank == 1 else index_box(2, 8, 8)
+    for lam in box:
+        num = signed_orbit_sum(rs, tuple(c + 1 for c in lam))
+        quot = genfunc_module.exact_divide(rs, num, den)
+        full = laurent.exact_divide(num, den)
+        assert quot == {e: c for e, c in full._terms.items() if min(e) >= 0}, lam
+        dim = sum(c * len(orbit_points(rs, mu)) for mu, c in quot.items())
+        assert dim == weyl_dimension(rs, lam), lam
+
+
+def test_dominant_division_checks_what_makes_it_exact(g2):
+    a_rho = signed_orbit_sum(g2, g2.rho)
+    num = signed_orbit_sum(g2, (3, 2))
+    divide = genfunc_module.exact_divide
+    not_anti = r"the numerator is not Weyl-anti-invariant: z\^\(1, 1\)"
+    with pytest.raises(NonDivisibleError, match=not_anti):
+        divide(g2, num + LaurentPoly.monomial(2, (1, 1)), a_rho)
+    for bad, term in ((a_rho.scale(2), r"\(1, 1\): 2"), (signed_orbit_sum(g2, (2, 1)), r"\(2, 1\): 1")):
+        with pytest.raises(NonDivisibleError, match=r"the denominator is not A_rho: .*" + term):
+            divide(g2, num, bad)
+    assert divide(g2, LaurentPoly.zero(2), a_rho) == {}
 
 
 def test_second_kind_matches_reference_table(g2, g2_second):

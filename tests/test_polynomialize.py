@@ -209,6 +209,25 @@ def test_reduce_is_a_ring_homomorphism(case):
 
 
 @pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@given(data=st.data())
+def test_reduce_takes_the_dominant_coefficients_of_an_invariant(algebra, kind, data):
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, kind)
+    degs = st.tuples(*[st.integers(0, 3)] * rs.rank)
+    p = XYPoly(rs.rank, data.draw(st.dictionaries(degs, int_coeffs, max_size=4)))
+    f = expand(basis, p)
+    dominant = {exp: c for exp, c in f._terms.items() if min(exp) >= 0}
+    assert reduce(basis, dominant) == reduce(basis, f) == p
+
+
+@pytest.mark.parametrize("key", [(-1, 1), (1,), (0, 0, 1)])
+def test_reduce_rejects_dominant_coefficients_off_the_chamber(g2_second, key):
+    with pytest.raises(ValueError, match=re.escape(f"non-dominant weight {key}")):
+        reduce(g2_second, {(1, 0): 1, key: 1})
+
+
+@pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("algebra", [AlgebraId.A1, AlgebraId.A2, AlgebraId.C2])
 def test_expand_after_reduce_on_orbit_sums_other_algebras(algebra, kind):
     rs = build_root_system(algebra)
