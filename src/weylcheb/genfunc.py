@@ -89,8 +89,8 @@ def exact_divide(
             dom = folds.get(nu)
             if dom is None:  # reflect in root i while coordinate i < 0; each raises the height
                 dom = nu
-                while (i := next((i for i, a in enumerate(dom) if a < 0), -1)) >= 0:
-                    dom = tuple(a - dom[i] * r for a, r in zip(dom, rs.cartan[i]))
+                while (m := min(dom)) < 0:
+                    dom = tuple(a - m * r for a, r in zip(dom, rs.cartan[dom.index(m)]))
                 folds[nu] = dom
             coeff -= c * quot.get(dom, 0)
         if coeff:
