@@ -19,7 +19,7 @@ from .genfunc import (
     second_kind_poly,
     second_kind_table,
 )
-from .laurent import LaurentPoly, NonDivisibleError, exact_divide
+from .laurent import LaurentPoly, NonDivisibleError
 from .numeric import (
     AllPointsSingularError,
     AnglePoint,
@@ -53,7 +53,6 @@ from .rootsystem import (
     WeylElement,
     act,
     build_root_system,
-    dominant_representative,
     is_dominant,
 )
 
@@ -86,8 +85,6 @@ __all__ = [
     "coefficient_trace",
     "diagonal_exp_matrix",
     "dimension_check",
-    "dominant_representative",
-    "exact_divide",
     "first_kind_poly",
     "first_kind_table",
     "gf_series_check",

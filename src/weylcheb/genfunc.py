@@ -5,6 +5,9 @@ The generating functions are traces of products of diagonal resolvents
 one entry per group element.  Because the matrices are diagonal, series
 coefficients come out in closed form: position j contributes
 z^{m (w_j mu_1) + n (w_j mu_2)}, so no truncated series is ever built.
+A second-kind polynomial is the trace at the rho-shifted index divided by
+the trace at rho, A_rho, in the dominant chamber (``orbit.exact_divide``);
+the dominant coefficients of the quotient go straight to ``reduce``.
 
 For the second kind the full generating function is rational; this module
 also computes its closed form: per-axis denominators P_k (products over the
@@ -17,12 +20,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, sub
 
-from .laurent import LaurentPoly, NonDivisibleError
-from .orbit import Kind, orbit_sum, unit_weight
-from .polynomialize import VariableBasis, XYPoly, _check_basis, _check_symmetry, reduce
-from .rootsystem import RootSystem, Weight, act, check_index, dominant_sweep, height, index_box
+from .laurent import LaurentPoly
+# bench/tracing.py wraps genfunc.exact_divide, which second_kind_poly calls by this name.
+from .orbit import Kind, exact_divide, orbit_sum, unit_weight
+from .polynomialize import VariableBasis, XYPoly, _check_basis, reduce
+from .rootsystem import RootSystem, Weight, act, check_index, index_box
 
 log = logging.getLogger(__name__)
 
@@ -31,7 +34,7 @@ class ConvolutionNotTerminatingError(ArithmeticError):
     """Numerator entries persist beyond the denominator degree bound."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: the axis True is rejected, not read as 1
 def diagonal_exp_matrix(rs: RootSystem, i: int) -> tuple[Weight, ...]:
     """Diagonal of the exponential matrix for the fundamental weight
     lambda_i: entry j is w_j . lambda_i, with j running over the group
@@ -56,46 +59,6 @@ def coefficient_trace(rs: RootSystem, *index: int) -> LaurentPoly:
         )
         acc[exp] = acc.get(exp, 0) + w.det
     return LaurentPoly(rs.rank, acc)
-
-
-def exact_divide(
-    rs: RootSystem, numerator: LaurentPoly, denominator: LaurentPoly
-) -> dict[Weight, int]:
-    """Dominant coefficients of the invariant quotient ``numerator / A_rho``,
-    by Racah's recursion (Humphreys, Lie Algebras, section 24):
-    q[mu] = num[mu+rho] - sum over e != rho of den[e] q[dom(mu+rho-e)].
-    rho - e is a nonzero sum of positive roots and folding raises a weight,
-    so ``dominant_sweep`` has fixed each q looked up.  By the Weyl character
-    formula the division is exact, with no remainder to sweep, when the
-    numerator is anti-invariant and the denominator is A_rho: anti-invariant,
-    with rho its only strictly dominant term, at coefficient 1.  Both are
-    checked; a failure raises NonDivisibleError.  The name is shared with
-    ``laurent.exact_divide``, the full Laurent division, because
-    ``bench/tracing.py`` times this division as ``genfunc.exact_divide``."""
-    num, den, rho = numerator._terms, denominator._terms, rs.rho
-    _check_symmetry(rs, num, -1, NonDivisibleError, "the numerator")
-    _check_symmetry(rs, den, -1, NonDivisibleError, "the denominator")
-    strict = {e: c for e, c in den.items() if min(e) > 0}
-    if strict != {rho: 1}:
-        raise NonDivisibleError(f"the denominator is not A_rho: strictly dominant terms {strict}")
-    rest = [(tuple(map(sub, rho, e)), c) for e, c in den.items() if e != rho]
-    top = max((height(rs, tuple(map(sub, nu, rho))) for nu in num if min(nu) > 0), default=-1)
-    folds: dict[Weight, Weight] = {}  # nu -> dom(nu)
-    quot: dict[Weight, int] = {}
-    for mu in dominant_sweep(rs, top):
-        coeff = num.get(tuple(map(add, mu, rho)), 0)
-        for offset, c in rest:
-            nu = tuple(map(add, mu, offset))
-            dom = folds.get(nu)
-            if dom is None:  # reflect in root i while coordinate i < 0; each raises the height
-                dom = nu
-                while (m := min(dom)) < 0:
-                    dom = tuple(a - m * r for a, r in zip(dom, rs.cartan[dom.index(m)]))
-                folds[nu] = dom
-            coeff -= c * quot.get(dom, 0)
-        if coeff:
-            quot[mu] = coeff
-    return quot
 
 
 def second_kind_poly(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPoly:

@@ -7,25 +7,20 @@ serialized.  ``LaurentPoly`` is its Laurent view, ordered lexicographically
 (first coordinate most significant); ``polynomialize.XYPoly`` is the view
 over the variables.  Coefficients are Python ints wherever possible and
 ``fractions.Fraction`` otherwise; both are exact and mix freely.
-``exact_divide`` sweeps once, in decreasing lexicographic order, the box in
-which an exact quotient must lie.
+Division is not here: the one exact division, ``orbit.exact_divide``,
+divides by A_rho in the dominant chamber.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import prod
 from typing import Mapping
 
 Exponent = tuple[int, ...]
 
-# The most box positions exact_divide sweeps; a larger box is rejected up front.
-_DIVIDE_STEP_CAP = 10_000_000
-
 
 class NonDivisibleError(ArithmeticError):
-    """Raised when an exact Laurent division has a nonzero remainder."""
+    """Raised when a division asked to be exact cannot be."""
 
 
 def _norm_coeff(c):
@@ -202,98 +197,9 @@ class LaurentPoly(SparsePoly):
     def monomial(cls, rank: int, exp: Exponent) -> "LaurentPoly":
         return cls(rank, {tuple(exp): 1})
 
-    def leading(self) -> tuple[Exponent, "int | Fraction"]:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self._terms)
-        return exp, self._terms[exp]
-
     def __repr__(self) -> str:
         if not self._terms:
             return "LaurentPoly(0)"
         bits = [f"{c}*z^{e}" for e, c in self.terms()]
         return "LaurentPoly(" + " + ".join(bits) + ")"
 
-
-def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Quotient ``num / den`` when the division is exact.
-
-    An exact quotient lies in the box [min num - min den, max num - max den],
-    taken per coordinate: the Newton polytope of a product is the sum of its
-    factors' (Ostrowski), so in each coordinate the top and bottom exponents
-    of a product are the sums of its factors'.  The box is swept once in
-    decreasing lexicographic order.  At each point q the remainder term at
-    q + lead(den) is final, because every later subtraction lands
-    lexicographically below it, so it fixes the coefficient of z^q.  A box
-    with more than ``_DIVIDE_STEP_CAP`` points is rejected before any
-    elimination, and a remainder left after the sweep means the division was
-    not exact; both raise NonDivisibleError, whose message names the check
-    that failed.  Rank 2 takes a pair inner loop, as ``__mul__`` does.
-    """
-    if num.rank != den.rank:
-        raise ValueError("rank mismatch")
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not num:
-        return LaurentPoly.zero(num.rank)
-
-    lead, lead_coeff = den.leading()
-    num_cols, den_cols = list(zip(*num._terms)), list(zip(*den._terms))
-    lo = tuple(min(a) - min(b) for a, b in zip(num_cols, den_cols))
-    hi = tuple(max(a) - max(b) for a, b in zip(num_cols, den_cols))
-    # Each point of the box, shifted by lead, is the remainder exponent it clears.
-    spans = [range(h + e, o + e - 1, -1) for o, h, e in zip(lo, hi, lead)]
-    size = prod(map(len, spans))
-    if size > _DIVIDE_STEP_CAP:
-        raise NonDivisibleError(
-            f"division not attempted: the quotient box {lo} to {hi} has {size}"
-            f" positions, over the cap {_DIVIDE_STEP_CAP}"
-        )
-    # The rest of the divisor, as offsets from its leading exponent.
-    rest = [
-        (tuple(a - b for a, b in zip(exp, lead)), c)
-        for exp, c in den._terms.items()
-        if exp != lead
-    ]
-    rank2 = num.rank == 2
-    if rank2:
-        rest2 = [(d0, d1, c) for (d0, d1), c in rest]
-
-    rem = dict(num._terms)
-    quot: dict[Exponent, int | Fraction] = {}
-    for point in product(*spans):
-        coeff = rem.pop(point, 0)
-        if not coeff:
-            continue
-        if lead_coeff == 1:
-            qc = coeff
-        elif lead_coeff == -1:
-            qc = -coeff
-        else:
-            qc = _norm_coeff(Fraction(coeff) / Fraction(lead_coeff))
-        quot[tuple(a - b for a, b in zip(point, lead))] = qc
-        if rank2:
-            p0, p1 = point
-            for d0, d1, c in rest2:
-                key = (p0 + d0, p1 + d1)
-                new = rem.get(key, 0) - qc * c
-                if new:
-                    rem[key] = new
-                else:
-                    del rem[key]
-        else:
-            for offset, c in rest:
-                key = tuple(a + b for a, b in zip(point, offset))
-                new = rem.get(key, 0) - qc * c
-                if new:
-                    rem[key] = new
-                else:
-                    del rem[key]
-    if rem:
-        top = max(rem)
-        qexp = tuple(a - b for a, b in zip(top, lead))
-        raise NonDivisibleError(
-            f"nonzero remainder: {len(rem)} term(s) left, led by z^{top};"
-            f" quotient exponent {qexp} lies outside the box {lo} to {hi}"
-        )
-    return LaurentPoly._wrap(num.rank, quot)

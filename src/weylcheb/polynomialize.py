@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .laurent import LaurentPoly, SparsePoly, _norm_coeff
-from .orbit import Kind, orbit_points, unit_weight, variable_laurents
-from .rootsystem import RootSystem, Weight, act_all, dominant_sweep, height
+from .orbit import Kind, orbit_points, unfold, unit_weight, variable_laurents
+from .rootsystem import RootSystem, Weight, check_symmetry, dominant_sweep, height
 
 
 class NotInvariantError(ValueError):
@@ -166,16 +166,10 @@ class VariableBasis:
         self._power_cache[degrees] = result
         return result
 
-    def _unfold(self, dominant: DominantCoeffs) -> LaurentPoly:
-        """The invariant Laurent polynomial with these dominant coefficients."""
-        rs = self.rs
-        terms = {mu: c for lam, c in dominant.items() for mu in orbit_points(rs, lam)}
-        return LaurentPoly(rs.rank, terms)
-
     def monomial_laurent(self, degrees: Degree) -> LaurentPoly:
         """Expansion of prod(var_i ^ degrees[i]): the cached dominant
         coefficients unfolded over their orbits."""
-        return self._unfold(self._dominant_monomial(tuple(degrees)))
+        return unfold(self.rs, self._dominant_monomial(tuple(degrees)))
 
 
 def build_basis(rs: RootSystem, kind: Kind) -> VariableBasis:
@@ -202,22 +196,6 @@ def _check_basis(rs: RootSystem, basis: VariableBasis) -> None:
 # -- reduce ------------------------------------------------------------------
 
 
-def _check_symmetry(rs: RootSystem, terms: dict, sign: int, error: type, what: str) -> None:
-    """Raise ``error`` at the first term whose image under a simple reflection
-    does not carry ``sign`` times its coefficient.  Generator symmetry implies
-    group symmetry, and reflections map exponents bijectively."""
-    exps = list(terms)
-    for w in rs.generators:
-        for exp, image in zip(exps, act_all(rs, w, exps)):
-            c = terms[exp]
-            if terms.get(image) != sign * c:
-                raise error(
-                    f"{what} is not Weyl-{'' if sign == 1 else 'anti-'}invariant: z^{exp}"
-                    f" has coefficient {c}, its image z^{image} under simple reflection"
-                    f" {w.word[0]} has {terms.get(image, 0)}"
-                )
-
-
 def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
     """Rewrite the invariant ``f``, a Laurent polynomial or the dict of its
     dominant coefficients, over the variables.
@@ -240,7 +218,7 @@ def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
             raise ValueError(f"dominant coefficients keyed by a non-dominant weight {bad[0]}")
         work = {exp: c for exp, c in f.items() if c}
     else:
-        _check_symmetry(rs, f._terms, 1, NotInvariantError, "input")
+        check_symmetry(rs, f._terms, 1, NotInvariantError, "input")
         work = {exp: c for exp, c in f._terms.items() if min(exp) >= 0}
     top = max((height(rs, exp) for exp in work), default=-1)  # no terms: no sweep
 

@@ -12,10 +12,10 @@ by the rho-shifted denominator turns it into a linear relation among the
 second-kind polynomials; the second already is one among the first-kind
 polynomials, which are the orbit sums.  Shifted indices fold back into the
 dominant table: by normalize_index for the second kind (rho-shifted,
-signed, zero on walls), by the dominant representative with sign +1 for
-the first.  Since lambda_i is the highest weight of its orbit, every folded
-index lies at or below k + lambda_i in the dominance order, so solving for
-k + lambda_i steps the table forward.  Shifts that fold onto k + lambda_i
+signed, zero on walls), by the image of ``rootsystem.fold`` with sign +1
+for the first.  Since lambda_i is the highest weight of its orbit, every
+folded index lies at or below k + lambda_i in the dominance order, so
+solving for k + lambda_i steps the table forward.  Shifts that fold onto k + lambda_i
 itself (first kind only, e.g. at k = 0) add to the coefficient divided out.
 
 The companion matrices realize the one-variable recurrences hidden in the
@@ -34,8 +34,8 @@ from .laurent import LaurentPoly
 from .orbit import Kind, orbit_points, unit_weight
 from .polynomialize import VariableBasis, XYPoly, _check_basis, reduce
 from .rootsystem import (
-    RootSystem, Weight, check_index, check_weight, dominant_representative, dominant_sweep,
-    height, index_box,
+    _COORD_LIMIT, RootSystem, Weight, check_index, check_weight, dominant_sweep, fold, height,
+    index_box,
 )
 
 
@@ -52,18 +52,23 @@ class NormalizedIndex:
 def normalize_index(rs: RootSystem, *n: int) -> NormalizedIndex:
     """Fold the index via the reflection rule for rho-shifted weights: n + rho
     goes to the dominant chamber, and a zero coordinate there puts it on a
-    wall.  Off the walls the element reaching the chamber is unique."""
+    wall.  Off the walls the element reaching the chamber is unique, so the
+    sign of ``fold`` is its determinant.  A coordinate of n + rho at 2**31 or
+    beyond in size is rejected."""
     check_weight(rs, n)
-    w, image = dominant_representative(rs, tuple(c + 1 for c in n))
+    shifted = tuple(c + 1 for c in n)
+    if max(map(abs, shifted)) >= _COORD_LIMIT:
+        raise ValueError("weight coordinate out of supported range")
+    sign, image = fold(rs, shifted)
     if 0 in image:
         return NormalizedIndex(0, None)
-    return NormalizedIndex(w.det, tuple(c - 1 for c in image))
+    return NormalizedIndex(sign, tuple(c - 1 for c in image))
 
 
 def _fold(rs: RootSystem, kind: Kind, index: Weight) -> NormalizedIndex:
     if kind is Kind.SECOND:
         return normalize_index(rs, *index)
-    return NormalizedIndex(1, dominant_representative(rs, index)[1])
+    return NormalizedIndex(1, fold(rs, index)[1])
 
 
 def _fill(

@@ -12,7 +12,9 @@ row ``i`` of the Cartan matrix, and the simple reflection acts by
 Every route indexes its polynomials by a dominant weight: one nonnegative
 integer per fundamental weight.  ``check_index`` is the one check of that
 contract, ``index_box`` the one table order and ``dominant_sweep`` the one
-order of the exact sweeps.  ``check_weight`` is the check for functions
+order of the exact sweeps.  ``fold`` is the one descent of a weight to the
+dominant chamber, and ``check_symmetry`` the one Weyl (anti-)invariance
+check of a Laurent polynomial's terms.  ``check_weight`` is the check for functions
 whose domain also holds negative weights.
 """
 
@@ -179,6 +181,37 @@ def act_all(rs: RootSystem, w: WeylElement, weights: list[Weight]) -> list[Weigh
     return [(a * x + b * y, c * x + e * y) for x, y in weights]
 
 
+def check_symmetry(rs: RootSystem, terms: dict, sign: int, error: type, what: str) -> None:
+    """Raise ``error`` at the first term whose image under a simple reflection
+    does not carry ``sign`` times its coefficient.  Generator symmetry implies
+    group symmetry, and reflections map exponents bijectively."""
+    exps = list(terms)
+    for w in rs.generators:
+        for exp, image in zip(exps, act_all(rs, w, exps)):
+            c = terms[exp]
+            if terms.get(image) != sign * c:
+                raise error(
+                    f"{what} is not Weyl-{'' if sign == 1 else 'anti-'}invariant: z^{exp}"
+                    f" has coefficient {c}, its image z^{image} under simple reflection"
+                    f" {w.word[0]} has {terms.get(image, 0)}"
+                )
+
+
+def fold(rs: RootSystem, mu: Weight) -> tuple[int, Weight]:
+    """The one point of the orbit of ``mu`` in the closed dominant chamber,
+    with the sign (-1)^steps of the walk that reaches it: reflect in simple
+    root i, at the most negative coordinate i, while that coordinate is
+    negative.  Each step adds a positive multiple of alpha_i, raising the
+    height, and the walk is a reduced word, so it ends within |Phi+| steps.
+    Off the walls the element reaching the chamber is unique and the sign
+    is its determinant."""
+    sign = 1
+    while (m := min(mu)) < 0:
+        mu = tuple(a - m * r for a, r in zip(mu, rs.cartan[mu.index(m)]))
+        sign = -sign
+    return sign, mu
+
+
 def is_dominant(mu: Weight) -> bool:
     return all(c >= 0 for c in mu)
 
@@ -226,17 +259,3 @@ def index_box(rank: int, max_m: int, max_n: int | None) -> list[Weight]:
     if rank == 1:
         return [(m,) for m in range(max_m + 1)]
     return [(m, n) for m in range(max_m + 1) for n in range(max_n + 1)]
-
-
-def dominant_representative(rs: RootSystem, mu: Weight) -> tuple[WeylElement, Weight]:
-    """First group element (in closure order) sending ``mu`` into the closed
-    dominant chamber, together with the image.
-
-    Every orbit meets the closed chamber in exactly one point, so the image
-    is canonical even though the witnessing element need not be.
-    """
-    for w in rs.elements:
-        image = act(rs, w, mu)
-        if is_dominant(image):
-            return w, image
-    raise RuntimeError("orbit failed to meet the dominant chamber")

@@ -22,7 +22,6 @@ from weylcheb import (
     build_root_system,
     closed_form_gf,
     dimension_check,
-    exact_divide,
     orbit_sum,
     recurrence_table,
     reduce,
@@ -42,7 +41,7 @@ from g2_reference import (
     X_LAURENT,
     Y_LAURENT,
 )
-from reference import apply_weyl, expand
+from reference import apply_weyl, exact_divide, expand
 
 
 def _report(capsys, number: int, label: str, ok: bool, elapsed: float) -> None:

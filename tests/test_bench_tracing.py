@@ -31,8 +31,10 @@ def test_tracer_restores_every_patched_name(monkeypatch):
 
 def test_traced_gf_table_pass_counts_the_work(monkeypatch):
     """One gf-table pass under the tracer does the work the benchmark's
-    per-layer counters report: leaders cleared by ``reduce``, quotient
-    terms of ``exact_divide`` and artifact bytes."""
+    per-layer counters report: leaders cleared by ``reduce``, calls to and
+    quotient terms of ``genfunc.exact_divide`` and artifact bytes.  The call
+    count is 49, one per table entry: the basis's own divisions go through
+    ``orbit.exact_divide`` unwrapped."""
     monkeypatch.syspath_prepend(str(BENCH))
     common = importlib.import_module("common")
     tracing = importlib.import_module("tracing")
@@ -49,10 +51,16 @@ def test_traced_gf_table_pass_counts_the_work(monkeypatch):
     metrics = tracer.pass_metrics()
     counts = {
         name: metrics[name]
-        for name in ("polynomialize.reduce_leaders", "laurent.quotient_terms", "output.bytes")
+        for name in (
+            "polynomialize.reduce_leaders",
+            "laurent.exact_divide_calls",
+            "laurent.quotient_terms",
+            "output.bytes",
+        )
     }
     assert counts == {
         "polynomialize.reduce_leaders": 1368,
+        "laurent.exact_divide_calls": 49,
         "laurent.quotient_terms": 1484,
         "output.bytes": 152439,
     }

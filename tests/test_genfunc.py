@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import re
 
 import pytest
 
@@ -11,10 +12,12 @@ import weylcheb.genfunc as genfunc_module
 from weylcheb import (
     AlgebraId,
     ConvolutionNotTerminatingError,
+    Kind,
     LaurentPoly,
     NonDivisibleError,
     XYPoly,
     act,
+    build_basis,
     build_root_system,
     closed_form_gf,
     coefficient_trace,
@@ -29,11 +32,11 @@ from weylcheb import (
     unit_weight,
     weyl_dimension,
 )
-from weylcheb import laurent
+from weylcheb.genfunc import denominator_coeffs
 from weylcheb.orbit import orbit_points
 from weylcheb.rootsystem import index_box
 from g2_reference import K_TABLE, P1_COEFFS, P2_COEFFS, SECOND_KIND, SINGULAR_ELEMENT
-from reference import expand
+from reference import exact_divide, expand
 
 
 def test_diagonal_matrices_follow_element_order(g2):
@@ -51,6 +54,28 @@ def test_trace_equals_orbit_sums(g2):
             assert coefficient_trace(g2, m, n) == signed_orbit_sum(g2, (m, n))
 
 
+@pytest.mark.parametrize(
+    "algebra, axis",
+    [(AlgebraId.G2, 2), (AlgebraId.G2, -1), (AlgebraId.G2, True), (AlgebraId.A1, 1)],
+    ids=["g2-past-rank", "g2-negative", "g2-bool", "a1-past-rank"],
+)
+def test_an_axis_outside_the_rank_is_rejected(algebra, axis):
+    """An axis is an int in range(rank); before, an axis past the rank gave
+    the zero weight and True read as axis 1, even from the diagonal cache."""
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, Kind.SECOND)
+    diagonal_exp_matrix(rs, rs.rank - 1)
+    message = re.escape(f"a rank-{rs.rank} root system has axes 0 to {rs.rank - 1}, got {axis!r}")
+    calls = {
+        "unit_weight": lambda: unit_weight(rs, axis),
+        "diagonal_exp_matrix": lambda: diagonal_exp_matrix(rs, axis),
+        "denominator_coeffs": lambda: denominator_coeffs(rs, basis, axis),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_trace_singular_element(g2):
     assert coefficient_trace(g2, 1, 1) == LaurentPoly(2, SINGULAR_ELEMENT)
 
@@ -65,7 +90,7 @@ def test_dominant_division_is_the_dominant_part_of_the_full_quotient(algebra):
     for lam in box:
         num = signed_orbit_sum(rs, tuple(c + 1 for c in lam))
         quot = genfunc_module.exact_divide(rs, num, den)
-        full = laurent.exact_divide(num, den)
+        full = exact_divide(num, den)
         assert quot == {e: c for e, c in full._terms.items() if min(e) >= 0}, lam
         dim = sum(c * len(orbit_points(rs, mu)) for mu, c in quot.items())
         assert dim == weyl_dimension(rs, lam), lam

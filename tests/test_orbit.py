@@ -11,14 +11,13 @@ from weylcheb import (
     LaurentPoly,
     act,
     build_root_system,
-    exact_divide,
     orbit_sum,
     signed_orbit_sum,
     unit_weight,
     variable_laurents,
 )
 from g2_reference import SINGULAR_ELEMENT, X_LAURENT, Y_LAURENT
-from reference import apply_weyl
+from reference import apply_weyl, exact_divide
 
 small_weights = st.tuples(
     st.integers(min_value=-6, max_value=6), st.integers(min_value=-6, max_value=6)
@@ -112,6 +111,17 @@ def test_a1_variables_both_kinds(a1):
     (first,) = variable_laurents(a1, Kind.FIRST)
     assert second == hook
     assert first == hook
+
+
+@pytest.mark.parametrize("algebra", list(AlgebraId))
+def test_second_kind_variables_are_character_quotients(algebra):
+    """Each second-kind variable, built by the dominant division and
+    unfolded, is the full Laurent quotient A_{rho+lambda_i} / A_rho."""
+    rs = build_root_system(algebra)
+    den = signed_orbit_sum(rs, rs.rho)
+    for i, var in enumerate(variable_laurents(rs, Kind.SECOND)):
+        shifted = tuple(r + u for r, u in zip(rs.rho, unit_weight(rs, i)))
+        assert var == exact_divide(signed_orbit_sum(rs, shifted), den), i
 
 
 def test_first_kind_variables_are_orbit_sums(g2):

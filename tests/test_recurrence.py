@@ -42,6 +42,11 @@ def test_normalize_index_examples(g2):
     for index in [(1.5, 0), (True, 0), (0, 2.0)]:
         with pytest.raises(ValueError, match="rank-2"):
             normalize_index(g2, *index)
+    # n + rho must keep every coordinate below 2**31 in size.
+    for index in [(2**31 - 1, 0), (-(2**31) - 1, 0)]:
+        with pytest.raises(ValueError, match="weight coordinate out of supported range"):
+            normalize_index(g2, *index)
+    assert normalize_index(g2, 2**31 - 2, 0) == NormalizedIndex(1, (2**31 - 2, 0))
 
 
 def test_normalize_index_matches_signed_sums(g2):

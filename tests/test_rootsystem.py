@@ -16,7 +16,6 @@ from weylcheb import (
     build_root_system,
     coefficient_trace,
     dimension_check,
-    dominant_representative,
     first_kind_poly,
     is_dominant,
     normalize_index,
@@ -25,8 +24,9 @@ from weylcheb import (
     verify_ratio,
     weyl_dimension,
 )
-from weylcheb.rootsystem import act_all, check_index, check_weight, dominant_sweep, height
+from weylcheb.rootsystem import act_all, check_index, check_weight, dominant_sweep, fold, height
 from g2_reference import NEGATIVE_DET_WORDS
+from reference import dominant_representative
 
 ALL_ALGEBRAS = [AlgebraId.A1, AlgebraId.A2, AlgebraId.C2, AlgebraId.G2]
 ORDERS = {AlgebraId.A1: 2, AlgebraId.A2: 6, AlgebraId.C2: 8, AlgebraId.G2: 12}
@@ -110,13 +110,31 @@ def test_act_examples(g2):
     assert act(g2, ident, (3, -2)) == (3, -2)
 
 
-def test_dominant_representative_examples(g2):
-    w, nu = dominant_representative(g2, (-1, 1))
-    assert nu == (1, 0) and w.word == (1,)
-    w, nu = dominant_representative(g2, (1, 1))
-    assert nu == (1, 1) and w.word == ()
-    _, nu = dominant_representative(g2, (0, -1))
-    assert nu == (0, 1)
+def _reaches(rs, mu, sign, nu):
+    """Whether a group element of determinant ``sign`` sends ``mu`` to ``nu``:
+    true of the walk ``fold`` takes, on a wall too."""
+    return any(act(rs, w, mu) == nu and w.det == sign for w in rs.elements)
+
+
+def test_fold_examples(g2):
+    assert fold(g2, (-1, 1)) == (-1, (1, 0))
+    assert fold(g2, (1, 1)) == (1, (1, 1))
+    assert fold(g2, (0, -1))[1] == (0, 1)
+    assert fold(g2, (1, -3)) == (-1, (1, 2))
+    assert fold(g2, (-2, -1)) == (1, (2, 1))
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS)
+def test_fold_matches_the_group_scan(algebra):
+    """The descent lands where the scan of all |W| elements does, and off
+    the walls its sign is the determinant of the scan's witness."""
+    rs = build_root_system(algebra)
+    for mu in product(range(-6, 7), repeat=rs.rank):
+        sign, nu = fold(rs, mu)
+        w, want = dominant_representative(rs, mu)
+        assert nu == want, mu
+        if min(nu) > 0:
+            assert sign == w.det, mu
 
 
 @pytest.mark.parametrize("algebra", ALL_ALGEBRAS)
@@ -132,9 +150,9 @@ def test_orbit_meets_chamber_once(algebra):
         orbit = {act(rs, w, mu) for w in rs.elements}
         dominant = [nu for nu in orbit if is_dominant(nu)]
         assert len(dominant) == 1
-        w, nu = dominant_representative(rs, mu)
+        sign, nu = fold(rs, mu)
         assert nu == dominant[0]
-        assert act(rs, w, mu) == nu
+        assert _reaches(rs, mu, sign, nu)
 
 
 @given(
@@ -143,11 +161,11 @@ def test_orbit_meets_chamber_once(algebra):
         st.integers(min_value=-20, max_value=20),
     )
 )
-def test_dominant_representative_random(mu):
+def test_fold_random(mu):
     rs = build_root_system(AlgebraId.G2)
-    w, nu = dominant_representative(rs, mu)
+    sign, nu = fold(rs, mu)
     assert is_dominant(nu)
-    assert act(rs, w, mu) == nu
+    assert _reaches(rs, mu, sign, nu)
 
 
 @pytest.mark.parametrize("algebra", ALL_ALGEBRAS)
