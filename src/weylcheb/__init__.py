@@ -53,7 +53,6 @@ from .rootsystem import (
     WeylElement,
     act,
     build_root_system,
-    is_dominant,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +87,6 @@ __all__ = [
     "first_kind_poly",
     "first_kind_table",
     "gf_series_check",
-    "is_dominant",
     "minimal_poly_check",
     "normalize_index",
     "orbit_sum",

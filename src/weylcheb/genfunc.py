@@ -150,8 +150,7 @@ def closed_form_gf(rs: RootSystem, basis: VariableBasis) -> RationalGF:
     if basis.kind is not Kind.SECOND:
         raise ValueError("closed form is implemented for the second kind")
     dens = tuple(denominator_coeffs(rs, basis, i) for i in range(2))
-    deg1 = len(dens[0]) - 1
-    deg2 = len(dens[1]) - 1
+    deg1, deg2 = (len(coeffs) - 1 for coeffs in dens)
     table = second_kind_table(rs, basis, deg1, deg2)
     numerator: dict[tuple[int, int], XYPoly] = {}
     for i in range(deg1 + 1):
@@ -162,9 +161,7 @@ def closed_form_gf(rs: RootSystem, basis: VariableBasis) -> RationalGF:
                     acc = acc + table[(a, b)] * dens[0][i - a] * dens[1][j - b]
             if acc:
                 if i > deg1 - 1 or j > deg2 - 1:
-                    raise ConvolutionNotTerminatingError(
-                        f"nonzero numerator entry at ({i}, {j})"
-                    )
+                    raise ConvolutionNotTerminatingError(f"nonzero numerator entry at ({i}, {j})")
                 numerator[(i, j)] = acc
     return RationalGF(denominators=dens, numerator=numerator)
 
@@ -182,16 +179,13 @@ def gf_series_check(
         acc = gf.numerator.get((m, n), XYPoly.zero(2))
         for a in range(min(m, len(p_coeffs) - 1) + 1):
             for b in range(min(n, len(q_coeffs) - 1) + 1):
-                if a == 0 and b == 0:
-                    continue
-                acc = acc - p_coeffs[a] * q_coeffs[b] * series[(m - a, n - b)]
+                if a or b:
+                    acc = acc - p_coeffs[a] * q_coeffs[b] * series[(m - a, n - b)]
         series[(m, n)] = acc
     for m, n in box:
         direct = second_kind_poly(rs, basis, m, n)
         if series[(m, n)] != direct:
-            log.warning(
-                "series mismatch at (%d, %d): %s != %s",
-                m, n, series[(m, n)].as_text(), direct.as_text(),
-            )
+            got = series[(m, n)].as_text()
+            log.warning("series mismatch at (%d, %d): %s != %s", m, n, got, direct.as_text())
             return False
     return True

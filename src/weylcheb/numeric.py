@@ -241,9 +241,7 @@ def verify_ratio(
     if poly is None:
         poly = second_kind_poly(rs, basis, *index)
     numerator = signed_orbit_sum(rs, tuple(c + 1 for c in index))
-    samples = _torus_samples(
-        basis, DEFAULT_SEED if seed is None else seed, num_samples
-    )
+    samples = _torus_samples(basis, DEFAULT_SEED if seed is None else seed, num_samples)
     if not samples.used:
         raise AllPointsSingularError(
             f"all {num_samples} samples were within {_SINGULAR_CUTOFF} of a wall"

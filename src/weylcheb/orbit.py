@@ -17,7 +17,9 @@ from enum import Enum
 from operator import add, sub
 
 from .laurent import LaurentPoly, NonDivisibleError
-from .rootsystem import RootSystem, Weight, act, check_symmetry, dominant_sweep, fold, height
+from .rootsystem import (
+    RootSystem, Weight, act, act_all, check_symmetry, dominant_sweep, fold, height,
+)
 
 
 class Kind(Enum):
@@ -93,7 +95,8 @@ def exact_divide(
 
 def unfold(rs: RootSystem, dominant: dict[Weight, int]) -> LaurentPoly:
     """The invariant Laurent polynomial with these dominant coefficients."""
-    terms = {mu: c for lam, c in dominant.items() for mu in orbit_points(rs, lam)}
+    lams = list(dominant)
+    terms = {mu: dominant[lam] for w in rs.elements for lam, mu in zip(lams, act_all(rs, w, lams))}
     return LaurentPoly(rs.rank, terms)
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 
-from .laurent import LaurentPoly, SparsePoly, _norm_coeff
+from .laurent import LaurentPoly, SparsePoly
 from .orbit import Kind, orbit_points, unfold, unit_weight, variable_laurents
 from .rootsystem import RootSystem, Weight, check_symmetry, dominant_sweep, height
 
@@ -85,8 +87,7 @@ class XYPoly(SparsePoly):
             else:
                 head = f"{mag}{body}"
             pieces.append(sign + head)
-        out = "".join(pieces)
-        return out[1:] if out.startswith("+") else out
+        return "".join(pieces).removeprefix("+")
 
 
 # -- variable basis ----------------------------------------------------------
@@ -96,14 +97,16 @@ DominantCoeffs = dict[Weight, int | Fraction]
 
 @dataclass(frozen=True)
 class VariableBasis:
-    """The polynomial variables of one kind over one root system, with their
-    Laurent expansions and a monomial cache.
+    """The polynomial variables x_i of one kind over one root system, with
+    their Laurent expansions and a monomial cache.
 
-    Every monomial in the variables is W-invariant, so the cache keeps only
-    its dominant coefficients: ``_power_cache`` maps a degree vector to
-    {dominant exponent: coefficient}.  An entry is the entry one
-    degree lower times one variable, computed with product rules: the
-    dominant part of (the distinct orbit points of lambda) * var_i, built
+    Inside, everything is in integers over X_i = x_i / lead_i (``leads``),
+    the orbit sums over distinct points, whose monomials all lead with 1;
+    only ``over_x``, rewriting a result over the x_i, makes a ``Fraction``.
+    An X-monomial is W-invariant, so ``_power_cache`` maps a degree vector
+    to its dominant coefficients {exponent: coefficient}.  An entry is the
+    entry one degree lower times one X_i, computed with product rules: the
+    dominant part of (the distinct orbit points of lambda) * X_i, built
     once per (dominant lambda, i) in ``_rules``.  Entries are only ever
     added, so concurrent readers at worst recompute.  ``_torus_samples``
     holds the sampled points of ``numeric.verify_ratio`` for the most
@@ -124,8 +127,29 @@ class VariableBasis:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    @cached_property
+    def leads(self) -> tuple[int, ...]:
+        """Each x_i's coefficient at its fundamental weight, checked to be a
+        positive int that divides every coefficient of x_i."""
+        leads = tuple(v.coeff(unit_weight(self.rs, i)) for i, v in enumerate(self.var_laurents))
+        for name, lead, v in zip(_VAR_NAMES, leads, self.var_laurents):
+            if type(lead) is not int or lead <= 0 or any(c % lead for c in v._terms.values()):
+                raise ArithmeticError(f"the lead {lead} of {name} does not divide its coefficients")
+        return leads
+
+    def over_x(self, poly: XYPoly, inverse: bool = False) -> XYPoly:
+        """``poly`` over the X_i rewritten over the x_i, X^d = x^d / prod(lead_i^d_i),
+        or back if ``inverse``.  With every lead 1 it is ``poly`` itself."""
+        if max(self.leads) == 1:
+            return poly
+        out = {}
+        for d, c in poly._terms.items():
+            s = prod(map(pow, self.leads, d))
+            out[d] = c * s if inverse else c // s if c % s == 0 else Fraction(c, s)
+        return XYPoly(poly.rank, out)
+
     def _product_rule(self, lam: Weight, i: int) -> tuple[tuple[Weight, int], ...]:
-        """Dominant terms of (sum of z^mu over the orbit of lam) * var_i."""
+        """Dominant terms of (sum of z^mu over the orbit of lam) * X_i."""
         rule = self._rules.get((lam, i))
         if rule is None:
             acc: dict[Weight, int] = {}
@@ -135,12 +159,12 @@ class VariableBasis:
                     exp = tuple(a + b for a, b in zip(mu, nu))
                     if min(exp) >= 0:
                         acc[exp] = acc.get(exp, 0) + c
-            rule = tuple((exp, c) for exp, c in acc.items() if c)
+            rule = tuple((exp, c // self.leads[i]) for exp, c in acc.items() if c)
             self._rules[(lam, i)] = rule
         return rule
 
     def _dominant_monomial(self, degrees: Degree) -> DominantCoeffs:
-        """Dominant coefficients of prod(var_i ^ degrees[i]), built
+        """Dominant coefficients of prod(X_i ^ degrees[i]), built
         incrementally through ``_power_cache``."""
         cached = self._power_cache.get(degrees)
         if cached is not None:
@@ -158,32 +182,21 @@ class VariableBasis:
                         result[mu] = new
                     else:
                         del result[mu]
-            lead = result[degrees]
-            if lead != 1 and any(c % lead for c in result.values()):
-                raise ArithmeticError(
-                    f"leading coefficient {lead} does not divide monomial {degrees}"
-                )
         self._power_cache[degrees] = result
         return result
 
     def monomial_laurent(self, degrees: Degree) -> LaurentPoly:
-        """Expansion of prod(var_i ^ degrees[i]): the cached dominant
-        coefficients unfolded over their orbits."""
-        return unfold(self.rs, self._dominant_monomial(tuple(degrees)))
+        """Expansion of prod(x_i ^ degrees[i]): the cached X-monomial
+        unfolded over its orbits and scaled by prod(lead_i ^ degrees[i])."""
+        dominant = self._dominant_monomial(tuple(degrees))
+        return unfold(self.rs, dominant).scale(prod(map(pow, self.leads, degrees)))
 
 
 def build_basis(rs: RootSystem, kind: Kind) -> VariableBasis:
-    """The variables of ``kind`` over ``rs``.  Each variable's coefficient at
-    its fundamental weight must be a positive integer: 1 for the second
-    kind, the stabilizer order for the first."""
+    """The variables of ``kind`` over ``rs``."""
     if not isinstance(kind, Kind):
         raise ValueError(f"kind must be a Kind, got {kind!r}")
-    vars_ = variable_laurents(rs, kind)
-    for i, v in enumerate(vars_):
-        c = v.coeff(unit_weight(rs, i))
-        if not isinstance(c, int) or c <= 0:
-            raise RuntimeError("variable expansion has unusable leading coefficient")
-    return VariableBasis(rs, kind, vars_)
+    return VariableBasis(rs, kind, variable_laurents(rs, kind))
 
 
 def _check_basis(rs: RootSystem, basis: VariableBasis) -> None:
@@ -206,10 +219,10 @@ def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
     subtracted is invariant.  The leaders come in ``dominant_sweep`` order
     up to the input's top height: the other terms of a monomial lie a sum
     of positive roots below its leader, hence lower in height, so each
-    working coefficient is final when the sweep reaches it.  A monomial's
-    leading coefficient divides all its coefficients, so an integer input
-    is worked on in integers and only an output coefficient can be a
-    ``Fraction``.  A residue left after the sweep raises
+    working coefficient is final when the sweep reaches it.  Every
+    X-monomial leads with 1, so an integer input is worked on in integers,
+    and only ``basis.over_x``, rewriting the result over the x_i, can make
+    a ``Fraction``.  A residue left after the sweep raises
     NonDominantLeaderError.
     """
     rs = basis.rs
@@ -227,11 +240,9 @@ def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
         coeff = work.get(exp)
         if not coeff:
             continue
-        monomial = basis._dominant_monomial(exp)
-        lead = monomial[exp]
-        out[exp] = coeff if lead == 1 else _norm_coeff(Fraction(coeff, lead))
-        for mexp, mc in monomial.items():
-            new = work.get(mexp, 0) - coeff * (mc // lead)
+        out[exp] = coeff
+        for mexp, mc in basis._dominant_monomial(exp).items():
+            new = work.get(mexp, 0) - coeff * mc
             if new:
                 work[mexp] = new
             else:
@@ -242,4 +253,4 @@ def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
             f" dominant exponent, e.g. z^{max(work)}; input was not in the"
             " invariant ring spanned by the variables"
         )
-    return XYPoly(rs.rank, out)
+    return basis.over_x(XYPoly(rs.rank, out))

@@ -26,7 +26,6 @@ identity shift on the superdiagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .genfunc import RationalGF, denominator_coeffs
@@ -77,14 +76,14 @@ def _fill(
     """The targets and every index they depend on.  Target t comes from
     t - lambda_i, i the first coordinate with t_i > 0; what it needs lies
     strictly below t in dominance, hence in height and later in the sweep
-    that plans it.  The entries are filled in reverse plan order."""
+    that plans it.  Entries are filled over the X_i, in reverse plan order."""
     _check_basis(rs, basis)
     kind = basis.kind
     rules = []
     for i in range(rs.rank):
         orbit = orbit_points(rs, unit_weight(rs, i))
         multiplier = reduce(basis, LaurentPoly(rs.rank, dict.fromkeys(orbit, 1)))
-        rules.append((multiplier, orbit))
+        rules.append((basis.over_x(multiplier, inverse=True), orbit))
     zero = (0,) * rs.rank
     needed = set(targets)
     plans = []
@@ -111,14 +110,16 @@ def _fill(
         for norm in others:
             term = table[norm.index]
             acc = acc - term if norm.sign > 0 else acc + term
-        table[t] = acc if divisor == 1 else acc.scale(Fraction(1, divisor))
+        if divisor != 1:  # exact: every entry is integral over the X_i
+            acc = XYPoly(rs.rank, {d: c // divisor for d, c in acc._terms.items()})
+        table[t] = acc
     return table
 
 
 def poly_via_recurrence(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPoly:
     """The polynomial at a dominant index, filling only what it depends on."""
     check_index(rs, index)
-    return _fill(rs, basis, [index])[index]
+    return basis.over_x(_fill(rs, basis, [index])[index])
 
 
 def recurrence_table(
@@ -127,7 +128,7 @@ def recurrence_table(
     """The full box, filled with what it depends on."""
     box = index_box(rs.rank, max_m, max_n)
     table = _fill(rs, basis, box)
-    return {idx: table[idx] for idx in box}
+    return {idx: basis.over_x(table[idx]) for idx in box}
 
 
 # -- companion matrices -------------------------------------------------------

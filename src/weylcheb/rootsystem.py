@@ -49,12 +49,7 @@ _CARTAN: dict[AlgebraId, IntMatrix] = {
     AlgebraId.G2: ((2, -1), (-3, 2)),
 }
 
-_WEYL_ORDER = {
-    AlgebraId.A1: 2,
-    AlgebraId.A2: 6,
-    AlgebraId.C2: 8,
-    AlgebraId.G2: 12,
-}
+_WEYL_ORDER = {AlgebraId.A1: 2, AlgebraId.A2: 6, AlgebraId.C2: 8, AlgebraId.G2: 12}
 
 
 @dataclass(frozen=True)
@@ -212,10 +207,6 @@ def fold(rs: RootSystem, mu: Weight) -> tuple[int, Weight]:
     return sign, mu
 
 
-def is_dominant(mu: Weight) -> bool:
-    return all(c >= 0 for c in mu)
-
-
 def height(rs: RootSystem, mu: Weight) -> int:
     """The pairing with 2 rho^v: every positive root raises it by at least 2."""
     return sum(map(mul, rs.heights, mu))
@@ -235,8 +226,7 @@ def check_index(rs: RootSystem, index: Weight) -> None:
     fundamental weight.  An integer is an ``int`` that is not a ``bool``."""
     if len(index) != rs.rank or not all(type(c) is int and c >= 0 for c in index):
         raise ValueError(
-            f"a rank-{rs.rank} index takes {rs.rank} nonnegative integer entries,"
-            f" got {index}"
+            f"a rank-{rs.rank} index takes {rs.rank} nonnegative integer entries, got {index}"
         )
 
 

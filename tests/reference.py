@@ -7,24 +7,26 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from weylcheb import LaurentPoly, NonDivisibleError, act, is_dominant
+from weylcheb import LaurentPoly, NonDivisibleError, act
 from weylcheb.laurent import _norm_coeff
-from weylcheb.orbit import orbit_points
 
 # The most box positions exact_divide sweeps; a larger box is rejected up front.
 _DIVIDE_STEP_CAP = 10_000_000
 
 
 def expand(basis, p):
-    """Substitute the variable expansions back into ``p``: the dominant
-    coefficients of its monomials are summed, then unfolded once over the
-    orbits."""
+    """Substitute the variable expansions back into ``p``: the sum of its
+    coefficients times the expansions of its monomials."""
     acc = {}
     for deg, coeff in p._terms.items():
-        for lam, c in basis._dominant_monomial(deg).items():
-            acc[lam] = acc.get(lam, 0) + coeff * c
-    rs = basis.rs
-    return LaurentPoly(rs.rank, {mu: c for lam, c in acc.items() for mu in orbit_points(rs, lam)})
+        for mu, c in basis.monomial_laurent(deg)._terms.items():
+            acc[mu] = acc.get(mu, 0) + coeff * c
+    return LaurentPoly(basis.rs.rank, acc)
+
+
+def is_dominant(mu):
+    """Whether ``mu`` lies in the closed dominant chamber."""
+    return all(c >= 0 for c in mu)
 
 
 def evaluate(poly, point):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import re
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +34,7 @@ from weylcheb import (
     unit_weight,
     verify_ratio,
 )
+from weylcheb.rootsystem import height
 from reference import evaluate, expand, from_json_obj
 
 ALGEBRAS = (AlgebraId.A1, AlgebraId.A2, AlgebraId.C2, AlgebraId.G2)
@@ -183,8 +186,33 @@ def test_dominant_cache_matches_explicit_product(case):
         for _ in range(e):
             product = product * var
     assert basis.monomial_laurent(deg) == product
-    dominant = {exp: c for exp, c in product.terms() if all(x >= 0 for x in exp)}
+    # the cache holds the X-monomial, X_i = x_i / lead_i
+    scale = prod(lead**d for lead, d in zip(leading_coeffs(basis), deg))
+    dominant = {exp: Fraction(c, scale) for exp, c in product.terms() if min(exp) >= 0}
     assert basis._power_cache[deg] == dominant
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_cached_monomials_are_integral_with_unit_leaders(algebra, kind):
+    """Over the X_i every monomial up to degree (4, 4) has int coefficients
+    and coefficient 1 at its leader, the weight of its degree vector, which
+    is strictly the highest; a result keeps its bytes over the x_i when
+    every lead is 1."""
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, kind)
+    expected = (1,) * rs.rank if kind is Kind.SECOND or rs.rank == 1 else (2, 2)
+    assert basis.leads == leading_coeffs(basis) == expected
+    for deg in itertools.product(range(5), repeat=rs.rank):
+        basis.monomial_laurent(deg)
+    assert len(basis._power_cache) == 5**rs.rank
+    for deg, monomial in basis._power_cache.items():
+        assert all(type(c) is int for c in monomial.values()), deg
+        assert monomial[deg] == 1, deg
+        assert all(height(rs, mu) < height(rs, deg) for mu in monomial if mu != deg), deg
+    p = XYPoly(rs.rank, {(1,) * rs.rank: 3})
+    assert (basis.over_x(p) is p) == (expected == (1,) * rs.rank)
+    assert basis.over_x(basis.over_x(p), inverse=True) == p
 
 
 @st.composite
@@ -266,8 +294,9 @@ def test_build_basis_rejects_a_kind_that_is_not_a_kind(g2, kind):
 
 
 def test_first_kind_elimination_makes_no_working_fractions(g2, monkeypatch):
-    """The elimination runs in integers, so a first-kind table creates at
-    most one Fraction per output term."""
+    """Both routes work in integers over the X_i, so a first-kind table
+    creates at most one Fraction per output term, where the term is
+    rewritten over the x_i."""
     created = []
     make = Fraction.__new__
 
@@ -275,13 +304,15 @@ def test_first_kind_elimination_makes_no_working_fractions(g2, monkeypatch):
         created.append(cls)
         return make(cls, *args, **kwargs)
 
-    basis = build_basis(g2, Kind.FIRST)
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    table = first_kind_table(g2, basis, 8, 8)
-    monkeypatch.undo()
-    terms = sum(len(poly) for poly in table.values())
-    assert terms == 3878
-    assert len(created) <= terms
+    for route in (first_kind_table, recurrence_table):
+        basis = build_basis(g2, Kind.FIRST)
+        created.clear()
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        table = route(g2, basis, 8, 8)
+        monkeypatch.undo()
+        terms = sum(len(poly) for poly in table.values())
+        assert terms == 3878, route.__name__
+        assert len(created) <= terms, (route.__name__, len(created))
 
 
 def test_a_lead_that_does_not_divide_its_monomial_is_refused(g2):

@@ -17,7 +17,6 @@ from weylcheb import (
     coefficient_trace,
     dimension_check,
     first_kind_poly,
-    is_dominant,
     normalize_index,
     poly_via_recurrence,
     second_kind_poly,
@@ -26,7 +25,7 @@ from weylcheb import (
 )
 from weylcheb.rootsystem import act_all, check_index, check_weight, dominant_sweep, fold, height
 from g2_reference import NEGATIVE_DET_WORDS
-from reference import dominant_representative
+from reference import dominant_representative, is_dominant
 
 ALL_ALGEBRAS = [AlgebraId.A1, AlgebraId.A2, AlgebraId.C2, AlgebraId.G2]
 ORDERS = {AlgebraId.A1: 2, AlgebraId.A2: 6, AlgebraId.C2: 8, AlgebraId.G2: 12}
