@@ -6,6 +6,15 @@ such as a monomial in the variables, is fixed by its dominant coefficients.
 ``reduce`` takes an invariant Laurent polynomial, which it checks for Weyl
 invariance, or just its dominant coefficients, then cancels the dominant
 terms one leading weight at a time, highest first, in integers.
+
+The monomials are built with product rules.  X_i is W-invariant, so the
+product of the orbit sum m_lam with X_i is a sum of orbit sums, one
+``fold`` per term of X_i (Humphreys, Lie Algebras, section 24, exercise 9;
+Bourbaki, Lie Groups, ch. VI section 3).  The elimination is packed: each
+dominant weight of one root-lattice coset has a slot of B bits in one
+Python int, and subtracting a monomial is one big-int multiply-subtract.
+Every call proves that no slot overflowed, and redoes a coset at 2B bits
+when it cannot.
 """
 
 from __future__ import annotations
@@ -13,11 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
+from operator import add
 
 from .laurent import LaurentPoly, SparsePoly
-from .orbit import Kind, orbit_points, unfold, unit_weight, variable_laurents
-from .rootsystem import RootSystem, Weight, check_symmetry, dominant_sweep, height
+from .orbit import Kind, unfold, unit_weight, variable_laurents
+from .rootsystem import (
+    RootSystem, Weight, check_symmetry, coset, dominant_sweep, fold, height, stabilizer_order,
+)
 
 
 class NotInvariantError(ValueError):
@@ -26,6 +38,11 @@ class NotInvariantError(ValueError):
 
 class NonDominantLeaderError(ValueError):
     """Elimination stalled on a nonzero polynomial with no dominant term."""
+
+
+# Bits per slot of the packed elimination in ``reduce``, doubled for an
+# input whose slots could overflow it.
+_SLOT_BITS = 64
 
 
 # -- polynomials in the variables -------------------------------------------
@@ -95,6 +112,37 @@ class XYPoly(SparsePoly):
 DominantCoeffs = dict[Weight, int | Fraction]
 
 
+class _Slots:
+    """Where ``reduce`` packs each dominant weight, for one basis.
+
+    ``sweep`` is the ascending ``dominant_sweep`` seen so far.  Per
+    root-lattice coset, ``cosets`` holds the coset's weights in that order
+    and their slots, 1, 2, ... in that order; ``coset_of`` holds each
+    weight's coset, and ``packed`` the monomials packed per (coset, slot
+    width).  A sweep that neither extends nor continues the one seen so
+    far replaces it, and every slot and packed monomial with it, so a
+    packed monomial always has the slots it was packed with.
+    """
+
+    def __init__(self) -> None:
+        self.sweep: list[Weight] = []
+        self.coset_of: dict[Weight, Weight] = {}
+        self.cosets: dict[Weight, tuple[list[Weight], dict[Weight, int]]] = {}
+        self.packed: dict[tuple[Weight, int], dict[Weight, tuple[int, int]]] = {}
+
+    def extend(self, rs: RootSystem, ascending: list[Weight]) -> None:
+        """Give a slot to each weight of ``ascending`` that has none."""
+        if self.sweep[: len(ascending)] != ascending[: len(self.sweep)]:
+            for part in (self.sweep, self.coset_of, self.cosets, self.packed):
+                part.clear()
+        for mu in ascending[len(self.sweep) :]:
+            cos = self.coset_of[mu] = coset(rs, mu)
+            order, slots = self.cosets.setdefault(cos, ([], {}))
+            self.sweep.append(mu)
+            order.append(mu)
+            slots[mu] = len(order)
+
+
 @dataclass(frozen=True)
 class VariableBasis:
     """The polynomial variables x_i of one kind over one root system, with
@@ -107,11 +155,16 @@ class VariableBasis:
     to its dominant coefficients {exponent: coefficient}.  An entry is the
     entry one degree lower times one X_i, computed with product rules: the
     dominant part of (the distinct orbit points of lambda) * X_i, built
-    once per (dominant lambda, i) in ``_rules``.  Entries are only ever
-    added, so concurrent readers at worst recompute.  ``_torus_samples``
-    holds the sampled points of ``numeric.verify_ratio`` for the most
-    recent (seed, count).  The caches are not constructor arguments, so
-    ``dataclasses.replace`` gives the new basis empty ones.
+    once per (dominant lambda, i) in ``_rules`` by one fold per term of
+    x_i.  ``_slots`` holds where ``reduce`` packs each dominant weight and
+    the monomials it has packed there: an X-monomial led by lambda as one
+    integer, sum of c << (slot(mu) * bits) over its terms c z^mu.  The dict
+    caches are only ever added to, so concurrent readers at worst
+    recompute; ``_slots`` grows in place, so one basis must not reduce in
+    two threads at once.
+    ``_torus_samples`` holds the sampled points of ``numeric.verify_ratio``
+    for the most recent (seed, count).  The caches are not constructor
+    arguments, so ``dataclasses.replace`` gives the new basis empty ones.
     """
 
     rs: RootSystem
@@ -126,6 +179,7 @@ class VariableBasis:
     _torus_samples: dict[tuple[int, int], tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _slots: _Slots = field(default_factory=_Slots, init=False, repr=False, compare=False)
 
     @cached_property
     def leads(self) -> tuple[int, ...]:
@@ -149,18 +203,29 @@ class VariableBasis:
         return XYPoly(poly.rank, out)
 
     def _product_rule(self, lam: Weight, i: int) -> tuple[tuple[Weight, int], ...]:
-        """Dominant terms of (sum of z^mu over the orbit of lam) * X_i."""
+        """Dominant terms of m_lam * X_i, m_lam the sum over the distinct
+        orbit points of lam.  X_i is invariant, so with c_b the coefficient
+        of z^b in x_i, m_lam * X_i is the sum over b of
+        c_b |W_(lam+b)| m_dom(lam+b) / (|W_lam| lead_i): one fold per term
+        of x_i.  Each sum is checked to divide."""
         rule = self._rules.get((lam, i))
         if rule is None:
+            rs = self.rs
             acc: dict[Weight, int] = {}
-            var_terms = self.var_laurents[i]._terms.items()
-            for mu in orbit_points(self.rs, lam):
-                for nu, c in var_terms:
-                    exp = tuple(a + b for a, b in zip(mu, nu))
-                    if min(exp) >= 0:
-                        acc[exp] = acc.get(exp, 0) + c
-            rule = tuple((exp, c // self.leads[i]) for exp, c in acc.items() if c)
-            self._rules[(lam, i)] = rule
+            for b, c in self.var_laurents[i]._terms.items():
+                mu = fold(rs, tuple(map(add, lam, b)))[1]
+                acc[mu] = acc.get(mu, 0) + c * stabilizer_order(rs, mu)
+            scale = stabilizer_order(rs, lam) * self.leads[i]
+            terms = []
+            for mu, c in acc.items():
+                q, r = divmod(c, scale)
+                if r:
+                    raise ArithmeticError(
+                        f"the product rule of {lam} and {_VAR_NAMES[i]} does not divide at {mu}"
+                    )
+                if q:
+                    terms.append((mu, q))
+            rule = self._rules[(lam, i)] = tuple(terms)
         return rule
 
     def _dominant_monomial(self, degrees: Degree) -> DominantCoeffs:
@@ -209,6 +274,76 @@ def _check_basis(rs: RootSystem, basis: VariableBasis) -> None:
 # -- reduce ------------------------------------------------------------------
 
 
+def _stalled(residue: list[Weight]) -> NonDominantLeaderError:
+    return NonDominantLeaderError(
+        f"elimination stalled on {len(residue)} residual term(s) with no"
+        f" dominant slot, e.g. z^{max(residue)}; input was not in the"
+        " invariant ring spanned by the variables"
+    )
+
+
+def _pack(coeffs: DominantCoeffs, slots: dict[Weight, int], bits: int) -> int:
+    """sum(c << (slots[mu] * bits)), built in linear time through bytes,
+    positive and negative coefficients apart; every |c| < 2^bits.  A weight
+    with no slot raises NonDominantLeaderError."""
+    if missing := [mu for mu in coeffs if mu not in slots]:
+        raise _stalled(missing)
+    width = bits // 8
+    size = (max(map(slots.__getitem__, coeffs)) + 1) * width
+    halves = bytearray(size), bytearray(size)
+    for mu, c in coeffs.items():
+        at = slots[mu] * width
+        halves[c < 0][at : at + width] = abs(c).to_bytes(width, "little")
+    return int.from_bytes(halves[0], "little") - int.from_bytes(halves[1], "little")
+
+
+def _eliminate(
+    basis: VariableBasis, cos: Weight, f: dict[Weight, int], bits: int
+) -> dict[Weight, int] | None:
+    """The leaders of ``f``, integer dominant coefficients in the coset
+    ``cos``; None if a slot of ``bits`` could overflow.
+
+    Weight k of the coset has slot k, bits k*B to k*B + B - 1 of one
+    integer W = f - sum of c_d M_d.  The slots are read from the top
+    down, each as the signed digit round(W / 2^kB) mod 2^B; a digit is
+    exact when every slot of W is below 2^(B-1) in absolute value, and a
+    nonzero one is a leader d, whose monomial M_d is subtracted in one
+    big-int operation.  The slots of f and sum |c_d| max|M_d| below
+    2^(B-2) bound every slot of W, so then W = 0 proves f = sum c_d M_d."""
+    limit = 1 << (bits - 2)
+    if max(map(abs, f.values())) >= limit:
+        return None
+    order, slots = basis._slots.cosets[cos]
+    packed = basis._slots.packed.setdefault((cos, bits), {})
+    work = _pack(f, slots, bits)
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+
+    def digit(k: int) -> int:
+        rounded = ((work >> (k * bits - 1)) + 1) >> 1
+        return ((rounded + half) & mask) - half
+
+    out = {}
+    spent = 0
+    for k in range(max(map(slots.__getitem__, f)), 0, -1):
+        if c := digit(k):
+            lam = order[k - 1]
+            entry = packed.get(lam)
+            if entry is None:
+                monomial = basis._dominant_monomial(lam)
+                largest = max(map(abs, monomial.values()))
+                if largest >= limit:
+                    return None
+                entry = packed[lam] = largest, _pack(monomial, slots, bits)
+            spent += abs(c) * entry[0]
+            if spent >= limit:
+                return None
+            work -= c * entry[1]
+            out[lam] = c
+    if work:
+        raise _stalled([mu for k, mu in enumerate(order, 1) if digit(k)])
+    return out
+
+
 def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
     """Rewrite the invariant ``f``, a Laurent polynomial or the dict of its
     dominant coefficients, over the variables.
@@ -219,10 +354,16 @@ def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
     subtracted is invariant.  The leaders come in ``dominant_sweep`` order
     up to the input's top height: the other terms of a monomial lie a sum
     of positive roots below its leader, hence lower in height, so each
-    working coefficient is final when the sweep reaches it.  Every
-    X-monomial leads with 1, so an integer input is worked on in integers,
-    and only ``basis.over_x``, rewriting the result over the x_i, can make
-    a ``Fraction``.  A residue left after the sweep raises
+    working coefficient is final when the sweep reaches it.  A monomial
+    lies in its leader's root-lattice coset, so each coset of the input is
+    eliminated apart, packed in slots over that coset's weights alone
+    (``_eliminate``).  Every X-monomial leads with 1, so the elimination is
+    in integers: a ``Fraction`` input is scaled by the lcm of its
+    denominators and divided back at the end, and otherwise only
+    ``basis.over_x``, rewriting the result over the x_i, makes a
+    ``Fraction``.  Slots start at ``_SLOT_BITS`` bits, and a coset whose
+    slots could overflow them is redone at twice the width.  A term with
+    no slot, or a residue left after the sweep, raises
     NonDominantLeaderError.
     """
     rs = basis.rs
@@ -233,24 +374,23 @@ def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
     else:
         check_symmetry(rs, f._terms, 1, NotInvariantError, "input")
         work = {exp: c for exp, c in f._terms.items() if min(exp) >= 0}
+    scale = lcm(*(c.denominator for c in work.values()))
     top = max((height(rs, exp) for exp in work), default=-1)  # no terms: no sweep
+    ascending = dominant_sweep(rs, top)[::-1]
+    basis._slots.extend(rs, ascending)
+    coset_of, reached = basis._slots.coset_of, set(ascending)
+    if outside := [exp for exp in work if exp not in reached]:
+        raise _stalled(outside)
+    parts: dict[Weight, dict[Weight, int]] = {}
+    for exp, c in work.items():
+        parts.setdefault(coset_of[exp], {})[exp] = (c * scale).numerator
 
     out: dict[Degree, int | Fraction] = {}
-    for exp in dominant_sweep(rs, top):
-        coeff = work.get(exp)
-        if not coeff:
-            continue
-        out[exp] = coeff
-        for mexp, mc in basis._dominant_monomial(exp).items():
-            new = work.get(mexp, 0) - coeff * mc
-            if new:
-                work[mexp] = new
-            else:
-                work.pop(mexp, None)
-    if work:
-        raise NonDominantLeaderError(
-            f"elimination stalled on {len(work)} residual term(s) with no"
-            f" dominant exponent, e.g. z^{max(work)}; input was not in the"
-            " invariant ring spanned by the variables"
-        )
+    for cos, part in parts.items():
+        bits = _SLOT_BITS
+        while (leaders := _eliminate(basis, cos, part, bits)) is None:
+            bits *= 2
+        out.update(leaders)
+    if scale != 1:
+        out = {exp: Fraction(c, scale) for exp, c in out.items()}
     return basis.over_x(XYPoly(rs.rank, out))

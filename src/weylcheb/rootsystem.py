@@ -15,7 +15,9 @@ contract, ``index_box`` the one table order and ``dominant_sweep`` the one
 order of the exact sweeps.  ``fold`` is the one descent of a weight to the
 dominant chamber, and ``check_symmetry`` the one Weyl (anti-)invariance
 check of a Laurent polynomial's terms.  ``check_weight`` is the check for functions
-whose domain also holds negative weights.
+whose domain also holds negative weights.  ``stabilizer_order`` reads a
+dominant weight's stabilizer order from a table built once per algebra,
+and ``coset`` gives a weight's class modulo the root lattice.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ class RootSystem:
     positive_coroots: IntMatrix
     # heights[i] is the height <lambda_i, 2 rho^v> of fundamental weight i.
     heights: Weight
+    # stabilizers[m] is the stabilizer order of a dominant weight whose zero
+    # coordinates are the set bits of m.
+    stabilizers: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -141,6 +146,10 @@ def build_root_system(algebra: AlgebraId) -> RootSystem:
     # the rows are all the coroots; a coroot is positive exactly when it
     # pairs positively with rho = (1, ..., 1).
     coroots = tuple(sorted({row for w in elements for row in w.matrix if sum(row) > 0}))
+    # The stabilizer of a dominant weight is generated by the simple
+    # reflections it lies on (Chevalley), so its order depends only on
+    # which coordinates are zero: count the elements fixing 0 there, 1 elsewhere.
+    walls = [tuple(0 if m >> j & 1 else 1 for j in range(d)) for m in range(2**d)]
     return RootSystem(
         algebra=algebra,
         cartan=cartan,
@@ -148,6 +157,10 @@ def build_root_system(algebra: AlgebraId) -> RootSystem:
         rho=(1,) * d,
         positive_coroots=coroots,
         heights=tuple(map(sum, zip(*coroots))),
+        stabilizers=tuple(
+            sum(all(sum(map(mul, row, mu)) == m for row, m in zip(w.matrix, mu)) for w in elements)
+            for mu in walls
+        ),
     )
 
 
@@ -205,6 +218,21 @@ def fold(rs: RootSystem, mu: Weight) -> tuple[int, Weight]:
         mu = tuple(a - m * r for a, r in zip(mu, rs.cartan[mu.index(m)]))
         sign = -sign
     return sign, mu
+
+
+def stabilizer_order(rs: RootSystem, mu: Weight) -> int:
+    """The order of the stabilizer of the dominant weight ``mu`` in W."""
+    return rs.stabilizers[sum(1 << j for j, c in enumerate(mu) if not c)]
+
+
+def coset(rs: RootSystem, mu: Weight) -> Weight:
+    """``mu`` modulo the root lattice, which the rows of the Cartan matrix
+    span: mu . adj(C) modulo det C, zero exactly on the root lattice.  A
+    monomial in the variables, or a character, lies in one coset."""
+    c = rs.cartan
+    adj = ((1,),) if rs.rank == 1 else ((c[1][1], -c[0][1]), (-c[1][0], c[0][0]))
+    det = _det(c)
+    return tuple(sum(map(mul, mu, col)) % det for col in zip(*adj))
 
 
 def height(rs: RootSystem, mu: Weight) -> int:

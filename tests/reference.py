@@ -8,6 +8,7 @@ from itertools import product
 from math import prod
 
 from weylcheb import LaurentPoly, NonDivisibleError, act
+from weylcheb.orbit import orbit_points, unfold
 from weylcheb.laurent import _norm_coeff
 
 # The most box positions exact_divide sweeps; a larger box is rejected up front.
@@ -15,13 +16,28 @@ _DIVIDE_STEP_CAP = 10_000_000
 
 
 def expand(basis, p):
-    """Substitute the variable expansions back into ``p``: the sum of its
-    coefficients times the expansions of its monomials."""
+    """Substitute the variable expansions back into ``p``: its coefficients,
+    each scaled by prod(lead_i ^ d_i), times the dominant coefficients of
+    the cached X-monomials, summed and then unfolded once."""
     acc = {}
     for deg, coeff in p._terms.items():
-        for mu, c in basis.monomial_laurent(deg)._terms.items():
-            acc[mu] = acc.get(mu, 0) + coeff * c
-    return LaurentPoly(basis.rs.rank, acc)
+        scaled = coeff * prod(map(pow, basis.leads, deg))
+        for mu, c in basis._dominant_monomial(deg).items():
+            acc[mu] = acc.get(mu, 0) + scaled * c
+    return unfold(basis.rs, acc)
+
+
+def product_rule(basis, lam, i):
+    """Dominant terms of m_lam * X_i, m_lam the sum over the distinct orbit
+    points of lam, as {weight: coefficient}: every orbit point added to
+    every term of x_i, the reference for ``VariableBasis._product_rule``."""
+    acc = {}
+    for mu in orbit_points(basis.rs, lam):
+        for nu, c in basis.var_laurents[i]._terms.items():
+            exp = tuple(a + b for a, b in zip(mu, nu))
+            if min(exp) >= 0:
+                acc[exp] = acc.get(exp, 0) + c
+    return {exp: Fraction(c, basis.leads[i]) for exp, c in acc.items() if c}
 
 
 def is_dominant(mu):

@@ -34,8 +34,9 @@ from weylcheb import (
     unit_weight,
     verify_ratio,
 )
-from weylcheb.rootsystem import height
-from reference import evaluate, expand, from_json_obj
+from weylcheb import polynomialize
+from weylcheb.rootsystem import coset, height
+from reference import evaluate, expand, from_json_obj, product_rule
 
 ALGEBRAS = (AlgebraId.A1, AlgebraId.A2, AlgebraId.C2, AlgebraId.G2)
 
@@ -332,3 +333,97 @@ def test_reduce_keeps_a_fractional_input_exact(g2, g2_first):
     f = orbit_sum(g2, (2, 1))
     third = Fraction(1, 3)
     assert reduce(g2_first, f.scale(third)) == reduce(g2_first, f).scale(third)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_product_rule_by_folds_matches_the_orbit_point_rule(algebra, kind):
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, kind)
+    for lam in itertools.product(range(7), repeat=rs.rank):
+        for i in range(rs.rank):
+            assert dict(basis._product_rule(lam, i)) == product_rule(basis, lam, i), (lam, i)
+
+
+def test_a_product_rule_that_does_not_divide_is_refused(g2):
+    """A non-invariant variable whose lead divides it passes ``leads``, but
+    its fold sums do not divide by |W_lam| lead_i."""
+    first = build_basis(g2, Kind.FIRST)
+    x, y = first.var_laurents
+    bad = dataclasses.replace(first, var_laurents=(x + LaurentPoly.monomial(2, (5, 0)).scale(2), y))
+    with pytest.raises(ArithmeticError, match="product rule of \\(0, 0\\) and x"):
+        reduce(bad, orbit_sum(g2, (1, 0)))
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_narrow_slots_widen_to_the_same_tables(algebra, kind, monkeypatch):
+    """With 8-bit slots most eliminations overflow and are redone wider;
+    the tables come out the same."""
+    rs = build_root_system(algebra)
+    size = (12,) if rs.rank == 1 else (6, 6)
+    table = second_kind_table if kind is Kind.SECOND else first_kind_table
+    wide = table(rs, build_basis(rs, kind), *size)
+    monkeypatch.setattr(polynomialize, "_SLOT_BITS", 8)
+    basis = build_basis(rs, kind)
+    assert table(rs, basis, *size) == wide
+    widths = {bits for _, bits in basis._slots.packed}
+    assert min(widths) == 8 and max(widths) > 8, widths
+
+
+@pytest.mark.parametrize(
+    "wrong", [lambda sweep: sweep[::-1], lambda sweep: sweep[1:]], ids=["reversed", "drop-top"]
+)
+def test_a_wrong_sweep_on_a_warm_basis_raises_and_spoils_nothing(wrong, g2, monkeypatch):
+    """Slots cached from a higher sweep do not hide a short one, and
+    monomials packed over a reversed sweep are dropped when the honest
+    sweep comes back, so the basis still reduces correctly."""
+    basis = build_basis(g2, Kind.SECOND)
+    f = orbit_sum(g2, (2, 1))
+    expected = reduce(build_basis(g2, Kind.SECOND), f)
+    reduce(basis, orbit_sum(g2, (3, 1)))
+    honest = polynomialize.dominant_sweep
+    with monkeypatch.context() as m:
+        m.setattr(polynomialize, "dominant_sweep", lambda rs, top: wrong(honest(rs, top)))
+        with pytest.raises(NonDominantLeaderError):
+            reduce(basis, f)
+    assert reduce(basis, f) == expected
+
+
+@pytest.mark.parametrize("algebra", [AlgebraId.A2, AlgebraId.C2])
+def test_reduce_packs_each_coset_over_its_own_weights(algebra):
+    """A sum of characters from two cosets is eliminated coset by coset,
+    each over a layout that holds only its own weights."""
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, Kind.SECOND)
+    p = XYPoly(2, {(2, 1): 3, (1, 0): -2, (0, 0): 1})
+    assert reduce(basis, expand(basis, p)) == p
+    assert len({cos for cos, _ in basis._slots.packed}) == 2
+    for cos, (order, _) in basis._slots.cosets.items():
+        assert {coset(rs, mu) for mu in order} == {cos}
+
+
+def test_a_sweep_out_of_order_ends_in_a_residue_at_a_bounded_width(g2, monkeypatch):
+    """With x swapped above (2, 1), subtracting the monomial of (2, 1)
+    leaves a slot above the next one read.  Each slot is read as a signed
+    digit, which stays exact there, so the elimination ends in a residue
+    instead of widening the slots without end."""
+    honest, eliminate = polynomialize.dominant_sweep, polynomialize._eliminate
+    widths = []
+
+    def swapped(rs, top):
+        sweep = honest(rs, top)
+        i, j = sweep.index((2, 1)), sweep.index((1, 0))
+        sweep[i], sweep[j] = sweep[j], sweep[i]
+        return sweep
+
+    def bounded(basis, cos, f, bits):
+        widths.append(bits)
+        assert bits <= 4096, "the slots kept widening"
+        return eliminate(basis, cos, f, bits)
+
+    monkeypatch.setattr(polynomialize, "dominant_sweep", swapped)
+    monkeypatch.setattr(polynomialize, "_eliminate", bounded)
+    with pytest.raises(NonDominantLeaderError):
+        reduce(build_basis(g2, Kind.SECOND), orbit_sum(g2, (2, 1)))
+    assert max(widths) <= 128, widths

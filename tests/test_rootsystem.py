@@ -23,7 +23,10 @@ from weylcheb import (
     verify_ratio,
     weyl_dimension,
 )
-from weylcheb.rootsystem import act_all, check_index, check_weight, dominant_sweep, fold, height
+from weylcheb.orbit import orbit_points
+from weylcheb.rootsystem import (
+    act_all, check_index, check_weight, coset, dominant_sweep, fold, height, stabilizer_order,
+)
 from g2_reference import NEGATIVE_DET_WORDS
 from reference import dominant_representative, is_dominant
 
@@ -284,3 +287,31 @@ def test_dominant_sweep_orders_the_dominant_weights_by_height(algebra):
                 lower = tuple(a - b for a, b in zip(mu, alpha))
                 if is_dominant(lower):
                     assert place[lower] > place[mu], (mu, alpha)
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS)
+def test_stabilizer_order_times_orbit_size_is_the_group_order(algebra):
+    rs = build_root_system(algebra)
+    for mu in product(range(4), repeat=rs.rank):
+        fixing = sum(act(rs, w, mu) == mu for w in rs.elements)
+        assert stabilizer_order(rs, mu) == fixing, mu
+        assert stabilizer_order(rs, mu) * len(orbit_points(rs, mu)) == ORDERS[algebra], mu
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS)
+def test_coset_is_the_class_modulo_the_root_lattice(algebra):
+    """Weights differ by a root-lattice vector exactly when their cosets
+    agree, and there are det C cosets: 2, 3, 2 and 1."""
+    rs = build_root_system(algebra)
+    box = list(product(range(-3, 4), repeat=rs.rank))
+    cosets = {coset(rs, mu) for mu in box}
+    assert len(cosets) == {AlgebraId.A1: 2, AlgebraId.A2: 3, AlgebraId.C2: 2, AlgebraId.G2: 1}[algebra]
+    lattice = {
+        tuple(sum(k * row[j] for k, row in zip(ks, rs.cartan)) for j in range(rs.rank))
+        for ks in product(range(-20, 21), repeat=rs.rank)
+    }
+    for mu in box:
+        for root in rs.cartan:
+            shifted = tuple(a + b for a, b in zip(mu, root))
+            assert coset(rs, shifted) == coset(rs, mu)
+        assert (coset(rs, mu) == coset(rs, (0,) * rs.rank)) == (mu in lattice), mu
