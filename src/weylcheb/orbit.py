@@ -45,11 +45,6 @@ def signed_orbit_sum(rs: RootSystem, k: Weight) -> LaurentPoly:
     return LaurentPoly(rs.rank, acc)
 
 
-def orbit_points(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
-    """Distinct orbit points of ``lam``, in group-element order."""
-    return tuple(dict.fromkeys(act(rs, w, lam) for w in rs.elements))
-
-
 def unit_weight(rs: RootSystem, i: int) -> Weight:
     """The fundamental weight of axis ``i``: an ``int``, not a ``bool``, in
     ``range(rs.rank)``."""

@@ -33,7 +33,7 @@ from .rootsystem import (
 
 
 class NotInvariantError(ValueError):
-    """Input to reduce() is not Weyl-invariant."""
+    """An input to reduce() or a variable of the recurrence fill is not Weyl-invariant."""
 
 
 class NonDominantLeaderError(ValueError):
@@ -191,15 +191,15 @@ class VariableBasis:
                 raise ArithmeticError(f"the lead {lead} of {name} does not divide its coefficients")
         return leads
 
-    def over_x(self, poly: XYPoly, inverse: bool = False) -> XYPoly:
-        """``poly`` over the X_i rewritten over the x_i, X^d = x^d / prod(lead_i^d_i),
-        or back if ``inverse``.  With every lead 1 it is ``poly`` itself."""
+    def over_x(self, poly: XYPoly) -> XYPoly:
+        """``poly`` over the X_i rewritten over the x_i, c X^d = c / prod(lead_i^d_i) x^d.
+        With every lead 1 it is ``poly`` itself."""
         if max(self.leads) == 1:
             return poly
         out = {}
         for d, c in poly._terms.items():
             s = prod(map(pow, self.leads, d))
-            out[d] = c * s if inverse else c // s if c % s == 0 else Fraction(c, s)
+            out[d] = c // s if c % s == 0 else Fraction(c, s)
         return XYPoly(poly.rank, out)
 
     def _product_rule(self, lam: Weight, i: int) -> tuple[tuple[Weight, int], ...]:
@@ -362,18 +362,22 @@ def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
     denominators and divided back at the end, and otherwise only
     ``basis.over_x``, rewriting the result over the x_i, makes a
     ``Fraction``.  Slots start at ``_SLOT_BITS`` bits, and a coset whose
-    slots could overflow them is redone at twice the width.  A term with
-    no slot, or a residue left after the sweep, raises
-    NonDominantLeaderError.
+    slots could overflow them is redone at twice the width.  A term with no
+    slot or a residue left raises NonDominantLeaderError; a coefficient not
+    an ``int`` or ``Fraction``, or a dict key not dominant, ValueError.
     """
     rs = basis.rs
-    if isinstance(f, dict):
-        if bad := [exp for exp in f if len(exp) != rs.rank or min(exp) < 0]:
-            raise ValueError(f"dominant coefficients keyed by a non-dominant weight {bad[0]}")
-        work = {exp: c for exp, c in f.items() if c}
+    terms = f if isinstance(f, dict) else f._terms
+    if terms is not f:
+        check_symmetry(rs, terms, 1, NotInvariantError, "input")
+        work = {exp: c for exp, c in terms.items() if min(exp) >= 0}
+    elif bad := [e for e in f if len(e) != rs.rank or any(type(a) is not int or a < 0 for a in e)]:
+        raise ValueError(f"dominant coefficients keyed by a non-dominant weight {bad[0]}")
     else:
-        check_symmetry(rs, f._terms, 1, NotInvariantError, "input")
-        work = {exp: c for exp, c in f._terms.items() if min(exp) >= 0}
+        work = {exp: c for exp, c in f.items() if c}
+    if not {*map(type, terms.values())} <= {int, Fraction}:
+        exp, c = next((e, c) for e, c in terms.items() if type(c) not in (int, Fraction))
+        raise ValueError(f"the coefficient {c!r} at weight {exp} is not an int or a Fraction")
     scale = lcm(*(c.denominator for c in work.values()))
     top = max((height(rs, exp) for exp in work), default=-1)  # no terms: no sweep
     ascending = dominant_sweep(rs, top)[::-1]

@@ -1,21 +1,20 @@
 """Recurrence route to the polynomials of both kinds, and companion matrices.
 
-The multiplication rules behind it: for any weight k and fundamental weight
-lambda_i, with O_i = sum_{mu in orbit(lambda_i)} z^mu over the distinct
-orbit points,
+The multiplication rule behind it (Humphreys, Lie Algebras, section 24,
+exercise 9): for any weight k and any W-invariant L = sum_mu c_mu z^mu,
 
-    signed(k) * O_i = sum_mu signed(k + mu)
-    orbit(k) * O_i = sum_mu orbit(k + mu)
+    signed(k) * L = sum_mu c_mu signed(k + mu)
+    orbit(k) * L = sum_mu c_mu orbit(k + mu)
 
-exactly (substitute mu -> w mu inside the double sum).  Dividing the first
-by the rho-shifted denominator turns it into a linear relation among the
+exactly (substitute mu -> w mu inside the double sum).  The fill takes L to
+be X_i = x_i / lead_i itself, with integer coefficients.  Dividing the
+first by the rho-shifted denominator gives a linear relation among the
 second-kind polynomials; the second already is one among the first-kind
-polynomials, which are the orbit sums.  Shifted indices fold back into the
-dominant table: by normalize_index for the second kind (rho-shifted,
-signed, zero on walls), by the image of ``rootsystem.fold`` with sign +1
-for the first.  Since lambda_i is the highest weight of its orbit, every
-folded index lies at or below k + lambda_i in the dominance order, so
-solving for k + lambda_i steps the table forward.  Shifts that fold onto k + lambda_i
+polynomials, the orbit sums.  Shifted indices fold back into the dominant
+table: by normalize_index for the second kind (rho-shifted, signed, zero on
+walls), by the image of ``rootsystem.fold`` with sign +1 for the first.
+Every weight of x_i lies at or below lambda_i in dominance, so solving for
+k + lambda_i steps the table forward.  Shifts that fold onto k + lambda_i
 itself (first kind only, e.g. at k = 0) add to the coefficient divided out.
 
 The companion matrices realize the one-variable recurrences hidden in the
@@ -29,12 +28,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .genfunc import RationalGF, denominator_coeffs
-from .laurent import LaurentPoly
-from .orbit import Kind, orbit_points, unit_weight
-from .polynomialize import VariableBasis, XYPoly, _check_basis, reduce
+from .orbit import Kind, unit_weight
+from .polynomialize import _VAR_NAMES, NotInvariantError, VariableBasis, XYPoly, _check_basis
+from .polynomialize import reduce  # noqa: F401  bench/tracing.py wraps it; the fill never calls it
 from .rootsystem import (
-    _COORD_LIMIT, RootSystem, Weight, check_index, check_weight, dominant_sweep, fold, height,
-    index_box,
+    _COORD_LIMIT, RootSystem, Weight, check_index, check_symmetry, check_weight, dominant_sweep,
+    fold, height, index_box,
 )
 
 
@@ -76,14 +75,15 @@ def _fill(
     """The targets and every index they depend on.  Target t comes from
     t - lambda_i, i the first coordinate with t_i > 0; what it needs lies
     strictly below t in dominance, hence in height and later in the sweep
-    that plans it.  Entries are filled over the X_i, in reverse plan order."""
+    that plans it.  Entries are filled over the X_i, in reverse plan order,
+    stepping by X_i.  A variable that is not invariant raises NotInvariantError."""
     _check_basis(rs, basis)
     kind = basis.kind
     rules = []
-    for i in range(rs.rank):
-        orbit = orbit_points(rs, unit_weight(rs, i))
-        multiplier = reduce(basis, LaurentPoly(rs.rank, dict.fromkeys(orbit, 1)))
-        rules.append((basis.over_x(multiplier, inverse=True), orbit))
+    for i, (name, x, lead) in enumerate(zip(_VAR_NAMES, basis.var_laurents, basis.leads)):
+        check_symmetry(rs, x._terms, 1, NotInvariantError, f"the variable {name}")
+        steps = [(mu, c // lead) for mu, c in x._terms.items()]
+        rules.append((XYPoly(rs.rank, {unit_weight(rs, i): 1}), steps))
     zero = (0,) * rs.rank
     needed = set(targets)
     plans = []
@@ -92,24 +92,24 @@ def _fill(
             continue
         i = next(j for j, c in enumerate(t) if c > 0)
         base = tuple(c - 1 if j == i else c for j, c in enumerate(t))
-        multiplier, orbit = rules[i]
+        multiplier, steps = rules[i]
         divisor = 0
         others = []
-        for mu in orbit:
+        for mu, c in steps:
             norm = _fold(rs, kind, tuple(b + m for b, m in zip(base, mu)))
             if norm.index == t:
-                divisor += norm.sign
+                divisor += c * norm.sign
             elif norm.sign:
-                others.append(norm)
-        needed.update((base, *(norm.index for norm in others)))
+                others += [(norm.sign * c // abs(c), norm.index)] * abs(c)
+        needed.update((base, *(index for _, index in others)))
         plans.append((t, multiplier, base, others, divisor))
     seed = 1 if kind is Kind.SECOND else len(rs.elements)
     table = {zero: XYPoly.constant(rs.rank, seed)}
     for t, multiplier, base, others, divisor in reversed(plans):
         acc = multiplier * table[base]
-        for norm in others:
-            term = table[norm.index]
-            acc = acc - term if norm.sign > 0 else acc + term
+        for sign, index in others:
+            term = table[index]
+            acc = acc - term if sign > 0 else acc + term
         if divisor != 1:  # exact: every entry is integral over the X_i
             acc = XYPoly(rs.rank, {d: c // divisor for d, c in acc._terms.items()})
         table[t] = acc

@@ -8,7 +8,7 @@ from itertools import product
 from math import prod
 
 from weylcheb import LaurentPoly, NonDivisibleError, act
-from weylcheb.orbit import orbit_points, unfold
+from weylcheb.orbit import unfold
 from weylcheb.laurent import _norm_coeff
 
 # The most box positions exact_divide sweeps; a larger box is rejected up front.
@@ -25,6 +25,11 @@ def expand(basis, p):
         for mu, c in basis._dominant_monomial(deg).items():
             acc[mu] = acc.get(mu, 0) + scaled * c
     return unfold(basis.rs, acc)
+
+
+def orbit_points(rs, lam):
+    """Distinct orbit points of ``lam``, in group-element order."""
+    return tuple(dict.fromkeys(act(rs, w, lam) for w in rs.elements))
 
 
 def product_rule(basis, lam, i):

@@ -33,10 +33,9 @@ from weylcheb import (
     weyl_dimension,
 )
 from weylcheb.genfunc import denominator_coeffs
-from weylcheb.orbit import orbit_points
 from weylcheb.rootsystem import index_box
 from g2_reference import K_TABLE, P1_COEFFS, P2_COEFFS, SECOND_KIND, SINGULAR_ELEMENT
-from reference import exact_divide, expand
+from reference import exact_divide, expand, orbit_points
 
 
 def test_diagonal_matrices_follow_element_order(g2):

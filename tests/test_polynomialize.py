@@ -36,7 +36,7 @@ from weylcheb import (
 )
 from weylcheb import polynomialize
 from weylcheb.rootsystem import coset, height
-from reference import evaluate, expand, from_json_obj, product_rule
+from reference import evaluate, expand, from_json_obj, orbit_points, product_rule
 
 ALGEBRAS = (AlgebraId.A1, AlgebraId.A2, AlgebraId.C2, AlgebraId.G2)
 
@@ -199,7 +199,7 @@ def test_cached_monomials_are_integral_with_unit_leaders(algebra, kind):
     """Over the X_i every monomial up to degree (4, 4) has int coefficients
     and coefficient 1 at its leader, the weight of its degree vector, which
     is strictly the highest; a result keeps its bytes over the x_i when
-    every lead is 1."""
+    every lead is 1, and is divided by the powers of the leads otherwise."""
     rs = build_root_system(algebra)
     basis = build_basis(rs, kind)
     expected = (1,) * rs.rank if kind is Kind.SECOND or rs.rank == 1 else (2, 2)
@@ -211,9 +211,13 @@ def test_cached_monomials_are_integral_with_unit_leaders(algebra, kind):
         assert all(type(c) is int for c in monomial.values()), deg
         assert monomial[deg] == 1, deg
         assert all(height(rs, mu) < height(rs, deg) for mu in monomial if mu != deg), deg
-    p = XYPoly(rs.rank, {(1,) * rs.rank: 3})
+    p = XYPoly(rs.rank, {(1,) * rs.rank: 3, (2,) + (0,) * (rs.rank - 1): 8})
     assert (basis.over_x(p) is p) == (expected == (1,) * rs.rank)
-    assert basis.over_x(basis.over_x(p), inverse=True) == p
+    # c X^d becomes c / prod(lead_i^d_i) x^d, an int where the product divides c
+    scaled = basis.over_x(p)._terms
+    for d, c in p._terms.items():
+        assert scaled[d] == Fraction(c, prod(map(pow, expected, d))), d
+    assert type(scaled[(2,) + (0,) * (rs.rank - 1)]) is int
 
 
 @st.composite
@@ -254,6 +258,31 @@ def test_reduce_takes_the_dominant_coefficients_of_an_invariant(algebra, kind, d
 def test_reduce_rejects_dominant_coefficients_off_the_chamber(g2_second, key):
     with pytest.raises(ValueError, match=re.escape(f"non-dominant weight {key}")):
         reduce(g2_second, {(1, 0): 1, key: 1})
+
+
+# Dominant coefficients that reduce used to fail inside on, or to answer,
+# and the message each must raise instead.
+_MALFORMED = {
+    "float-coefficient": ({(1, 0): 0.5}, "the coefficient 0.5 at weight (1, 0)"),
+    "bool-coefficient": ({(1, 0): True}, "the coefficient True at weight (1, 0)"),
+    "bool-key": ({(True, 0): 1}, "non-dominant weight (True, 0)"),
+    "float-key": ({(0.5, 0): 1}, "non-dominant weight (0.5, 0)"),
+}
+
+
+@pytest.mark.parametrize("dominant, message", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_reduce_rejects_malformed_dominant_coefficients(g2_first, dominant, message):
+    """Keys follow the index contract of ``check_index``: ``int``, not
+    ``bool``, nonnegative.  Coefficients are an ``int`` that is not a
+    ``bool``, or a ``Fraction``."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reduce(g2_first, dominant)
+
+
+def test_reduce_rejects_a_laurent_polynomial_with_float_coefficients(g2, g2_first):
+    f = LaurentPoly(2, dict.fromkeys(orbit_points(g2, (1, 0)), 0.5))
+    with pytest.raises(ValueError, match=re.escape("the coefficient 0.5 at weight (")):
+        reduce(g2_first, f)
 
 
 @pytest.mark.parametrize("kind", list(Kind))

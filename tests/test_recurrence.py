@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+from itertools import product
+from operator import add
 
 import pytest
 
+import weylcheb.genfunc as genfunc
+import weylcheb.orbit as orbit
 from weylcheb import (
     AlgebraId,
     Kind,
+    LaurentPoly,
     NonDominantLeaderError,
+    NotInvariantError,
     NormalizedIndex,
     XYPoly,
     apply_poly_to_matrix,
@@ -273,6 +279,72 @@ def test_poly_via_recurrence_matches_gf_route(gf_box):
     rs, basis, _, gf_table = gf_box
     for index, poly in gf_table.items():
         assert poly_via_recurrence(rs, basis, *index) == poly
+
+
+_PAIRS = [(algebra, kind) for algebra in AlgebraId for kind in Kind]
+_PAIR_IDS = [f"{algebra.value}-{kind.value}" for algebra, kind in _PAIRS]
+
+
+@pytest.mark.parametrize("algebra, kind", _PAIRS, ids=_PAIR_IDS)
+def test_a_variable_times_an_orbit_sum_is_its_shifted_orbit_sums(algebra, kind):
+    """The step identity of the fill, on Laurent products alone: with
+    x_i = sum c_mu z^mu, x_i times the orbit sum of k (first kind), or the
+    signed orbit sum of k + rho (second kind), is the sum of c_mu times the
+    one shifted by mu, for every dominant k up to (6, 6) (A1: 12)."""
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, kind)
+    if kind is Kind.SECOND:
+        sums, shift = signed_orbit_sum, rs.rho
+    else:
+        sums, shift = orbit_sum, (0,) * rs.rank
+    for k in product(range(13 if rs.rank == 1 else 7), repeat=rs.rank):
+        at = tuple(map(add, k, shift))
+        for i, x in enumerate(basis.var_laurents):
+            shifted = LaurentPoly.zero(rs.rank)
+            for mu, c in x.terms():
+                shifted = shifted + sums(rs, tuple(map(add, at, mu))).scale(c)
+            assert sums(rs, at) * x == shifted, (k, i)
+
+
+@pytest.mark.parametrize("algebra, kind", _PAIRS, ids=_PAIR_IDS)
+def test_the_recurrence_route_runs_without_the_gf_route(algebra, kind, monkeypatch):
+    """The routes share only the root system, the variables and ``over_x``:
+    with reduce, its elimination and product rules and the exact division
+    all made to raise, the recurrence still gives the GF route's table."""
+    rs = build_root_system(algebra)
+    size = (8,) if rs.rank == 1 else (8, 8)
+    expected = _gf_table(rs, build_basis(rs, kind), *size)
+    basis = build_basis(rs, kind)
+    assert basis.leads
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recurrence route ran the GF route's code")
+
+    for owner, name in (
+        (polynomialize, "_eliminate"),
+        (polynomialize, "reduce"),
+        (polynomialize.VariableBasis, "_product_rule"),
+        (recurrence, "reduce"),
+        (orbit, "exact_divide"),
+        (genfunc, "exact_divide"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    assert recurrence_table(rs, basis, *size) == expected
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("axis", [0, 1])
+def test_the_fill_refuses_a_variable_that_is_not_invariant(g2, kind, axis):
+    """A basis from dataclasses.replace skips build_basis.  A variable with
+    an extra 2 z^(-1, 0) still passes ``leads``, but the fill's step rule
+    holds only for an invariant one, so the fill raises."""
+    basis = build_basis(g2, kind)
+    variables = list(basis.var_laurents)
+    variables[axis] = variables[axis] + LaurentPoly.monomial(2, (-1, 0)).scale(2)
+    bad = dataclasses.replace(basis, var_laurents=tuple(variables))
+    assert bad.leads == basis.leads
+    with pytest.raises(NotInvariantError, match=f"the variable {'xy'[axis]} is not Weyl-invariant"):
+        recurrence_table(g2, bad, 3, 3)
 
 
 def _swap_variables(poly):

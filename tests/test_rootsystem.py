@@ -23,12 +23,11 @@ from weylcheb import (
     verify_ratio,
     weyl_dimension,
 )
-from weylcheb.orbit import orbit_points
 from weylcheb.rootsystem import (
     act_all, check_index, check_weight, coset, dominant_sweep, fold, height, stabilizer_order,
 )
 from g2_reference import NEGATIVE_DET_WORDS
-from reference import dominant_representative, is_dominant
+from reference import dominant_representative, is_dominant, orbit_points
 
 ALL_ALGEBRAS = [AlgebraId.A1, AlgebraId.A2, AlgebraId.C2, AlgebraId.G2]
 ORDERS = {AlgebraId.A1: 2, AlgebraId.A2: 6, AlgebraId.C2: 8, AlgebraId.G2: 12}
