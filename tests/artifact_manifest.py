@@ -9,7 +9,10 @@ the SHA-256 of stderr and the exit code.  The commands are ``table``,
 ``recurrence-table`` and ``crosscheck`` at 5x5, ``genfunc``, and ``verify``
 at 2x2 with 30 samples and seed 7, each in every format on every (algebra,
 kind) pair, where the unsupported pairs record their usage error; then G2
-``recurrence-table`` 16x16 and G2 ``table --kind first`` 4x4.
+``recurrence-table`` 16x16, G2 ``table --kind first`` 4x4 and three larger
+``verify`` runs (G2 4x4 with 300 samples, C2 6x5 with 200 and A1 0..9 with
+150 at a seed that skips a singular sample), whose boxes share chain
+extents across many indices.
 
 argparse wraps its usage text to the terminal width, so every run sets
 ``COLUMNS`` to one fixed value.  Standard library only.
@@ -56,6 +59,11 @@ def commands() -> list[list[str]]:
     g2 = ["--algebra", "g2", "--format", "json"]
     out.append(["recurrence-table", *g2, "--kind", "second", "--max-m", "16", "--max-n", "16"])
     out.append(["table", *g2, "--kind", "first", "--max-m", "4", "--max-n", "4"])
+    out += [
+        ["verify", "--max-m", "4", "--max-n", "4", "--samples", "300", "--seed", "7"],
+        ["verify", "--algebra", "c2", "--max-m", "6", "--max-n", "5", "--samples", "200", "--seed", "3"],
+        ["verify", "--algebra", "a1", "--max-m", "9", "--samples", "150", "--seed", "585832"],
+    ]
     return out
 
 
