@@ -6,7 +6,8 @@ function), verify (numerical checks), crosscheck (both table routes,
 entry by entry; on a mismatch the artifact names the first differing index
 and both polynomials).  table, recurrence-table and crosscheck accept every
 algebra and kind; verify takes a1, c2 and g2 with the second kind.  Exit
-codes: 0 success, 1 verification or crosscheck failure, 2 usage errors.
+codes: 0 success, 1 verification or crosscheck failure, 2 usage errors and
+a verify whose samples all lie on walls of the Weyl chamber.
 """
 
 from __future__ import annotations
@@ -18,15 +19,24 @@ import sys
 
 from . import output
 from .genfunc import closed_form_gf, first_kind_table, second_kind_poly, second_kind_table
-from .numeric import DEFAULT_SEED, dimension_check, verify_ratio
+from .numeric import (
+    DEFAULT_SEED,
+    AllPointsSingularError,
+    dimension_check,
+    fill_numerators,
+    verify_ratio,
+)
 from .orbit import Kind
 from .polynomialize import build_basis
 from .recurrence import recurrence_table
 from .rootsystem import AlgebraId, build_root_system, index_box
 
 _MAX_INDEX = 64
-# The sample cache of a basis holds about 0.3 KB per sample.
+# The sample cache of a basis holds about 0.3 KB per sample, plus the
+# numerator values verify fills: at most _MAX_HELD_VALUES of them, about
+# 40 bytes each.
 _MAX_SAMPLES = 100_000
+_MAX_HELD_VALUES = 1 << 16
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,23 +184,41 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "verify":
         seed = _resolve_seed(args)
+        pending = list(index_box(rs.rank, *_table_indices(rs.rank, args)))
         results = []
         passed = True
-        for index in index_box(rs.rank, *_table_indices(rs.rank, args)):
-            poly = second_kind_poly(rs, basis, *index)
-            report = verify_ratio(
-                rs,
-                basis,
-                *index,
-                num_samples=args.samples,
-                tol=args.tol,
-                seed=seed,
-                poly=poly,
-            )
-            dims = dimension_check(rs, basis, *index, poly=poly)
-            results.append(output.verify_result_obj(index, report, dims))
-            if not (report.passed and dims[0] == dims[1]):
-                passed = False
+        while pending:
+            # The first fill draws the samples, before any index is checked.
+            try:
+                held = fill_numerators(
+                    rs,
+                    basis,
+                    pending,
+                    num_samples=args.samples,
+                    seed=seed,
+                    max_values=_MAX_HELD_VALUES,
+                )
+            except AllPointsSingularError as exc:
+                sys.stderr.write(f"weylcheb: seed {seed} with {args.samples} samples: {exc}\n")
+                return 2
+            # An index whose values do not fit is evaluated on its own.
+            step = max(held, 1)
+            chunk, pending = pending[:step], pending[step:]
+            for index in chunk:
+                poly = second_kind_poly(rs, basis, *index)
+                report = verify_ratio(
+                    rs,
+                    basis,
+                    *index,
+                    num_samples=args.samples,
+                    tol=args.tol,
+                    seed=seed,
+                    poly=poly,
+                )
+                dims = dimension_check(rs, basis, *index, poly=poly)
+                results.append(output.verify_result_obj(index, report, dims))
+                if not (report.passed and dims[0] == dims[1]):
+                    passed = False
         if args.format == "json":
             text = output.verify_json(algebra, kind, seed, results, passed)
         else:

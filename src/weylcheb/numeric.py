@@ -9,10 +9,14 @@ the classical dimension formula (exact rational arithmetic there).
 
 The seeded points, the Weyl denominator and the variable values there do
 not depend on the index, so each basis draws and evaluates them once per
-(seed, sample count) and every index reads them back; only the numerator
-and the polynomial are evaluated per index.  Fixed-point power tables are
-built per call.  Fixed-point values are exact functions of the point, so
-the reports are bit-identical to evaluating everything afresh.
+(seed, sample count) and every index reads them back.  Numerators are
+evaluated sample-major: at each used point one fixed-point power chain
+per axis reaches the exponents of every index in a batch, each index's
+terms are read from it, and the chain is dropped with the point; the
+batch's values stay in the same cache entry until the next batch replaces
+them.  Fixed-point values are exact functions of the point, and a chain
+value does not depend on how far the chain reaches, so the reports are
+bit-identical to evaluating every index afresh.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .genfunc import second_kind_poly
+from .laurent import LaurentPoly
 from .orbit import Kind, signed_orbit_sum
 from .polynomialize import VariableBasis, XYPoly, _check_basis
 from .rootsystem import RootSystem, check_index, check_weight
@@ -70,15 +75,6 @@ def _fixed_embed(value: float) -> int:
     return int(math.ldexp(value, _FIXED_BITS))
 
 
-def _fixed_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    ar, ai = a
-    br, bi = b
-    return (
-        (ar * br - ai * bi) >> _FIXED_BITS,
-        (ar * bi + ai * br) >> _FIXED_BITS,
-    )
-
-
 def _fixed_complex(value: tuple[int, int]) -> complex:
     return complex(
         math.ldexp(float(value[0]), -_FIXED_BITS),
@@ -86,39 +82,66 @@ def _fixed_complex(value: tuple[int, int]) -> complex:
     )
 
 
-def _fixed_eval(axes: tuple[tuple[int, int], ...], laurent) -> tuple[int, int]:
-    """Laurent evaluation at one torus point in 96-fractional-bit integers.
+def _extents(laurents: Sequence[LaurentPoly]) -> tuple[tuple[int, int], ...]:
+    """Per axis, the lowest and the highest exponent of these Laurent
+    polynomials, widened to include 0."""
+    exps = [exp for laurent in laurents for exp in laurent._terms]
+    return tuple((min(0, *column), max(0, *column)) for column in zip(*exps))
+
+
+def _power_chains(
+    axes: tuple[tuple[int, int], ...], extents: tuple[tuple[int, int], ...]
+) -> list[list[tuple[int, int]]]:
+    """Each axis's powers z^e for lo <= e <= hi in 96-fractional-bit
+    integers, built outward from exponent 0: up by z, down by its
+    fixed-point inverse.
 
     Near a wall of the Weyl chamber the signed sums almost cancel, and
     plain double evaluation leaves an absolute error around 1e-16 that
     the later division amplifies by 1/|denominator|.  Fixed-point keeps
     the absolute error near 2^-96, so only the relative rounding of the
-    final conversion survives.  Each axis's powers are built per call,
-    outward from exponent 0: upward by the coordinate, downward by its
-    fixed-point inverse.
+    final conversion survives.  Each power is the same truncated product
+    of its neighbour toward 0 whatever the extent, so a chain that reaches
+    further holds the same values.  A chain lists z^0 .. z^hi and then
+    z^lo .. z^-1, so indexing it by e reads z^e, a negative e from the end.
     """
-    terms = laurent._terms
-    one = (1 << _FIXED_BITS, 0)
-    tables = []
-    for axis, column in zip(axes, zip(*terms)):
-        re, im = axis
-        norm = (re * re + im * im) >> _FIXED_BITS
-        inverse = ((re << _FIXED_BITS) // norm, (-im << _FIXED_BITS) // norm)
-        powers = {0: one}
-        for base, step, stop in ((axis, 1, max(column)), (inverse, -1, min(column))):
-            value = one
-            for e in range(step, stop + step, step):
-                value = powers[e] = _fixed_mul(value, base)
-        tables.append(powers)
-    acc_re = 0
-    acc_im = 0
-    # The sums are exact integers, so term order cannot matter.
-    for exp, coeff in terms.items():
-        w = tables[0][exp[0]]
-        for k in range(1, len(tables)):
-            w = _fixed_mul(w, tables[k][exp[k]])
-        acc_re += coeff * w[0]
-        acc_im += coeff * w[1]
+    bits = _FIXED_BITS
+    one = 1 << bits
+    chains = []
+    for (re, im), (lo, hi) in zip(axes, extents):
+        norm = (re * re + im * im) >> bits
+        inverse = ((re << bits) // norm, (-im << bits) // norm)
+        up: list[tuple[int, int]] = [(one, 0)]
+        down: list[tuple[int, int]] = []
+        for (br, bi), count, chain in (((re, im), hi, up), (inverse, -lo, down)):
+            ar, ai = one, 0
+            for _ in range(count):
+                ar, ai = (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
+                chain.append((ar, ai))
+        up.extend(reversed(down))
+        chains.append(up)
+    return chains
+
+
+def _fixed_value(chains: list[list[tuple[int, int]]], laurent: LaurentPoly) -> tuple[int, int]:
+    """The Laurent polynomial at the chains' torus point; in rank 2 each
+    term is its x-power times its y-power.  The sums are exact integers,
+    so term order cannot matter."""
+    bits = _FIXED_BITS
+    acc_re = acc_im = 0
+    if len(chains) == 1:
+        (chain,) = chains
+        for (e,), coeff in laurent._terms.items():
+            wr, wi = chain[e]
+            acc_re += coeff * wr
+            acc_im += coeff * wi
+        return (acc_re, acc_im)
+    x_chain, y_chain = chains
+    for (ex, ey), coeff in laurent._terms.items():
+        ar, ai = x_chain[ex]
+        br, bi = y_chain[ey]
+        acc_re += coeff * ((ar * br - ai * bi) >> bits)
+        acc_im += coeff * ((ar * bi + ai * br) >> bits)
     return (acc_re, acc_im)
 
 
@@ -134,6 +157,9 @@ class _Sample(NamedTuple):
 class _TorusSamples(NamedTuple):
     used: tuple[_Sample, ...]
     skipped: int
+    # index -> its numerator's value at each used sample, for the indices
+    # that ``fill_numerators`` last filled
+    numerators: dict[tuple[int, ...], tuple[complex, ...]]
 
 
 def _draw_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusSamples:
@@ -141,6 +167,7 @@ def _draw_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusSa
     variables there; raises before returning if a variable is not real."""
     rs = basis.rs
     denominator = signed_orbit_sum(rs, rs.rho)
+    extents = _extents((denominator, *basis.var_laurents))
     rng = random.Random(seed)
     imag_limit = _fixed_embed(_IMAG_CUTOFF)
     used = []
@@ -148,19 +175,21 @@ def _draw_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusSa
     for _ in range(num_samples):
         pt = AnglePoint(rng.random(), rng.random() if rs.rank == 2 else 0.0)
         axes = _fixed_axes(pt, rs.rank)
-        den_val = _fixed_complex(_fixed_eval(axes, denominator))
+        chains = _power_chains(axes, extents)
+        den_val = _fixed_complex(_fixed_value(chains, denominator))
         if abs(den_val) < _SINGULAR_CUTOFF:
             skipped += 1
             continue
-        variables = [_fixed_eval(axes, v) for v in basis.var_laurents]
+        variables = [_fixed_value(chains, v) for v in basis.var_laurents]
         if any(abs(v_im) >= imag_limit for _, v_im in variables):
             raise ArithmeticError(f"variable value is not real at {pt}")
         used.append(_Sample(pt, axes, den_val, tuple(re for re, _ in variables)))
-    return _TorusSamples(tuple(used), skipped)
+    return _TorusSamples(tuple(used), skipped, {})
 
 
 def _torus_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusSamples:
-    """The basis's samples for this seed and count, drawn on first use.
+    """The basis's samples for this seed and count, drawn on first use;
+    raises AllPointsSingularError when none is off the singular set.
 
     The cache keeps only the most recent key, so its memory stays linear
     in the sample count; a failed draw stores nothing.  Concurrent callers
@@ -172,7 +201,27 @@ def _torus_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusS
         samples = _draw_samples(basis, seed, num_samples)
         basis._torus_samples.clear()
         basis._torus_samples[key] = samples
+    if not samples.used:
+        raise AllPointsSingularError(
+            f"all {num_samples} samples were within {_SINGULAR_CUTOFF} of a wall"
+        )
     return samples
+
+
+def _numerator_values(
+    rs: RootSystem, samples: _TorusSamples, indices: Sequence[tuple[int, ...]]
+) -> dict[tuple[int, ...], tuple[complex, ...]]:
+    """Each index's numerator A_{lambda+rho} at every used sample,
+    sample-major: one power chain per axis and sample reaches every
+    numerator's exponents, and no chain outlives its sample."""
+    numerators = [signed_orbit_sum(rs, tuple(c + 1 for c in index)) for index in indices]
+    extents = _extents(numerators)
+    columns: list[list[complex]] = [[] for _ in numerators]
+    for sample in samples.used:
+        chains = _power_chains(sample.axes, extents)
+        for numerator, column in zip(numerators, columns):
+            column.append(_fixed_complex(_fixed_value(chains, numerator)))
+    return dict(zip(indices, map(tuple, columns)))
 
 
 def _scaled_evaluator(poly: XYPoly, scale: int) -> tuple[Callable[[Sequence[int]], int], int]:
@@ -184,34 +233,72 @@ def _scaled_evaluator(poly: XYPoly, scale: int) -> tuple[Callable[[Sequence[int]
     binary-rational arguments the sum collapses to one integer over a
     power of two, and dividing the two rounds once.  Fractional
     coefficients go over their common denominator into the same sum.  The
-    integer sum is exact, so term order cannot matter.
+    integer, the sum of c X^i Y^j 2^(scale (top - i - j)), is evaluated by
+    nested Horner steps, in y within each power of x and then in x; every
+    step is exact, so the order cannot change it.
     """
     items = poly._terms.items()
     common = math.lcm(*(coeff.denominator for _, coeff in items))
     top = max((sum(deg) for deg, _ in items), default=0)
-    limits = [max((deg[k] for deg, _ in items), default=0) for k in range(poly.rank)]
-    shifted = [
-        (deg, coeff.numerator * (common // coeff.denominator), scale * (top - sum(deg)))
-        for deg, coeff in items
-    ]
-    denominator = common << (scale * top)
+    rows: list[list[int]] = []  # rows[i][j]: the shifted coefficient of x^i y^j
+    for deg, coeff in items:
+        i, j = (*deg, 0)[:2]
+        rows.extend([] for _ in range(i + 1 - len(rows)))
+        rows[i].extend(0 for _ in range(j + 1 - len(rows[i])))
+        rows[i][j] = coeff.numerator * (common // coeff.denominator) << (scale * (top - i - j))
 
     def evaluate(nums: Sequence[int]) -> int:
-        tables = []
-        for base, limit in zip(nums, limits):
-            powers = [1]
-            for _ in range(limit):
-                powers.append(powers[-1] * base)
-            tables.append(powers)
+        x, y = (*nums, 0)[:2]
         acc = 0
-        for deg, coeff, shift in shifted:
-            term = coeff
-            for table, d in zip(tables, deg):
-                term *= table[d]
-            acc += term << shift
+        for row in reversed(rows):
+            inner = 0
+            for coeff in reversed(row):
+                inner = inner * y + coeff
+            acc = acc * x + inner
         return acc
 
-    return evaluate, denominator
+    return evaluate, common << (scale * top)
+
+
+def _check_request(
+    rs: RootSystem, basis: VariableBasis, num_samples: int, indices: Sequence[tuple[int, ...]]
+) -> None:
+    if basis.kind is not Kind.SECOND:
+        raise ValueError("torus sampling needs a second-kind basis")
+    if type(num_samples) is not int or num_samples <= 0:
+        raise ValueError(f"num_samples must be a positive integer, got {num_samples!r}")
+    for index in indices:
+        check_index(rs, index)
+    _check_basis(rs, basis)
+
+
+def fill_numerators(
+    rs: RootSystem,
+    basis: VariableBasis,
+    indices: Sequence[tuple[int, ...]],
+    *,
+    num_samples: int,
+    seed: int,
+    max_values: int,
+) -> int:
+    """Evaluate the numerators of the longest prefix of ``indices`` whose
+    values fit in ``max_values`` (one per used sample and index) and hold
+    them in the basis's sample cache for (seed, num_samples), in place of
+    any held before; returns the prefix's length.
+
+    ``verify_ratio`` reads held values and evaluates any other index
+    itself, so a prefix of 0, when one index's values do not fit, leaves
+    every index to it.  The samples are drawn first: this raises
+    AllPointsSingularError when every one is singular.
+    """
+    _check_request(rs, basis, num_samples, indices)
+    samples = _torus_samples(basis, seed, num_samples)
+    count = min(len(indices), max_values // len(samples.used))
+    held = samples.numerators
+    held.clear()
+    if count:
+        held.update(_numerator_values(rs, samples, indices[:count]))
+    return count
 
 
 def verify_ratio(
@@ -227,30 +314,23 @@ def verify_ratio(
     polynomial; near-singular denominators are skipped and counted.
 
     The points, the denominator and the variable values come from the
-    basis's sample cache, so a run over many indices with one seed and
-    sample count evaluates only each index's numerator.
+    basis's sample cache, and so do the numerator values when
+    ``fill_numerators`` holds them for this index; otherwise the index's
+    numerator is evaluated here, through the same chains.
     """
-    if basis.kind is not Kind.SECOND:
-        raise ValueError("verify_ratio needs a second-kind basis")
-    if type(num_samples) is not int or num_samples <= 0:
-        raise ValueError(f"num_samples must be a positive integer, got {num_samples!r}")
+    _check_request(rs, basis, num_samples, [index])
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
-    check_index(rs, index)
-    _check_basis(rs, basis)
     if poly is None:
         poly = second_kind_poly(rs, basis, *index)
-    numerator = signed_orbit_sum(rs, tuple(c + 1 for c in index))
     samples = _torus_samples(basis, DEFAULT_SEED if seed is None else seed, num_samples)
-    if not samples.used:
-        raise AllPointsSingularError(
-            f"all {num_samples} samples were within {_SINGULAR_CUTOFF} of a wall"
-        )
+    values = samples.numerators.get(index)
+    if values is None:
+        values = _numerator_values(rs, samples, [index])[index]
     evaluate, scaled_denominator = _scaled_evaluator(poly, _FIXED_BITS)
     max_err = 0.0
     worst: AnglePoint | None = None
-    for sample in samples.used:
-        num_val = _fixed_complex(_fixed_eval(sample.axes, numerator))
+    for sample, num_val in zip(samples.used, values):
         err = abs(evaluate(sample.variables) / scaled_denominator - num_val / sample.denominator)
         if err > max_err or worst is None:
             max_err = err

@@ -162,8 +162,10 @@ class VariableBasis:
     caches are only ever added to, so concurrent readers at worst
     recompute; ``_slots`` grows in place, so one basis must not reduce in
     two threads at once.
-    ``_torus_samples`` holds the sampled points of ``numeric.verify_ratio``
-    for the most recent (seed, count).  The caches are not constructor
+    ``_torus_samples`` holds, for the most recent (seed, count), the sampled
+    points of ``numeric.verify_ratio`` with their index-free values, and
+    the numerator values of the indices ``numeric.fill_numerators`` last
+    filled there.  The caches are not constructor
     arguments, so ``dataclasses.replace`` gives the new basis empty ones.
     """
 

@@ -143,6 +143,47 @@ def test_verify_unreachable_tolerance_fails():
     assert proc.stdout.splitlines()[-1] == "FAILED"
 
 
+def test_verify_with_every_sample_singular_is_a_usage_error():
+    # this seed's one A1 sample lies on a wall
+    proc = run_cli(
+        "verify", "--algebra", "a1", "--max-m", "3", "--samples", "1", "--seed", "585832"
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    for part in ("seed 585832", "1 samples", "within 1e-06 of a wall"):
+        assert part in proc.stderr
+
+
+@pytest.mark.parametrize("cap", [1, 29, 30, 100, 271, 10**6])
+def test_verify_holds_at_most_the_cap_and_reports_the_same(cap, monkeypatch, capsys):
+    argv = ["verify", "--max-m", "2", "--max-n", "2", "--samples", "30", "--seed", "7"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    held = []
+    original = cli.verify_ratio
+
+    def values_held(basis):
+        (samples,) = basis._torus_samples.values()
+        return sum(len(values) for values in samples.numerators.values())
+
+    def recording(rs, basis, *index, **kwargs):
+        held.append(values_held(basis))
+        report = original(rs, basis, *index, **kwargs)
+        held.append(values_held(basis))
+        return report
+
+    monkeypatch.setattr(cli, "_MAX_HELD_VALUES", cap)
+    monkeypatch.setattr(cli, "verify_ratio", recording)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert len(held) == 2 * 9
+    assert max(held) <= cap
+    # 30 values per index: a cap below that holds none, a larger one holds
+    # as many whole indices as fit
+    assert max(held) == min(9, cap // 30) * 30
+
+
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
 

@@ -103,6 +103,10 @@ def test_singular_samples_are_skipped(a1, a1_second):
 def test_all_points_singular(a1, a1_second):
     with pytest.raises(AllPointsSingularError):
         verify_ratio(a1, a1_second, 2, num_samples=1, seed=SINGULAR_SEED)
+    with pytest.raises(AllPointsSingularError):
+        numeric.fill_numerators(
+            a1, a1_second, [(2,)], num_samples=1, seed=SINGULAR_SEED, max_values=100
+        )
 
 
 def test_argument_guards(g2, g2_second, g2_first):
@@ -124,7 +128,14 @@ def test_argument_guards(g2, g2_second, g2_first):
     for poly in (None, XYPoly(2, {(1, 0): 1})):
         with pytest.raises(ValueError, match="second-kind basis"):
             verify_ratio(g2, g2_first, 1, 0, num_samples=20, seed=7, poly=poly)
+    with pytest.raises(ValueError, match="second-kind basis"):
+        numeric.fill_numerators(g2, g2_first, [(1, 0)], num_samples=20, seed=7, max_values=100)
     assert g2_first._torus_samples == {}
+    for indices, num_samples in (([(1, 0), (-1, 0)], 20), ([(1, 0)], 0)):
+        with pytest.raises(ValueError):
+            numeric.fill_numerators(
+                g2, g2_second, indices, num_samples=num_samples, seed=7, max_values=100
+            )
 
 
 def test_rank_one_rejects_a_second_index(a1, a1_second):
@@ -177,21 +188,117 @@ def test_sample_keys_do_not_collide(g2, a1):
         verify_ratio(a1, a1_basis, 3, num_samples=1, seed=SINGULAR_SEED)
 
 
+def _values_held(basis) -> int:
+    return sum(
+        len(values)
+        for samples in basis._torus_samples.values()
+        for values in samples.numerators.values()
+    )
+
+
+def verify_in_chunks(rs, basis, indices, num_samples, seed, cap):
+    """Reports of ``indices`` checked as the command line checks a box:
+    fill the numerators of as many as fit in ``cap`` values, verify those,
+    and go on; with the most values the cache held at any step."""
+    reports, most = [], 0
+    pending = list(indices)
+    while pending:
+        held = numeric.fill_numerators(
+            rs, basis, pending, num_samples=num_samples, seed=seed, max_values=cap
+        )
+        chunk, pending = pending[: held or 1], pending[held or 1 :]
+        for index in chunk:
+            most = max(most, _values_held(basis))
+            reports.append(verify_ratio(rs, basis, *index, num_samples=num_samples, seed=seed))
+        most = max(most, _values_held(basis))
+    return reports, most
+
+
 def test_samples_are_drawn_once_per_key(g2, monkeypatch):
-    calls = []
-    original = numeric._fixed_eval
+    # The draw builds one power chain per point.  After it, each used point
+    # gets one chain per fill chunk, reaching every numerator in the chunk,
+    # and one per index whose values are not held.
+    draws, chains = [], []
+    draw, power_chains = numeric._draw_samples, numeric._power_chains
 
-    def counting(axes, laurent):
-        calls.append(laurent)
-        return original(axes, laurent)
+    def counting_draw(basis, seed, num_samples):
+        draws.append((seed, num_samples))
+        return draw(basis, seed, num_samples)
 
-    monkeypatch.setattr(numeric, "_fixed_eval", counting)
+    def counting_chains(axes, extents):
+        chains.append(axes)
+        return power_chains(axes, extents)
+
+    monkeypatch.setattr(numeric, "_draw_samples", counting_draw)
+    monkeypatch.setattr(numeric, "_power_chains", counting_chains)
+    indices = [(0, 0), (1, 2), (2, 1)]
     basis = build_basis(g2, Kind.SECOND)
-    for index in ((0, 0), (1, 2), (2, 1)):
+    for index in indices:
         report = verify_ratio(g2, basis, *index, num_samples=50, seed=7)
         assert report.skipped == 0
-    # Denominator and both variables at the first call, numerators at each.
-    assert len(calls) == 50 * 3 + 50 * 3
+    assert draws == [(7, 50)]
+    assert len(chains) == 50 + 50 * 3
+    # one chunk of three, chunks of two and one, and no index held
+    for cap, builds in ((150, 50), (100, 100), (49, 150)):
+        chains.clear()
+        reports, most = verify_in_chunks(g2, basis, indices, 50, 7, cap)
+        assert len(chains) == builds, cap
+        assert most <= cap
+    assert draws == [(7, 50)]
+    # a new key draws again, once
+    verify_in_chunks(g2, basis, indices, 40, 7, 10**6)
+    verify_ratio(g2, basis, 1, 1, num_samples=40, seed=7)
+    assert draws == [(7, 50), (7, 40)]
+
+
+_BOX_BOUNDS = {AlgebraId.A1: 9, AlgebraId.C2: 4, AlgebraId.G2: 3}
+_FRESH_REPORTS: dict = {}
+
+
+def _fresh_report(algebra, index, num_samples, seed):
+    """verify_ratio on a fresh basis, or the exception it raises."""
+    key = (algebra, index, num_samples, seed)
+    if key not in _FRESH_REPORTS:
+        rs = build_root_system(algebra)
+        try:
+            _FRESH_REPORTS[key] = verify_ratio(
+                rs, build_basis(rs, Kind.SECOND), *index, num_samples=num_samples, seed=seed
+            )
+        except AllPointsSingularError as exc:
+            _FRESH_REPORTS[key] = exc
+    return _FRESH_REPORTS[key]
+
+
+@st.composite
+def _fill_runs(draw):
+    algebra = draw(st.sampled_from(sorted(_BOX_BOUNDS, key=lambda a: a.value)))
+    rank = 1 if algebra is AlgebraId.A1 else 2
+    coordinate = st.integers(0, _BOX_BOUNDS[algebra])
+    indices = draw(st.lists(st.tuples(*[coordinate] * rank), min_size=1, max_size=8, unique=True))
+    num_samples = draw(st.integers(1, 12))
+    seed = draw(st.sampled_from([3, 7, SINGULAR_SEED]))
+    cap = draw(st.integers(1, num_samples * (len(indices) + 1)))
+    return algebra, indices, num_samples, seed, cap
+
+
+@given(_fill_runs())
+@example((AlgebraId.G2, [(1, 0), (0, 0), (2, 2), (0, 1)], 10, 7, 1))
+@example((AlgebraId.G2, [(3, 3), (0, 0), (1, 2), (2, 1), (0, 3)], 10, 7, 20))
+@example((AlgebraId.C2, [(4, 4), (0, 0), (4, 0)], 12, 3, 35))
+@example((AlgebraId.A1, [(9,), (2,), (0,), (5,)], 8, SINGULAR_SEED, 14))
+@example((AlgebraId.A1, [(3,), (1,)], 1, SINGULAR_SEED, 2))
+def test_filling_in_chunks_reports_what_one_index_at_a_time_does(run):
+    algebra, indices, num_samples, seed, cap = run
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, Kind.SECOND)
+    want = [_fresh_report(algebra, index, num_samples, seed) for index in indices]
+    if isinstance(want[0], AllPointsSingularError):
+        with pytest.raises(AllPointsSingularError):
+            verify_in_chunks(rs, basis, indices, num_samples, seed, cap)
+        return
+    got, most = verify_in_chunks(rs, basis, indices, num_samples, seed, cap)
+    assert got == want
+    assert most <= cap
 
 
 def test_not_real_variables_raise_on_every_call(g2, g2_second):
@@ -205,6 +312,9 @@ def test_not_real_variables_raise_on_every_call(g2, g2_second):
     for index in ((1, 0), (1, 0), (0, 2)):
         with pytest.raises(ArithmeticError, match="not real"):
             verify_ratio(g2, bad, *index, num_samples=20, seed=3, poly=one)
+        assert bad._torus_samples == {}
+        with pytest.raises(ArithmeticError, match="not real"):
+            numeric.fill_numerators(g2, bad, [index], num_samples=20, seed=3, max_values=100)
         assert bad._torus_samples == {}
 
 
