@@ -23,7 +23,7 @@ from .numeric import (
     DEFAULT_SEED,
     AllPointsSingularError,
     dimension_check,
-    fill_numerators,
+    sample_numerators,
     verify_ratio,
 )
 from .orbit import Kind
@@ -32,11 +32,9 @@ from .recurrence import recurrence_table
 from .rootsystem import AlgebraId, build_root_system, index_box
 
 _MAX_INDEX = 64
-# The sample cache of a basis holds about 0.3 KB per sample, plus the
-# numerator values verify fills: at most _MAX_HELD_VALUES of them, about
-# 40 bytes each.
+# A verify run holds about 0.3 KB per sample (about 30 MB at this bound),
+# plus one block of numerator values, which numeric caps at about 42 MB.
 _MAX_SAMPLES = 100_000
-_MAX_HELD_VALUES = 1 << 16
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -184,41 +182,30 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "verify":
         seed = _resolve_seed(args)
-        pending = list(index_box(rs.rank, *_table_indices(rs.rank, args)))
+        indices = list(index_box(rs.rank, *_table_indices(rs.rank, args)))
+        try:
+            run = sample_numerators(rs, basis, indices, num_samples=args.samples, seed=seed)
+        except AllPointsSingularError as exc:
+            sys.stderr.write(f"weylcheb: seed {seed} with {args.samples} samples: {exc}\n")
+            return 2
         results = []
         passed = True
-        while pending:
-            # The first fill draws the samples, before any index is checked.
-            try:
-                held = fill_numerators(
-                    rs,
-                    basis,
-                    pending,
-                    num_samples=args.samples,
-                    seed=seed,
-                    max_values=_MAX_HELD_VALUES,
-                )
-            except AllPointsSingularError as exc:
-                sys.stderr.write(f"weylcheb: seed {seed} with {args.samples} samples: {exc}\n")
-                return 2
-            # An index whose values do not fit is evaluated on its own.
-            step = max(held, 1)
-            chunk, pending = pending[:step], pending[step:]
-            for index in chunk:
-                poly = second_kind_poly(rs, basis, *index)
-                report = verify_ratio(
-                    rs,
-                    basis,
-                    *index,
-                    num_samples=args.samples,
-                    tol=args.tol,
-                    seed=seed,
-                    poly=poly,
-                )
-                dims = dimension_check(rs, basis, *index, poly=poly)
-                results.append(output.verify_result_obj(index, report, dims))
-                if not (report.passed and dims[0] == dims[1]):
-                    passed = False
+        for index, sampled in zip(indices, run):
+            poly = second_kind_poly(rs, basis, *index)
+            report = verify_ratio(
+                rs,
+                basis,
+                *index,
+                num_samples=args.samples,
+                tol=args.tol,
+                seed=seed,
+                poly=poly,
+                sampled=sampled,
+            )
+            dims = dimension_check(rs, basis, *index, poly=poly)
+            results.append(output.verify_result_obj(index, report, dims))
+            if not (report.passed and dims[0] == dims[1]):
+                passed = False
         if args.format == "json":
             text = output.verify_json(algebra, kind, seed, results, passed)
         else:

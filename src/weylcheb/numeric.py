@@ -8,15 +8,14 @@ polynomial at randomly sampled angles, and the value at the origin against
 the classical dimension formula (exact rational arithmetic there).
 
 The seeded points, the Weyl denominator and the variable values there do
-not depend on the index, so each basis draws and evaluates them once per
-(seed, sample count) and every index reads them back.  Numerators are
-evaluated sample-major: at each used point one fixed-point power chain
-per axis reaches the exponents of every index in a batch, each index's
-terms are read from it, and the chain is dropped with the point; the
-batch's values stay in the same cache entry until the next batch replaces
-them.  Fixed-point values are exact functions of the point, and a chain
-value does not depend on how far the chain reaches, so the reports are
-bit-identical to evaluating every index afresh.
+not depend on the index, so a verify run (``sample_numerators``) draws and
+evaluates them once for all its indices.  Numerators are evaluated
+sample-major, one block of indices at a time: at each used point one
+fixed-point power chain per axis reaches the exponents of every index in
+the block, each index's terms are read from it, and the chain is dropped
+with the point.  Fixed-point values are exact functions of the point, and
+a chain value does not depend on how far the chain reaches, so the reports
+are bit-identical to evaluating every index afresh.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .genfunc import second_kind_poly
 from .laurent import LaurentPoly
@@ -38,6 +37,10 @@ DEFAULT_SEED = 104729
 _SINGULAR_CUTOFF = 1e-6
 _IMAG_CUTOFF = 1e-12
 _FIXED_BITS = 96
+# Numerator values (one per used sample and index, about 40 bytes each) a
+# run holds at once: about 42 MB, and blocks of at least 10 indices at the
+# command line's largest sample count.
+_MAX_HELD_VALUES = 1 << 20
 
 
 class AllPointsSingularError(RuntimeError):
@@ -157,9 +160,16 @@ class _Sample(NamedTuple):
 class _TorusSamples(NamedTuple):
     used: tuple[_Sample, ...]
     skipped: int
-    # index -> its numerator's value at each used sample, for the indices
-    # that ``fill_numerators`` last filled
-    numerators: dict[tuple[int, ...], tuple[complex, ...]]
+
+
+class Sampled(NamedTuple):
+    """One index's numerator values at the used samples of a
+    ``sample_numerators`` run, with the run's key (basis, seed, sample
+    count, index) and its samples."""
+
+    key: tuple[VariableBasis, int, int, tuple[int, ...]]
+    samples: _TorusSamples
+    values: tuple[complex, ...]
 
 
 def _draw_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusSamples:
@@ -184,33 +194,12 @@ def _draw_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusSa
         if any(abs(v_im) >= imag_limit for _, v_im in variables):
             raise ArithmeticError(f"variable value is not real at {pt}")
         used.append(_Sample(pt, axes, den_val, tuple(re for re, _ in variables)))
-    return _TorusSamples(tuple(used), skipped, {})
-
-
-def _torus_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusSamples:
-    """The basis's samples for this seed and count, drawn on first use;
-    raises AllPointsSingularError when none is off the singular set.
-
-    The cache keeps only the most recent key, so its memory stays linear
-    in the sample count; a failed draw stores nothing.  Concurrent callers
-    at worst draw the same samples twice.
-    """
-    key = (seed, num_samples)
-    samples = basis._torus_samples.get(key)
-    if samples is None:
-        samples = _draw_samples(basis, seed, num_samples)
-        basis._torus_samples.clear()
-        basis._torus_samples[key] = samples
-    if not samples.used:
-        raise AllPointsSingularError(
-            f"all {num_samples} samples were within {_SINGULAR_CUTOFF} of a wall"
-        )
-    return samples
+    return _TorusSamples(tuple(used), skipped)
 
 
 def _numerator_values(
     rs: RootSystem, samples: _TorusSamples, indices: Sequence[tuple[int, ...]]
-) -> dict[tuple[int, ...], tuple[complex, ...]]:
+) -> list[tuple[complex, ...]]:
     """Each index's numerator A_{lambda+rho} at every used sample,
     sample-major: one power chain per axis and sample reaches every
     numerator's exponents, and no chain outlives its sample."""
@@ -221,7 +210,7 @@ def _numerator_values(
         chains = _power_chains(sample.axes, extents)
         for numerator, column in zip(numerators, columns):
             column.append(_fixed_complex(_fixed_value(chains, numerator)))
-    return dict(zip(indices, map(tuple, columns)))
+    return [tuple(column) for column in columns]
 
 
 def _scaled_evaluator(poly: XYPoly, scale: int) -> tuple[Callable[[Sequence[int]], int], int]:
@@ -272,33 +261,33 @@ def _check_request(
     _check_basis(rs, basis)
 
 
-def fill_numerators(
+def sample_numerators(
     rs: RootSystem,
     basis: VariableBasis,
     indices: Sequence[tuple[int, ...]],
     *,
     num_samples: int,
     seed: int,
-    max_values: int,
-) -> int:
-    """Evaluate the numerators of the longest prefix of ``indices`` whose
-    values fit in ``max_values`` (one per used sample and index) and hold
-    them in the basis's sample cache for (seed, num_samples), in place of
-    any held before; returns the prefix's length.
-
-    ``verify_ratio`` reads held values and evaluates any other index
-    itself, so a prefix of 0, when one index's values do not fit, leaves
-    every index to it.  The samples are drawn first: this raises
-    AllPointsSingularError when every one is singular.
+) -> Iterator[Sampled]:
+    """One verify run: check the arguments and draw the samples now, then
+    yield each index's ``Sampled`` record in order, evaluating the
+    numerators one block of at most ``_MAX_HELD_VALUES`` values (or one
+    index) at a time.  Raises AllPointsSingularError here, before anything
+    is yielded, when every sample is singular.
     """
     _check_request(rs, basis, num_samples, indices)
-    samples = _torus_samples(basis, seed, num_samples)
-    count = min(len(indices), max_values // len(samples.used))
-    held = samples.numerators
-    held.clear()
-    if count:
-        held.update(_numerator_values(rs, samples, indices[:count]))
-    return count
+    samples = _draw_samples(basis, seed, num_samples)
+    if not samples.used:
+        raise AllPointsSingularError(
+            f"all {num_samples} samples were within {_SINGULAR_CUTOFF} of a wall"
+        )
+    step = max(1, _MAX_HELD_VALUES // len(samples.used))
+    blocks = (indices[start : start + step] for start in range(0, len(indices), step))
+    return (
+        Sampled((basis, seed, num_samples, index), samples, values)
+        for block in blocks
+        for index, values in zip(block, _numerator_values(rs, samples, block))
+    )
 
 
 def verify_ratio(
@@ -309,28 +298,35 @@ def verify_ratio(
     tol: float = 1e-8,
     seed: int | None = None,
     poly: XYPoly | None = None,
+    sampled: Sampled | None = None,
 ) -> VerificationReport:
     """Sample the defining ratio of signed orbit sums against the
     polynomial; near-singular denominators are skipped and counted.
 
-    The points, the denominator and the variable values come from the
-    basis's sample cache, and so do the numerator values when
-    ``fill_numerators`` holds them for this index; otherwise the index's
-    numerator is evaluated here, through the same chains.
+    The samples and the numerator values come from ``sampled``, a record
+    of a ``sample_numerators`` run with this basis, seed, sample count and
+    index; without it, a run over this one index draws them.
     """
     _check_request(rs, basis, num_samples, [index])
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
+    seed = DEFAULT_SEED if seed is None else seed
+    key = (basis, seed, num_samples, index)
+    if sampled is None:
+        (sampled,) = sample_numerators(rs, basis, [index], num_samples=num_samples, seed=seed)
+    elif sampled.key != key:
+        got, want = (
+            f"{b.rs.algebra.value} {b.kind.value}-kind basis {id(b):#x}, "
+            f"seed {s}, {n} samples, index {i}"
+            for b, s, n, i in (sampled.key, key)
+        )
+        raise ValueError(f"sampled values of run ({got}) cannot verify run ({want})")
     if poly is None:
         poly = second_kind_poly(rs, basis, *index)
-    samples = _torus_samples(basis, DEFAULT_SEED if seed is None else seed, num_samples)
-    values = samples.numerators.get(index)
-    if values is None:
-        values = _numerator_values(rs, samples, [index])[index]
     evaluate, scaled_denominator = _scaled_evaluator(poly, _FIXED_BITS)
     max_err = 0.0
     worst: AnglePoint | None = None
-    for sample, num_val in zip(samples.used, values):
+    for sample, num_val in zip(sampled.samples.used, sampled.values):
         err = abs(evaluate(sample.variables) / scaled_denominator - num_val / sample.denominator)
         if err > max_err or worst is None:
             max_err = err
@@ -339,7 +335,7 @@ def verify_ratio(
         samples=num_samples,
         max_abs_error=max_err,
         worst_point=worst,
-        skipped=samples.skipped,
+        skipped=sampled.samples.skipped,
         tol=tol,
     )
 

@@ -161,12 +161,8 @@ class VariableBasis:
     integer, sum of c << (slot(mu) * bits) over its terms c z^mu.  The dict
     caches are only ever added to, so concurrent readers at worst
     recompute; ``_slots`` grows in place, so one basis must not reduce in
-    two threads at once.
-    ``_torus_samples`` holds, for the most recent (seed, count), the sampled
-    points of ``numeric.verify_ratio`` with their index-free values, and
-    the numerator values of the indices ``numeric.fill_numerators`` last
-    filled there.  The caches are not constructor
-    arguments, so ``dataclasses.replace`` gives the new basis empty ones.
+    two threads at once.  The caches are not constructor arguments, so
+    ``dataclasses.replace`` gives the new basis empty ones.
     """
 
     rs: RootSystem
@@ -176,9 +172,6 @@ class VariableBasis:
         default_factory=dict, init=False, repr=False, compare=False
     )
     _rules: dict[tuple[Weight, int], tuple[tuple[Weight, int], ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _torus_samples: dict[tuple[int, int], tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _slots: _Slots = field(default_factory=_Slots, init=False, repr=False, compare=False)

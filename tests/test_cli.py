@@ -160,28 +160,47 @@ def test_verify_holds_at_most_the_cap_and_reports_the_same(cap, monkeypatch, cap
     argv = ["verify", "--max-m", "2", "--max-n", "2", "--samples", "30", "--seed", "7"]
     assert cli.main(argv) == 0
     want = capsys.readouterr().out
-    held = []
-    original = cli.verify_ratio
+    blocks, verified = [], []
+    numerator_values, verify_ratio = numeric._numerator_values, cli.verify_ratio
 
-    def values_held(basis):
-        (samples,) = basis._torus_samples.values()
-        return sum(len(values) for values in samples.numerators.values())
+    def recording_block(rs, samples, block):
+        blocks.append(len(block) * len(samples.used))
+        return numerator_values(rs, samples, block)
 
-    def recording(rs, basis, *index, **kwargs):
-        held.append(values_held(basis))
-        report = original(rs, basis, *index, **kwargs)
-        held.append(values_held(basis))
-        return report
+    def recording_verify(*args, **kwargs):
+        verified.append(args[2:])
+        return verify_ratio(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_MAX_HELD_VALUES", cap)
-    monkeypatch.setattr(cli, "verify_ratio", recording)
+    monkeypatch.setattr(numeric, "_MAX_HELD_VALUES", cap)
+    monkeypatch.setattr(numeric, "_numerator_values", recording_block)
+    monkeypatch.setattr(cli, "verify_ratio", recording_verify)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == want
-    assert len(held) == 2 * 9
-    assert max(held) <= cap
-    # 30 values per index: a cap below that holds none, a larger one holds
-    # as many whole indices as fit
-    assert max(held) == min(9, cap // 30) * 30
+    assert len(verified) == 9
+    # 30 values per index: a block holds as many whole indices as fit in
+    # the cap, and one index when none fits
+    step = min(9, max(1, cap // 30))
+    assert blocks == [30 * min(step, 9 - start) for start in range(0, 9, step)]
+    assert max(blocks) <= max(cap, 30)
+
+
+def test_verify_draws_the_samples_once_per_run(monkeypatch, capsys):
+    draws, draw = [], numeric._draw_samples
+
+    def counting_draw(basis, seed, num_samples):
+        draws.append((seed, num_samples))
+        return draw(basis, seed, num_samples)
+
+    monkeypatch.setattr(numeric, "_draw_samples", counting_draw)
+    for samples in ("30", "20"):
+        argv = ["verify", "--max-m", "2", "--max-n", "2", "--samples", samples, "--seed", "7"]
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert draws == [(7, 30), (7, 20)]
+
+
+def test_largest_sample_count_shares_chains_over_blocks_of_ten():
+    assert numeric._MAX_HELD_VALUES // cli._MAX_SAMPLES >= 10
 
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")

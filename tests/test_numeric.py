@@ -7,6 +7,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -103,13 +104,25 @@ def test_singular_samples_are_skipped(a1, a1_second):
 def test_all_points_singular(a1, a1_second):
     with pytest.raises(AllPointsSingularError):
         verify_ratio(a1, a1_second, 2, num_samples=1, seed=SINGULAR_SEED)
+    # raised when the run is created, not when it is first read
     with pytest.raises(AllPointsSingularError):
-        numeric.fill_numerators(
-            a1, a1_second, [(2,)], num_samples=1, seed=SINGULAR_SEED, max_values=100
-        )
+        numeric.sample_numerators(a1, a1_second, [(2,)], num_samples=1, seed=SINGULAR_SEED)
 
 
-def test_argument_guards(g2, g2_second, g2_first):
+def counting_draws(monkeypatch) -> list:
+    """Patch ``numeric._draw_samples`` to record each draw's (seed, count)."""
+    draws, draw = [], numeric._draw_samples
+
+    def counting_draw(basis, seed, num_samples):
+        draws.append((seed, num_samples))
+        return draw(basis, seed, num_samples)
+
+    monkeypatch.setattr(numeric, "_draw_samples", counting_draw)
+    return draws
+
+
+def test_argument_guards(g2, g2_second, g2_first, monkeypatch):
+    draws = counting_draws(monkeypatch)
     with pytest.raises(ValueError):
         verify_ratio(g2, g2_second, 1, 0, num_samples=0)
     for num_samples in (True, 2.5):
@@ -129,13 +142,36 @@ def test_argument_guards(g2, g2_second, g2_first):
         with pytest.raises(ValueError, match="second-kind basis"):
             verify_ratio(g2, g2_first, 1, 0, num_samples=20, seed=7, poly=poly)
     with pytest.raises(ValueError, match="second-kind basis"):
-        numeric.fill_numerators(g2, g2_first, [(1, 0)], num_samples=20, seed=7, max_values=100)
-    assert g2_first._torus_samples == {}
+        numeric.sample_numerators(g2, g2_first, [(1, 0)], num_samples=20, seed=7)
     for indices, num_samples in (([(1, 0), (-1, 0)], 20), ([(1, 0)], 0)):
         with pytest.raises(ValueError):
-            numeric.fill_numerators(
-                g2, g2_second, indices, num_samples=num_samples, seed=7, max_values=100
-            )
+            numeric.sample_numerators(g2, g2_second, indices, num_samples=num_samples, seed=7)
+    # every guard raises before anything is drawn
+    assert draws == []
+
+
+def test_a_record_of_another_run_is_refused(g2):
+    basis = build_basis(g2, Kind.SECOND)
+    (record,) = numeric.sample_numerators(g2, basis, [(2, 1)], num_samples=40, seed=7)
+    fresh = verify_ratio(g2, build_basis(g2, Kind.SECOND), 2, 1, num_samples=40, seed=7)
+    assert verify_ratio(g2, basis, 2, 1, num_samples=40, seed=7, sampled=record) == fresh
+    (default,) = numeric.sample_numerators(
+        g2, basis, [(0, 1)], num_samples=5, seed=numeric.DEFAULT_SEED
+    )
+    assert verify_ratio(g2, basis, 0, 1, num_samples=5, sampled=default).passed
+    other = dataclasses.replace(
+        basis, var_laurents=(basis.var_laurents[0], LaurentPoly(2, {(0, 1): 1}))
+    )
+    for run_basis, seed, count, index in [
+        (other, 7, 40, (2, 1)),
+        (basis, 8, 40, (2, 1)),
+        (basis, 7, 30, (2, 1)),
+        (basis, 7, 40, (1, 2)),
+    ]:
+        with pytest.raises(ValueError, match="cannot verify") as refused:
+            verify_ratio(g2, run_basis, *index, num_samples=count, seed=seed, sampled=record)
+        for b, s, n, i in (record.key, (run_basis, seed, count, index)):
+            assert f"basis {id(b):#x}, seed {s}, {n} samples, index {i}" in str(refused.value)
 
 
 def test_rank_one_rejects_a_second_index(a1, a1_second):
@@ -174,7 +210,8 @@ def test_sample_keys_do_not_collide(g2, a1):
     ]
     assert by_seed[0].worst_point != by_seed[1].worst_point
     by_count = [
-        numeric._torus_samples(basis, 7, count) for count in (30, 40, 30)
+        next(numeric.sample_numerators(g2, basis, [(2, 1)], num_samples=count, seed=7)).samples
+        for count in (30, 40, 30)
     ]
     assert [len(s.used) + s.skipped for s in by_count] == [30, 40, 30]
     # This seed's first A1 sample is singular: alone it is all the samples,
@@ -188,67 +225,61 @@ def test_sample_keys_do_not_collide(g2, a1):
         verify_ratio(a1, a1_basis, 3, num_samples=1, seed=SINGULAR_SEED)
 
 
-def _values_held(basis) -> int:
-    return sum(
-        len(values)
-        for samples in basis._torus_samples.values()
-        for values in samples.numerators.values()
-    )
+def verify_in_blocks(rs, basis, indices, num_samples, seed, cap):
+    """Reports of ``indices`` checked as the command line checks a box, by
+    one run holding at most ``cap`` numerator values (or one index's) at a
+    time; with the most values one block held."""
+    blocks = []
+    numerator_values = numeric._numerator_values
 
+    def recording(rs, samples, block):
+        blocks.append(len(block) * len(samples.used))
+        return numerator_values(rs, samples, block)
 
-def verify_in_chunks(rs, basis, indices, num_samples, seed, cap):
-    """Reports of ``indices`` checked as the command line checks a box:
-    fill the numerators of as many as fit in ``cap`` values, verify those,
-    and go on; with the most values the cache held at any step."""
-    reports, most = [], 0
-    pending = list(indices)
-    while pending:
-        held = numeric.fill_numerators(
-            rs, basis, pending, num_samples=num_samples, seed=seed, max_values=cap
-        )
-        chunk, pending = pending[: held or 1], pending[held or 1 :]
-        for index in chunk:
-            most = max(most, _values_held(basis))
-            reports.append(verify_ratio(rs, basis, *index, num_samples=num_samples, seed=seed))
-        most = max(most, _values_held(basis))
-    return reports, most
+    with mock.patch.object(numeric, "_MAX_HELD_VALUES", cap), mock.patch.object(
+        numeric, "_numerator_values", recording
+    ):
+        run = numeric.sample_numerators(rs, basis, indices, num_samples=num_samples, seed=seed)
+        reports = [
+            verify_ratio(rs, basis, *index, num_samples=num_samples, seed=seed, sampled=sampled)
+            for index, sampled in zip(indices, run)
+        ]
+    return reports, max(blocks)
 
 
 def test_samples_are_drawn_once_per_key(g2, monkeypatch):
     # The draw builds one power chain per point.  After it, each used point
-    # gets one chain per fill chunk, reaching every numerator in the chunk,
-    # and one per index whose values are not held.
-    draws, chains = [], []
-    draw, power_chains = numeric._draw_samples, numeric._power_chains
-
-    def counting_draw(basis, seed, num_samples):
-        draws.append((seed, num_samples))
-        return draw(basis, seed, num_samples)
+    # gets one chain per block of indices, reaching every numerator in the
+    # block: used x ceil(indices / block) builds.
+    chains = []
+    power_chains = numeric._power_chains
 
     def counting_chains(axes, extents):
         chains.append(axes)
         return power_chains(axes, extents)
 
-    monkeypatch.setattr(numeric, "_draw_samples", counting_draw)
+    draws = counting_draws(monkeypatch)
     monkeypatch.setattr(numeric, "_power_chains", counting_chains)
     indices = [(0, 0), (1, 2), (2, 1)]
     basis = build_basis(g2, Kind.SECOND)
+    # verify_ratio alone is a run over its one index: it draws every call
     for index in indices:
         report = verify_ratio(g2, basis, *index, num_samples=50, seed=7)
         assert report.skipped == 0
-    assert draws == [(7, 50)]
-    assert len(chains) == 50 + 50 * 3
-    # one chunk of three, chunks of two and one, and no index held
-    for cap, builds in ((150, 50), (100, 100), (49, 150)):
+    assert draws == [(7, 50)] * 3
+    assert len(chains) == 3 * (50 + 50)
+    # one block of three, blocks of two and one, and blocks of one index
+    for cap, blocks in ((150, 1), (100, 2), (49, 3)):
         chains.clear()
-        reports, most = verify_in_chunks(g2, basis, indices, 50, 7, cap)
-        assert len(chains) == builds, cap
-        assert most <= cap
-    assert draws == [(7, 50)]
-    # a new key draws again, once
-    verify_in_chunks(g2, basis, indices, 40, 7, 10**6)
-    verify_ratio(g2, basis, 1, 1, num_samples=40, seed=7)
-    assert draws == [(7, 50), (7, 40)]
+        draws.clear()
+        reports, most = verify_in_blocks(g2, basis, indices, 50, 7, cap)
+        assert draws == [(7, 50)]
+        assert len(chains) == 50 + 50 * blocks, cap
+        assert most <= max(cap, 50)
+    # a run with a new key draws for it, once
+    draws.clear()
+    verify_in_blocks(g2, basis, indices, 40, 7, 10**6)
+    assert draws == [(7, 40)]
 
 
 _BOX_BOUNDS = {AlgebraId.A1: 9, AlgebraId.C2: 4, AlgebraId.G2: 3}
@@ -270,7 +301,7 @@ def _fresh_report(algebra, index, num_samples, seed):
 
 
 @st.composite
-def _fill_runs(draw):
+def _block_runs(draw):
     algebra = draw(st.sampled_from(sorted(_BOX_BOUNDS, key=lambda a: a.value)))
     rank = 1 if algebra is AlgebraId.A1 else 2
     coordinate = st.integers(0, _BOX_BOUNDS[algebra])
@@ -281,7 +312,7 @@ def _fill_runs(draw):
     return algebra, indices, num_samples, seed, cap
 
 
-@given(_fill_runs())
+@given(_block_runs())
 @example((AlgebraId.G2, [(1, 0), (0, 0), (2, 2), (0, 1)], 10, 7, 1))
 @example((AlgebraId.G2, [(3, 3), (0, 0), (1, 2), (2, 1), (0, 3)], 10, 7, 20))
 @example((AlgebraId.C2, [(4, 4), (0, 0), (4, 0)], 12, 3, 35))
@@ -294,28 +325,30 @@ def test_filling_in_chunks_reports_what_one_index_at_a_time_does(run):
     want = [_fresh_report(algebra, index, num_samples, seed) for index in indices]
     if isinstance(want[0], AllPointsSingularError):
         with pytest.raises(AllPointsSingularError):
-            verify_in_chunks(rs, basis, indices, num_samples, seed, cap)
+            verify_in_blocks(rs, basis, indices, num_samples, seed, cap)
         return
-    got, most = verify_in_chunks(rs, basis, indices, num_samples, seed, cap)
+    got, most = verify_in_blocks(rs, basis, indices, num_samples, seed, cap)
     assert got == want
-    assert most <= cap
+    # a block holds at most the cap, or one index's values
+    assert most <= max(cap, num_samples)
 
 
-def test_not_real_variables_raise_on_every_call(g2, g2_second):
+def test_not_real_variables_raise_on_every_call(g2, g2_second, monkeypatch):
     verify_ratio(g2, g2_second, 1, 0, num_samples=20, seed=3)
     var_x = LaurentPoly(2, {(1, 0): 1})
     bad = dataclasses.replace(
         g2_second, var_laurents=(var_x, g2_second.var_laurents[1])
     )
-    assert bad._torus_samples == {} and bad._power_cache == {}
+    assert bad._power_cache == {}
+    draws = counting_draws(monkeypatch)
     one = XYPoly.constant(2, 1)
     for index in ((1, 0), (1, 0), (0, 2)):
         with pytest.raises(ArithmeticError, match="not real"):
             verify_ratio(g2, bad, *index, num_samples=20, seed=3, poly=one)
-        assert bad._torus_samples == {}
         with pytest.raises(ArithmeticError, match="not real"):
-            numeric.fill_numerators(g2, bad, [index], num_samples=20, seed=3, max_values=100)
-        assert bad._torus_samples == {}
+            numeric.sample_numerators(g2, bad, [index], num_samples=20, seed=3)
+    # each call drew afresh and raised
+    assert draws == [(3, 20)] * 6
 
 
 def test_dimension_check_uses_a_given_polynomial(g2, g2_second):

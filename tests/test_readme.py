@@ -26,3 +26,5 @@ def test_library_overview_example_runs():
     assert text_value == "x^{2}-x-y-1"
     assert passed is True
     assert dims == (64, 64)
+    assert len(namespace["reports"]) == 16
+    assert all(report.passed for report in namespace["reports"])

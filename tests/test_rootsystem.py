@@ -18,6 +18,7 @@ from weylcheb import (
     dimension_check,
     first_kind_poly,
     normalize_index,
+    numeric,
     poly_via_recurrence,
     second_kind_poly,
     verify_ratio,
@@ -200,7 +201,9 @@ def test_act_all_matches_act(algebra):
         "a1-bool", "g2-bool",
     ],
 )
-def test_every_entry_point_raises_the_check_index_error(algebra, index):
+def test_every_entry_point_raises_the_check_index_error(algebra, index, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(numeric, "_draw_samples", lambda *args: drawn.append(args))
     rs = build_root_system(algebra)
     second = build_basis(rs, Kind.SECOND)
     first = build_basis(rs, Kind.FIRST)
@@ -222,7 +225,8 @@ def test_every_entry_point_raises_the_check_index_error(algebra, index):
         with pytest.raises(ValueError) as got:
             call()
         assert str(got.value) == str(want.value), name
-    assert second._torus_samples == {}
+    # the index is checked before anything is drawn
+    assert drawn == []
 
 
 @pytest.mark.parametrize(
