@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 from . import output
 from .genfunc import closed_form_gf, first_kind_table, second_kind_poly, second_kind_table
@@ -129,11 +130,12 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``text`` a megabyte at a time: a text stream encodes what it is
+    given in one piece, so one write would hold a second copy of it."""
+    target = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    with target as out:
+        for at in range(0, len(text), 1 << 20):
+            out.write(text[at : at + (1 << 20)])
 
 
 def _table_indices(rank: int, args) -> tuple[int, int | None]:

@@ -6,16 +6,22 @@ exercise 9): for any weight k and any W-invariant L = sum_mu c_mu z^mu,
     signed(k) * L = sum_mu c_mu signed(k + mu)
     orbit(k) * L = sum_mu c_mu orbit(k + mu)
 
-exactly (substitute mu -> w mu inside the double sum).  The fill takes L to
-be X_i = x_i / lead_i itself, with integer coefficients.  Dividing the
-first by the rho-shifted denominator gives a linear relation among the
+exactly (substitute mu -> w mu inside the double sum).  Dividing the first
+by the rho-shifted denominator gives a linear relation among the
 second-kind polynomials; the second already is one among the first-kind
 polynomials, the orbit sums.  Shifted indices fold back into the dominant
 table: by normalize_index for the second kind (rho-shifted, signed, zero on
 walls), by the image of ``rootsystem.fold`` with sign +1 for the first.
-Every weight of x_i lies at or below lambda_i in dominance, so solving for
-k + lambda_i steps the table forward.  Shifts that fold onto k + lambda_i
-itself (first kind only, e.g. at k = 0) add to the coefficient divided out.
+
+A table is filled in three parts.  The seed block, below deg P_i on every
+axis i, is stepped by single variables: with L = X_i = x_i / lead_i, every
+weight of x_i lies at or below lambda_i in dominance, so solving for
+k + lambda_i steps forward (``_fill``).  Both kinds are sums of geometric
+sequences along axis i, with ratios z^nu over the orbit of lambda_i, so
+P_i(t) = prod (1 - t z^nu) annihilates every row or column from deg P_i
+on: the first deg P_1 columns step along n by P_2, every later column
+along m by P_1, on Kronecker-packed entries (``_build``).  The rule with
+L a coefficient of P_i and k = 0 rewrites P_i over the X_i (``_seed``).
 
 The companion matrices realize the one-variable recurrences hidden in the
 closed-form denominators: first column = negated denominator coefficients,
@@ -25,16 +31,24 @@ identity shift on the superdiagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from fractions import Fraction
+from math import floor
+from operator import mul
+from struct import unpack
+from typing import Iterable, Sequence
 
 from .genfunc import RationalGF, denominator_coeffs
+from .laurent import LaurentPoly
 from .orbit import Kind, unit_weight
-from .polynomialize import _VAR_NAMES, NotInvariantError, VariableBasis, XYPoly, _check_basis
+from .polynomialize import _VAR_NAMES, NotInvariantError, VariableBasis, XYPoly, _check_basis, _pack
 from .polynomialize import reduce  # noqa: F401  bench/tracing.py wraps it; the fill never calls it
 from .rootsystem import (
-    _COORD_LIMIT, RootSystem, Weight, check_index, check_symmetry, check_weight, dominant_sweep,
-    fold, height, index_box,
+    _COORD_LIMIT, RootSystem, Weight, act, check_index, check_symmetry, check_weight,
+    dominant_sweep, fold, height, index_box,
 )
+
+# Bits per slot of the packed axis steps, widened for a step that could overflow them.
+_SLOT_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -76,7 +90,9 @@ def _fill(
     t - lambda_i, i the first coordinate with t_i > 0; what it needs lies
     strictly below t in dominance, hence in height and later in the sweep
     that plans it.  Entries are filled over the X_i, in reverse plan order,
-    stepping by X_i.  A variable that is not invariant raises NotInvariantError."""
+    stepping by X_i; shifts that fold onto t itself (first kind only, e.g.
+    from 0) add to the coefficient divided out.  A variable that is not
+    invariant raises NotInvariantError."""
     _check_basis(rs, basis)
     kind = basis.kind
     rules = []
@@ -116,18 +132,118 @@ def _fill(
     return table
 
 
+def _seed(rs: RootSystem, basis: VariableBasis, box: list[Weight]) -> tuple[dict, list[list]]:
+    """The seed block of ``box`` with what it needs, and each P_i over the
+    X_i: a coefficient e = sum c_mu z^mu times the entry at 0 (1, or |W| for
+    the first kind) is sum c_mu sign U_fold(mu), which that entry divides."""
+    one, nil = LaurentPoly.one(rs.rank), LaurentPoly.zero(rs.rank)
+    folded = []
+    for i in range(rs.rank):
+        coeffs = [one]
+        for nu in {act(rs, w, unit_weight(rs, i)) for w in rs.elements}:
+            z = LaurentPoly.monomial(rs.rank, nu)
+            coeffs = [a - b * z for a, b in zip([*coeffs, nil], [nil, *coeffs])]
+        folded.append([[(_fold(rs, basis.kind, mu), c) for mu, c in e.terms()] for e in coeffs])
+    needed = {n.index for coeffs in folded for e in coeffs for n, _ in e if n.sign}
+    seed = [t for t in box if all(c < len(f) - 1 for c, f in zip(t, folded))]
+    table = _fill(rs, basis, seed + sorted(needed))
+    scale, axes = table[(0,) * rs.rank].coeff((0,) * rs.rank), []
+    for coeffs in folded:
+        sums = [sum((table[n.index].scale(n.sign * c) for n, c in e if n.sign), XYPoly(rs.rank))
+                for e in coeffs]
+        axes.append([XYPoly(rs.rank, {d: c // scale for d, c in e._terms.items()}) for e in sums])
+    return table, axes
+
+
+def _sizes(poly: XYPoly, norm) -> tuple[int, int]:
+    """``norm`` of the coefficients' sizes, and the x-degree, of a nonzero ``poly``."""
+    return norm(map(abs, poly._terms.values())), max(d[0] for d in poly._terms)
+
+
+def _stride(sizes: list[list[tuple[int, int]]], stats: dict, corner: Weight) -> int:
+    """One more than a bound on the x-degree of every entry up to ``corner``:
+    a step along axis i adds at most r_i = max_k deg_x P_i[k] / k per unit
+    of t_i, so no entry t exceeds r . t plus the seed's largest excess."""
+    rates = [max(Fraction(x, k) for k, (_, x) in enumerate(axis) if k) for axis in sizes]
+    excess = max(x - sum(map(mul, rates, t)) for t, (_, x) in stats.items())
+    return floor(excess + sum(map(mul, rates, corner))) + 1
+
+
+def _unpack(value: int, bits: int) -> Sequence[int]:
+    """The slots of ``value``, each below 2^(bits-1) in size, as digits
+    biased by 2^(bits-1): with the bias every digit is nonnegative, so one
+    ``to_bytes`` reads them all."""
+    width = bits // 8
+    count = abs(value).bit_length() // bits + 1
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    raw = (value + bias).to_bytes(count * width, "little")
+    if bits == 64:
+        return unpack(f"<{count}Q", raw)
+    return [int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)]
+
+
+def _build(rs: RootSystem, basis: VariableBasis, box: list[Weight]) -> dict[Weight, XYPoly]:
+    """Every entry of ``box`` over the X_i, and what its seed block needs.
+
+    Past the seed block, U_t = -sum over k >= 1 of P_i[k] U_(t - k e_i),
+    i the first axis with t_i >= deg P_i.  X^a Y^b packs to a slot of
+    ``bits`` bits at a + stride * b of one int, so a step is one shifted
+    multiply-subtract per term of P_i, and each entry is decoded once.
+    Packing is a ring homomorphism, so U_t decodes exactly if it fits its
+    slots: each step bounds its coefficients and x-degree by its
+    operands', and widens the slots or the stride first if need be.  A
+    packed entry is dropped after the last step that reads it."""
+    table, axes = _seed(rs, basis, box)
+    degrees = [len(coeffs) - 1 for coeffs in axes]
+    sizes = [[_sizes(c, sum) for c in coeffs] for coeffs in axes]
+    stats = {t: _sizes(u, max) for t, u in table.items()}
+    bits, stride, packed, shifts, keys = _SLOT_BITS, _stride(sizes, stats, box[-1]), {}, {}, []
+
+    def slot(d: Weight) -> int:
+        return d[0] + stride * sum(d[1:])
+
+    for t in box:
+        i = next((j for j, (c, d) in enumerate(zip(t, degrees)) if c >= d), None)
+        if i is not None and t not in table:
+            reads = [(k, tuple(c - k * (j == i) for j, c in enumerate(t)))
+                     for k in range(1, degrees[i] + 1)]
+            bound = sum(sizes[i][k][0] * stats[s][0] for k, s in reads)
+            x_degree = max(sizes[i][k][1] + stats[s][1] for k, s in reads)
+            if bound >> (bits - 1):
+                bits, packed, shifts = -(-(bound.bit_length() + 1) // 64) * 64, {}, {}
+            if x_degree >= stride:
+                stride, packed, shifts, keys = max(2 * stride, x_degree + 1), {}, {}, []
+            if i not in shifts:
+                shifts[i] = [[(c, bits * slot(d)) for d, c in e._terms.items()] for e in axes[i]]
+            acc = 0
+            for k, s in reads:
+                if s not in packed:
+                    packed[s] = _pack(table[s]._terms, {d: slot(d) for d in table[s]._terms}, bits)
+                acc -= sum((c * packed[s]) << shift for c, shift in shifts[i][k])
+            packed[t], digits, half = acc, _unpack(acc, bits), 1 << (bits - 1)
+            keys += [(j % stride, j // stride)[: rs.rank] for j in range(len(keys), len(digits))]
+            terms = {d: c - half for d, c in zip(keys, digits) if c != half}
+            table[t] = u = XYPoly._wrap(rs.rank, terms)
+            stats[t] = _sizes(u, max)
+        if t[0] >= degrees[0]:
+            packed.pop((t[0] - degrees[0], *t[1:]), None)
+    return table
+
+
 def poly_via_recurrence(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPoly:
-    """The polynomial at a dominant index, filling only what it depends on."""
+    """The polynomial at a dominant index, the corner of the box it fills."""
     check_index(rs, index)
-    return basis.over_x(_fill(rs, basis, [index])[index])
+    box = index_box(rs.rank, index[0], index[1] if rs.rank == 2 else None)
+    return basis.over_x(_build(rs, basis, box)[index])
 
 
 def recurrence_table(
     rs: RootSystem, basis: VariableBasis, max_m: int, max_n: int | None = None
 ) -> dict[tuple[int, ...], XYPoly]:
-    """The full box, filled with what it depends on."""
+    """The full box: its seed block by single steps, the rest by the axis
+    recurrences (``_build``)."""
     box = index_box(rs.rank, max_m, max_n)
-    table = _fill(rs, basis, box)
+    table = _build(rs, basis, box)
     return {idx: basis.over_x(table[idx]) for idx in box}
 
 

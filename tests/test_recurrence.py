@@ -1,12 +1,15 @@
-"""Recurrence route: index folding, planned tables, companion matrices."""
+"""Recurrence route: index folding, the seed fill and the axis steps, companion matrices."""
 
 from __future__ import annotations
 
 import dataclasses
 from itertools import product
-from operator import add
+from math import prod
+from operator import add, le
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 import weylcheb.genfunc as genfunc
 import weylcheb.orbit as orbit
@@ -36,7 +39,8 @@ from weylcheb import (
     second_kind_table,
     signed_orbit_sum,
 )
-from weylcheb.recurrence import _fill
+from weylcheb.genfunc import denominator_coeffs
+from weylcheb.recurrence import _build, _seed, _sizes
 from g2_reference import P1_COEFFS, P2_COEFFS
 
 
@@ -215,12 +219,78 @@ def test_recurrence_guards(g2, g2_second, a1, a1_second):
         build_companions(a1, a1_second)
 
 
-def test_fill_builds_the_box_and_the_entries_it_needs(g2, g2_second):
-    # the x-step for (a, b) needs (a + 1, b - 1), so the box's right edge
-    # pulls in entries out to (32, 0)
-    table = _fill(g2, g2_second, rootsystem.index_box(2, 16, 16))
-    outside = [idx for idx in table if max(idx) > 16]
-    assert (len(table), len(outside), max(table)) == (489, 200, (32, 0))
+def test_the_table_builds_exactly_its_box(g2, g2_second):
+    """The seed block's single steps stay inside a 16 x 16 box, and the
+    axis steps fill the rest of it, so nothing outside is built."""
+    box = rootsystem.index_box(2, 16, 16)
+    assert sorted(_build(g2, g2_second, box)) == box
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("algebra", [AlgebraId.A2, AlgebraId.C2, AlgebraId.G2])
+def test_axis_polynomials_are_the_closed_form_denominators(algebra, kind):
+    """The fill's own P_i, rewritten over the X_i through the table, is
+    the closed form's denominator, which reduce rewrites over the x_i."""
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, kind)
+    _, axes = _seed(rs, basis, [(0, 0)])
+    for i, coeffs in enumerate(axes):
+        expected = [
+            XYPoly(2, {d: c * prod(map(pow, basis.leads, d)) for d, c in poly.terms()})
+            for poly in denominator_coeffs(rs, basis, i)
+        ]
+        assert coeffs == expected, (i, [c.as_text() for c in coeffs])
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("algebra", list(AlgebraId))
+def test_narrow_slots_and_stride_widen_to_the_same_tables(algebra, kind, monkeypatch):
+    """Starting from 8-bit slots and a stride of 1, the steps overflow both
+    and widen them (a width above 8 or a stride above 1 is only ever
+    reached by widening); the tables come out the same."""
+    rs = build_root_system(algebra)
+    size = (20,) if rs.rank == 1 else (8, 8)
+    wide = recurrence_table(rs, build_basis(rs, kind), *size)
+    widths, strides = set(), set()
+    honest_pack = recurrence._pack
+
+    def spy(terms, slots, bits):
+        widths.add(bits)
+        strides.update((s - d[0]) // d[1] for d, s in slots.items() if d[1:] and d[1])
+        return honest_pack(terms, slots, bits)
+
+    monkeypatch.setattr(recurrence, "_SLOT_BITS", 8)
+    monkeypatch.setattr(recurrence, "_stride", lambda *args: 1)
+    monkeypatch.setattr(recurrence, "_pack", spy)
+    assert recurrence_table(rs, build_basis(rs, kind), *size) == wide
+    assert max(widths) > 8, widths
+    assert rs.rank == 1 or max(strides) > 1, strides
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("algebra", list(AlgebraId))
+def test_the_first_stride_and_slots_hold_a_16_box(algebra, kind, monkeypatch):
+    """The first stride is one more than the box's largest x-degree, a bound
+    known before any step, and 64-bit slots hold every coefficient up to
+    16 x 16, so no step there widens either."""
+    rs = build_root_system(algebra)
+    widths, strides = set(), []
+    honest_unpack, honest_stride = recurrence._unpack, recurrence._stride
+
+    def stride(*args):
+        strides.append(honest_stride(*args))
+        return strides[-1]
+
+    def unpack(value, bits):
+        widths.add(bits)
+        return honest_unpack(value, bits)
+
+    monkeypatch.setattr(recurrence, "_stride", stride)
+    monkeypatch.setattr(recurrence, "_unpack", unpack)
+    box = rootsystem.index_box(rs.rank, 16, 16 if rs.rank == 2 else None)
+    table = _build(rs, build_basis(rs, kind), box)
+    assert widths == {64}
+    assert strides == [max(_sizes(table[t], max)[1] for t in box) + 1]
 
 
 _WRONG_SWEEPS = {
@@ -283,6 +353,44 @@ def test_poly_via_recurrence_matches_gf_route(gf_box):
 
 _PAIRS = [(algebra, kind) for algebra in AlgebraId for kind in Kind]
 _PAIR_IDS = [f"{algebra.value}-{kind.value}" for algebra, kind in _PAIRS]
+_GF_TABLES: dict = {}
+
+
+def _gf_slice(algebra, kind, size):
+    """The GF route's table up to ``size``, cut from one over A1 0..12 or
+    the rank-2 box 0..10 x 0..10, built once per pair."""
+    if (algebra, kind) not in _GF_TABLES:
+        rs = build_root_system(algebra)
+        full = (12,) if rs.rank == 1 else (10, 10)
+        _GF_TABLES[algebra, kind] = _gf_table(rs, build_basis(rs, kind), *full)
+    return {idx: p for idx, p in _GF_TABLES[algebra, kind].items() if all(map(le, idx, size))}
+
+
+def _pairs_and_boxes(pair):
+    """The pair with a random box: A1 up to 12, a rank-2 side up to 10."""
+    sides = [st.integers(0, 12)] if pair[0] is AlgebraId.A1 else [st.integers(0, 10)] * 2
+    return st.tuples(st.just(pair), st.tuples(*sides))
+
+
+@hypothesis.given(case=st.sampled_from(_PAIRS).flatmap(_pairs_and_boxes))
+def test_recurrence_table_matches_the_gf_table_on_any_box(case):
+    """Any box on any pair, sides thinner or wider than the seed block."""
+    (algebra, kind), size = case
+    rs = build_root_system(algebra)
+    assert recurrence_table(rs, build_basis(rs, kind), *size) == _gf_slice(algebra, kind, size)
+
+
+@pytest.mark.parametrize("algebra, kind", _PAIRS, ids=_PAIR_IDS)
+def test_boxes_thinner_than_the_seed_block_match_the_gf_table(algebra, kind):
+    """Boxes that cut the seed block, which the axis steps extend along one
+    axis only or not at all, and every rank-1 length up to 12."""
+    rs = build_root_system(algebra)
+    sizes = [(m,) for m in range(13)] if rs.rank == 1 else [
+        (0, 10), (10, 0), (2, 9), (9, 2), (1, 1), (0, 0), (5, 10), (10, 5)
+    ]
+    for size in sizes:
+        table = recurrence_table(rs, build_basis(rs, kind), *size)
+        assert table == _gf_slice(algebra, kind, size), size
 
 
 @pytest.mark.parametrize("algebra, kind", _PAIRS, ids=_PAIR_IDS)
@@ -323,6 +431,8 @@ def test_the_recurrence_route_runs_without_the_gf_route(algebra, kind, monkeypat
     for owner, name in (
         (polynomialize, "_eliminate"),
         (polynomialize, "reduce"),
+        (genfunc, "denominator_coeffs"),
+        (genfunc, "closed_form_gf"),
         (polynomialize.VariableBasis, "_product_rule"),
         (recurrence, "reduce"),
         (orbit, "exact_divide"),
