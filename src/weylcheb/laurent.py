@@ -83,8 +83,8 @@ class SparsePoly:
 
     def terms(self) -> list[tuple[Exponent, "int | Fraction"]]:
         """Terms in descending canonical order."""
-        key = self._order_key
-        return sorted(self._terms.items(), key=lambda t: key(t[0]), reverse=True)
+        keys = sorted(self._terms, key=self._order_key, reverse=True)
+        return list(zip(keys, map(self._terms.__getitem__, keys)))
 
     def coeff(self, exp: Exponent) -> "int | Fraction":
         return self._terms.get(tuple(exp), 0)

@@ -5,21 +5,23 @@ what makes their outputs byte-identical when the polynomials agree.
 JSON artifacts carry a top-level schema number and sorted keys, in the
 layout of ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.
 
-Table artifacts are written directly in that layout, one string block per
-polynomial, because with ``indent`` set ``json.dumps`` runs CPython's
-pure-Python encoder: on a G2 16x16 table that made rendering slower than
-computing the table.  The generating-function, verify and crosscheck
-artifacts are small, so they still go through ``json.dumps``.
+Table artifacts are written directly in that layout, because with
+``indent`` set ``json.dumps`` runs CPython's pure-Python encoder.  A render
+first builds the table's degree lexicon, each degree's rank and fixed text
+(553 degrees for 49439 terms at G2 16x16), so it calls no Python function
+per term.  The generating-function, verify and crosscheck artifacts are
+small, so they still go through ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import json
+from operator import add
 
 from .genfunc import RationalGF
 from .numeric import VerificationReport
 from .orbit import Kind
-from .polynomialize import XYPoly
+from .polynomialize import XYPoly, _lexicon, _monomial_text, _sum_text
 from .rootsystem import AlgebraId
 
 SCHEMA_VERSION = 1
@@ -49,26 +51,26 @@ def _subscript(index: tuple[int, ...]) -> str:
     return ",".join(str(c) for c in index)
 
 
-# Fixed text of one table entry term, at the nesting depth of the layout.
-# A coefficient is an int or a Fraction, whose str is the string
-# ``to_json_obj`` writes, str(Fraction(coeff)).
+# A table entry's term, at the nesting depth of the layout: _TERM_OPEN, the
+# coefficient's str (str(Fraction(coeff)), as in ``to_json_obj``), its degree.
 _TERM_OPEN = '        {\n          "coeff": "'
-_TERM_DEGREE = '",\n          "degree": [\n            '
-_TERM_SEP = ",\n            "
-_TERM_CLOSE = "\n          ]\n        }"
 
 
-def _table_entry(index: tuple[int, ...], poly: XYPoly) -> str:
+def _degree_json(deg: tuple[int, ...]) -> str:
+    digits = ",\n            ".join(map(str, deg))
+    return f'",\n          "degree": [\n            {digits}\n          ]\n        }}'
+
+
+def _table_entry(index: tuple[int, ...], poly: XYPoly, rank: dict, text: dict) -> str:
     head = f'    {{\n      "m": {index[0]},\n'
     if len(index) > 1:
         head += f'      "n": {index[1]},\n'
-    terms = ",\n".join(
-        f"{_TERM_OPEN}{coeff}{_TERM_DEGREE}{_TERM_SEP.join(map(str, deg))}{_TERM_CLOSE}"
-        for deg, coeff in poly.terms()
-    )
-    if not terms:
+    if not poly:
         return f'{head}      "poly": []\n    }}'
-    return f'{head}      "poly": [\n{terms}\n      ]\n    }}'
+    keys = sorted(poly._terms, key=rank.__getitem__)
+    coeffs = map(str, map(poly._terms.__getitem__, keys))
+    terms = (",\n" + _TERM_OPEN).join(map(add, coeffs, map(text.__getitem__, keys)))
+    return f'{head}      "poly": [\n{_TERM_OPEN}{terms}\n      ]\n    }}'
 
 
 def table_json(
@@ -88,11 +90,12 @@ def table_json(
     )
     if max_n is not None:
         head += f'  "max_n": {max_n},\n'
+    rank, text = _lexicon(table.values(), _degree_json)
     # one join over every piece, so the text is copied only once
     parts = [head, '  "polynomials": [']
     sep = "\n"
     for idx in sorted(table):
-        parts += (sep, _table_entry(idx, table[idx]))
+        parts += (sep, _table_entry(idx, table[idx], rank, text))
         sep = ",\n"
     parts.append("\n  ]" if table else "]")
     parts.append(f',\n  "schema": {SCHEMA_VERSION}\n}}\n')
@@ -104,8 +107,9 @@ def table_text(
 ) -> str:
     label = _KIND_LABEL[kind]
     tail = " \\\\" if latex else ""
+    rank, body = _lexicon(table.values(), _monomial_text)
     lines = [
-        f"{label}_{{{_subscript(idx)}}} = {table[idx].as_text()}{tail}"
+        f"{label}_{{{_subscript(idx)}}} = {_sum_text(table[idx]._terms, rank, body)}{tail}"
         for idx in sorted(table)
     ]
     return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from operator import add
+from operator import add, attrgetter
 
 from .laurent import LaurentPoly, SparsePoly
 from .orbit import Kind, unfold, unit_weight, variable_laurents
@@ -85,26 +85,37 @@ class XYPoly(SparsePoly):
     def as_text(self) -> str:
         """Compact string such as ``x^{2}-x-y-1``: descending graded-lex,
         unit coefficients suppressed, LaTeX-style exponent braces."""
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for deg, coeff in self.terms():
-            body = "".join(
-                f"{_VAR_NAMES[i]}" if e == 1 else f"{_VAR_NAMES[i]}^{{{e}}}"
-                for i, e in enumerate(deg)
-                if e
-            )
-            c = Fraction(coeff)
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            if not body:
-                head = str(mag)
-            elif mag == 1:
-                head = body
-            else:
-                head = f"{mag}{body}"
-            pieces.append(sign + head)
-        return "".join(pieces).removeprefix("+")
+        return _sum_text(self._terms, *_lexicon([self], _monomial_text))
+
+
+def _lexicon(polys, text) -> tuple[dict, dict]:
+    """Each degree of ``polys``: its rank in descending canonical order, and its ``text``."""
+    degrees = set().union(*map(attrgetter("_terms"), polys))
+    order = sorted(degrees, key=XYPoly._order_key, reverse=True)
+    return {d: r for r, d in enumerate(order)}, dict(zip(order, map(text, order)))
+
+
+def _monomial_text(deg: Degree) -> str:
+    """``deg``'s monomial without its coefficient, such as ``x^{2}y``."""
+    return "".join(
+        _VAR_NAMES[i] if e == 1 else f"{_VAR_NAMES[i]}^{{{e}}}" for i, e in enumerate(deg) if e
+    )
+
+
+_UNIT_TEXT = {"1": "", "-1": "-"}  # a unit coefficient shows only its sign
+
+
+def _sum_text(terms: dict, rank: dict, body: dict) -> str:
+    """The sum of the ``terms`` in ``rank`` order, each coefficient's ``str``
+    before its monomial's ``body``; no Python function runs per int term."""
+    keys = sorted(terms, key=rank.__getitem__)
+    if not keys:
+        return "0"
+    coeffs = list(map(str, map(terms.__getitem__, keys)))
+    units = coeffs[: len(keys) - (not any(keys[-1]))]  # all but a constant term
+    coeffs[: len(units)] = map(_UNIT_TEXT.get, units, units)
+    # a monomial has no "+" or "-", so "+-" only joins a negative term
+    return "+".join(map(add, coeffs, map(body.__getitem__, keys))).replace("+-", "-")
 
 
 # -- variable basis ----------------------------------------------------------
@@ -195,7 +206,7 @@ class VariableBasis:
         for d, c in poly._terms.items():
             s = prod(map(pow, self.leads, d))
             out[d] = c // s if c % s == 0 else Fraction(c, s)
-        return XYPoly(poly.rank, out)
+        return XYPoly._wrap(poly.rank, out)  # c // s is nonzero, Fraction(c, s) not integral
 
     def _product_rule(self, lam: Weight, i: int) -> tuple[tuple[Weight, int], ...]:
         """Dominant terms of m_lam * X_i, m_lam the sum over the distinct

@@ -157,7 +157,7 @@ def _seed(rs: RootSystem, basis: VariableBasis, box: list[Weight]) -> tuple[dict
 
 def _sizes(poly: XYPoly, norm) -> tuple[int, int]:
     """``norm`` of the coefficients' sizes, and the x-degree, of a nonzero ``poly``."""
-    return norm(map(abs, poly._terms.values())), max(d[0] for d in poly._terms)
+    return norm(map(abs, poly._terms.values())), max(poly._terms)[0]  # degrees compare x first
 
 
 def _stride(sizes: list[list[tuple[int, int]]], stats: dict, corner: Weight) -> int:

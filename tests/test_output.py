@@ -1,4 +1,5 @@
-"""Artifact rendering: the direct table writer against json.dumps."""
+"""Artifact rendering: the direct table writers against json.dumps and
+``XYPoly.as_text``."""
 
 from __future__ import annotations
 
@@ -27,6 +28,17 @@ def _reference_table_json(algebra, kind, max_m, max_n, table) -> str:
     return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
+def _reference_table_text(kind, table, latex) -> str:
+    """The text artifact from each entry's own ``as_text``."""
+    label = {Kind.FIRST: "C", Kind.SECOND: "U"}[kind]
+    tail = " \\\\" if latex else ""
+    lines = [
+        f"{label}_{{{','.join(map(str, idx))}}} = {table[idx].as_text()}{tail}"
+        for idx in sorted(table)
+    ]
+    return "\n".join(lines) + "\n"
+
+
 coeffs = st.one_of(
     st.integers(min_value=-10**30, max_value=10**30),
     st.fractions(max_denominator=64),
@@ -34,9 +46,11 @@ coeffs = st.one_of(
 
 
 def _polys(rank: int):
-    degree = st.tuples(*[st.integers(min_value=0, max_value=12)] * rank)
+    # one small degree range, so that entries share degrees and each
+    # renderer orders degrees across the whole table
+    degree = st.tuples(*[st.integers(min_value=0, max_value=6)] * rank)
     # empty dictionaries and zero coefficients give empty polynomials
-    return st.dictionaries(degree, coeffs, max_size=5).map(lambda d: XYPoly(rank, d))
+    return st.dictionaries(degree, coeffs, max_size=30).map(lambda d: XYPoly(rank, d))
 
 
 @st.composite
@@ -56,15 +70,38 @@ def tables(draw):
     return algebra, kind, max_m, max_n, dict(zip(box, polys))
 
 
-# always run: an empty polynomial, a fractional coefficient, an empty table
-@example(case=(
+# an empty polynomial and a fractional coefficient; an empty table
+_MIXED = (
     AlgebraId.G2,
     Kind.FIRST,
     0,
     1,
     {(0, 0): XYPoly.zero(2), (0, 1): XYPoly(2, {(0, 1): Fraction(-3, 8), (1, 0): -1})},
-))
-@example(case=(AlgebraId.A1, Kind.SECOND, 0, None, {}))
+)
+_EMPTY = (AlgebraId.A1, Kind.SECOND, 0, None, {})
+
+
+@example(case=_MIXED)
+@example(case=_EMPTY)
 @given(case=tables())
 def test_table_json_matches_json_dumps(case):
     assert output.table_json(*case) == _reference_table_json(*case)
+
+
+@example(case=_MIXED, latex=False)
+@example(case=_EMPTY, latex=True)
+@given(case=tables(), latex=st.booleans())
+def test_table_text_matches_each_entrys_as_text(case, latex):
+    _, kind, _, _, table = case
+    assert output.table_text(kind, table, latex) == _reference_table_text(kind, table, latex)
+
+
+def test_table_examples_render_as_written():
+    """The empty polynomial is "0" in text and [] in JSON; a unit
+    coefficient shows its sign alone, a fraction its str."""
+    assert output.table_text(Kind.FIRST, _MIXED[4], False) == "C_{0,0} = 0\nC_{0,1} = -x-3/8y\n"
+    assert output.table_text(Kind.FIRST, _MIXED[4], True) == (
+        "C_{0,0} = 0 \\\\\nC_{0,1} = -x-3/8y \\\\\n"
+    )
+    assert '"n": 0,\n      "poly": []\n' in output.table_json(*_MIXED)
+    assert output.table_text(Kind.SECOND, {}, False) == "\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 from itertools import product
 from math import prod
 from operator import add, le
@@ -391,6 +392,23 @@ def test_boxes_thinner_than_the_seed_block_match_the_gf_table(algebra, kind):
     for size in sizes:
         table = recurrence_table(rs, build_basis(rs, kind), *size)
         assert table == _gf_slice(algebra, kind, size), size
+
+
+@pytest.mark.parametrize("algebra, kind", _PAIRS, ids=_PAIR_IDS)
+def test_over_x_gives_what_the_checked_constructor_makes(algebra, kind):
+    """``over_x`` adopts its terms unchecked.  On every entry the fill builds
+    for a 6x6 box (A1: 6), they are what the checked constructor makes of
+    c / prod(lead_i^d_i): the same terms, each an int where it is integral."""
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, kind)
+    box = rootsystem.index_box(rs.rank, 6, 6 if rs.rank == 2 else None)
+    for t, p in _build(rs, basis, box).items():
+        got = basis.over_x(p)._terms
+        want = XYPoly(rs.rank, {
+            d: Fraction(c, prod(map(pow, basis.leads, d))) for d, c in p._terms.items()
+        })._terms
+        assert got == want, t
+        assert {d: type(c) for d, c in got.items()} == {d: type(c) for d, c in want.items()}, t
 
 
 @pytest.mark.parametrize("algebra, kind", _PAIRS, ids=_PAIR_IDS)
