@@ -215,21 +215,18 @@ def main(argv: list[str] | None = None) -> int:
         _emit(args, text)
         return 0 if passed else 1
 
-    if args.command == "crosscheck":
-        max_m, max_n = _table_indices(rs.rank, args)
-        via_gf = gf_table(rs, basis, max_m, max_n)
-        via_rec = recurrence_table(rs, basis, max_m, max_n)
-        mismatch = _first_mismatch(via_gf, via_rec)
-        if args.format == "json":
-            text = output.crosscheck_json(algebra, kind, max_m, max_n, mismatch)
-        else:
-            size = "x".join(str(v) for v in (max_m, max_n) if v is not None)
-            text = f"crosscheck {size}: {'match' if mismatch is None else 'MISMATCH'}\n"
-        _emit(args, text)
-        return 0 if mismatch is None else 1
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    # crosscheck: the subparsers are required, so no other command is left
+    max_m, max_n = _table_indices(rs.rank, args)
+    via_gf = gf_table(rs, basis, max_m, max_n)
+    via_rec = recurrence_table(rs, basis, max_m, max_n)
+    mismatch = _first_mismatch(via_gf, via_rec)
+    if args.format == "json":
+        text = output.crosscheck_json(algebra, kind, max_m, max_n, mismatch)
+    else:
+        size = "x".join(str(v) for v in (max_m, max_n) if v is not None)
+        text = f"crosscheck {size}: {'match' if mismatch is None else 'MISMATCH'}\n"
+    _emit(args, text)
+    return 0 if mismatch is None else 1
 
 
 if __name__ == "__main__":

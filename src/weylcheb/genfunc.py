@@ -8,11 +8,13 @@ z^{m (w_j mu_1) + n (w_j mu_2)}, so no truncated series is ever built.
 A second-kind polynomial is the trace at the rho-shifted index divided by
 the trace at rho, A_rho, in the dominant chamber (``orbit.exact_divide``);
 the dominant coefficients of the quotient go straight to ``reduce``.
+A basis computes each polynomial once and keeps it (``VariableBasis._polys``).
 
 For the second kind the full generating function is rational; this module
 also computes its closed form: per-axis denominators P_k (products over the
 det = +1 diagonal entries) and the finite numerator table K obtained by
-convolving the polynomial table against the denominator coefficients.
+convolving the polynomial table against the denominator coefficients, one
+axis at a time.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, NonDivisibleError
 # bench/tracing.py wraps genfunc.exact_divide, which second_kind_poly calls by this name.
 from .orbit import Kind, exact_divide, orbit_sum, unit_weight
-from .polynomialize import VariableBasis, XYPoly, _check_basis, reduce
+from .polynomialize import NonDominantLeaderError, NotInvariantError, VariableBasis, XYPoly
+from .polynomialize import _check_basis, reduce
 from .rootsystem import RootSystem, Weight, act, check_index, index_box
 
 log = logging.getLogger(__name__)
@@ -61,6 +64,20 @@ def coefficient_trace(rs: RootSystem, *index: int) -> LaurentPoly:
     return LaurentPoly(rs.rank, acc)
 
 
+def _cached(basis: VariableBasis, index: Weight, compute) -> XYPoly:
+    """The polynomial of ``basis`` at ``index``: looked up, or computed by
+    ``compute()`` and stored.  A failure names the index and stores nothing."""
+    key = tuple(index)
+    poly = basis._polys.get(key)
+    if poly is None:
+        try:
+            poly = compute()
+        except (NonDivisibleError, NonDominantLeaderError, NotInvariantError) as exc:
+            raise type(exc)(f"at index {key}: {exc}") from exc
+        basis._polys[key] = poly
+    return poly
+
+
 def second_kind_poly(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPoly:
     """Second-kind polynomial at a dominant index: the character quotient
     at the rho-shifted index, rewritten over the variables."""
@@ -68,10 +85,13 @@ def second_kind_poly(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPol
         raise ValueError("second_kind_poly needs a second-kind basis")
     check_index(rs, index)
     _check_basis(rs, basis)
-    shifted = tuple(m + 1 for m in index)
-    numerator = coefficient_trace(rs, *shifted)
-    denominator = coefficient_trace(rs, *(1,) * rs.rank)
-    return reduce(basis, exact_divide(rs, numerator, denominator))
+
+    def compute() -> XYPoly:
+        numerator = coefficient_trace(rs, *(m + 1 for m in index))
+        denominator = coefficient_trace(rs, *(1,) * rs.rank)
+        return reduce(basis, exact_divide(rs, numerator, denominator))
+
+    return _cached(basis, index, compute)
 
 
 def first_kind_poly(rs: RootSystem, basis: VariableBasis, n: Weight) -> XYPoly:
@@ -81,7 +101,7 @@ def first_kind_poly(rs: RootSystem, basis: VariableBasis, n: Weight) -> XYPoly:
         raise ValueError("first_kind_poly needs a first-kind basis")
     check_index(rs, n)
     _check_basis(rs, basis)
-    return reduce(basis, orbit_sum(rs, n))
+    return _cached(basis, n, lambda: reduce(basis, orbit_sum(rs, n)))
 
 
 def second_kind_table(
@@ -144,7 +164,8 @@ def denominator_coeffs(rs: RootSystem, basis: VariableBasis, i: int) -> tuple[XY
 
 def closed_form_gf(rs: RootSystem, basis: VariableBasis) -> RationalGF:
     """Denominators from the diagonal-matrix products, numerator by finite
-    convolution of the polynomial table against them."""
+    convolution of the polynomial table T against them, one axis at a time:
+    H[a, j] = sum_b T[a, b] P2[j - b], then K[i, j] = sum_a P1[i - a] H[a, j]."""
     if rs.rank != 2:
         raise ValueError("closed form is implemented for rank-2 systems")
     if basis.kind is not Kind.SECOND:
@@ -152,13 +173,13 @@ def closed_form_gf(rs: RootSystem, basis: VariableBasis) -> RationalGF:
     dens = tuple(denominator_coeffs(rs, basis, i) for i in range(2))
     deg1, deg2 = (len(coeffs) - 1 for coeffs in dens)
     table = second_kind_table(rs, basis, deg1, deg2)
+    zero = XYPoly.zero(2)
+    half = {(a, j): sum((table[(a, b)] * dens[1][j - b] for b in range(j + 1)), zero)
+            for a in range(deg1 + 1) for j in range(deg2 + 1)}
     numerator: dict[tuple[int, int], XYPoly] = {}
     for i in range(deg1 + 1):
         for j in range(deg2 + 1):
-            acc = XYPoly.zero(2)
-            for a in range(i + 1):
-                for b in range(j + 1):
-                    acc = acc + table[(a, b)] * dens[0][i - a] * dens[1][j - b]
+            acc = sum((dens[0][i - a] * half[(a, j)] for a in range(i + 1)), zero)
             if acc:
                 if i > deg1 - 1 or j > deg2 - 1:
                     raise ConvolutionNotTerminatingError(f"nonzero numerator entry at ({i}, {j})")

@@ -169,11 +169,14 @@ class VariableBasis:
     once per (dominant lambda, i) in ``_rules`` by one fold per term of
     x_i.  ``_slots`` holds where ``reduce`` packs each dominant weight and
     the monomials it has packed there: an X-monomial led by lambda as one
-    integer, sum of c << (slot(mu) * bits) over its terms c z^mu.  The dict
-    caches are only ever added to, so concurrent readers at worst
-    recompute; ``_slots`` grows in place, so one basis must not reduce in
-    two threads at once.  The caches are not constructor arguments, so
-    ``dataclasses.replace`` gives the new basis empty ones.
+    integer, sum of c << (slot(mu) * bits) over its terms c z^mu.
+    ``_polys`` maps an index tuple to the polynomial ``genfunc`` computed
+    there: a basis keeps every polynomial it has computed, as it keeps every
+    monomial, until the basis itself is dropped.  The dict caches are only
+    ever added to, so concurrent readers at worst recompute; ``_slots``
+    grows in place, so one basis must not reduce in two threads at once.
+    The caches are not constructor arguments, so ``dataclasses.replace``
+    gives the new basis empty ones.
     """
 
     rs: RootSystem
@@ -186,6 +189,9 @@ class VariableBasis:
         default_factory=dict, init=False, repr=False, compare=False
     )
     _slots: _Slots = field(default_factory=_Slots, init=False, repr=False, compare=False)
+    _polys: dict[Weight, XYPoly] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @cached_property
     def leads(self) -> tuple[int, ...]:

@@ -7,7 +7,8 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from weylcheb import LaurentPoly, NonDivisibleError, act
+from weylcheb import LaurentPoly, NonDivisibleError, RationalGF, XYPoly, act, second_kind_table
+from weylcheb.genfunc import denominator_coeffs
 from weylcheb.orbit import unfold
 from weylcheb.laurent import _norm_coeff
 
@@ -159,3 +160,23 @@ def exact_divide(num, den):
             f" quotient exponent {qexp} lies outside the box {lo} to {hi}"
         )
     return LaurentPoly(num.rank, quot)
+
+
+def closed_form_both_axes(rs, basis):
+    """The closed form with its numerator convolved over both axes at once,
+    K[i, j] = sum over a <= i, b <= j of T[a, b] P1[i - a] P2[j - b]: the
+    reference for ``genfunc.closed_form_gf``, which convolves one axis at
+    a time."""
+    dens = tuple(denominator_coeffs(rs, basis, i) for i in range(2))
+    deg1, deg2 = (len(coeffs) - 1 for coeffs in dens)
+    table = second_kind_table(rs, basis, deg1, deg2)
+    numerator = {}
+    for i in range(deg1 + 1):
+        for j in range(deg2 + 1):
+            acc = XYPoly.zero(2)
+            for a in range(i + 1):
+                for b in range(j + 1):
+                    acc = acc + table[(a, b)] * dens[0][i - a] * dens[1][j - b]
+            if acc:
+                numerator[(i, j)] = acc
+    return RationalGF(denominators=dens, numerator=numerator)

@@ -15,6 +15,8 @@ from weylcheb import (
     Kind,
     LaurentPoly,
     NonDivisibleError,
+    NonDominantLeaderError,
+    NotInvariantError,
     XYPoly,
     act,
     build_basis,
@@ -25,6 +27,7 @@ from weylcheb import (
     first_kind_poly,
     first_kind_table,
     gf_series_check,
+    orbit_sum,
     reduce,
     second_kind_poly,
     second_kind_table,
@@ -35,7 +38,7 @@ from weylcheb import (
 from weylcheb.genfunc import denominator_coeffs
 from weylcheb.rootsystem import index_box
 from g2_reference import K_TABLE, P1_COEFFS, P2_COEFFS, SECOND_KIND, SINGULAR_ELEMENT
-from reference import exact_divide, expand, orbit_points
+from reference import closed_form_both_axes, exact_divide, expand, orbit_points
 
 
 def test_diagonal_matrices_follow_element_order(g2):
@@ -181,9 +184,7 @@ def test_series_check_compares_the_origin_and_rejects_bad_bounds(g2_gf, g2_secon
             gf_series_check(bad, g2_second, max_m, max_n)
 
 
-def test_convolution_guard_trips_on_corrupted_denominator(
-    monkeypatch, g2, g2_second
-):
+def test_convolution_guard_trips_on_corrupted_denominator(monkeypatch, g2):
     real = genfunc_module.denominator_coeffs
 
     def corrupted(rs, basis, i):
@@ -191,8 +192,95 @@ def test_convolution_guard_trips_on_corrupted_denominator(
         return coeffs[:-1] + (XYPoly.zero(rs.rank),)
 
     monkeypatch.setattr(genfunc_module, "denominator_coeffs", corrupted)
-    with pytest.raises(ConvolutionNotTerminatingError):
-        genfunc_module.closed_form_gf(g2, g2_second)
+    # every (i, j) is checked in order, so the first entry past the bound
+    # is the one the two-axis convolution named
+    with pytest.raises(ConvolutionNotTerminatingError, match=re.escape("at (0, 6)")):
+        genfunc_module.closed_form_gf(g2, build_basis(g2, Kind.SECOND))
+
+
+@pytest.mark.parametrize("algebra", [AlgebraId.A2, AlgebraId.C2, AlgebraId.G2])
+def test_one_axis_convolution_matches_the_two_axis_one(algebra):
+    rs = build_root_system(algebra)
+    gf = closed_form_gf(rs, build_basis(rs, Kind.SECOND))
+    assert gf == closed_form_both_axes(rs, build_basis(rs, Kind.SECOND))
+
+
+def _poly_of(rs, basis, index):
+    if basis.kind is Kind.SECOND:
+        return second_kind_poly(rs, basis, *index)
+    return first_kind_poly(rs, basis, index)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_a_repeated_query_is_a_lookup(g2, kind, monkeypatch):
+    """A basis keeps each polynomial it computed: a repeated call, with the
+    index as a tuple or a list, runs no trace, division or elimination."""
+    basis = build_basis(g2, kind)
+    want = _poly_of(g2, basis, (2, 1))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cached polynomial was recomputed")
+
+    for name in ("coefficient_trace", "exact_divide", "reduce"):
+        monkeypatch.setattr(genfunc_module, name, refuse)
+    assert _poly_of(g2, basis, (2, 1)) == want
+    assert _poly_of(g2, basis, [2, 1]) == want
+    assert list(basis._polys) == [(2, 1)]
+    with pytest.raises(AssertionError, match="recomputed"):
+        _poly_of(g2, basis, (1, 2))
+
+
+def test_a_replaced_basis_starts_with_an_empty_cache(g2):
+    basis = build_basis(g2, Kind.SECOND)
+    second_kind_table(g2, basis, 2, 2)
+    assert len(basis._polys) == 9
+    assert dataclasses.replace(basis)._polys == {}
+
+
+def test_the_series_check_reuses_the_closed_form_table(g2, monkeypatch):
+    """closed_form_gf divides once per index of its 7 x 7 table, and the
+    3 x 3 series check after it divides no more."""
+    calls = []
+    divide = genfunc_module.exact_divide
+
+    def counting(*args):
+        calls.append(args)
+        return divide(*args)
+
+    monkeypatch.setattr(genfunc_module, "exact_divide", counting)
+    basis = build_basis(g2, Kind.SECOND)
+    assert gf_series_check(closed_form_gf(g2, basis), basis, 3, 3)
+    assert len(calls) == 49
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_a_failure_names_the_index_and_is_not_cached(g2, kind):
+    """With a variable that is not a polynomial in the true ones, the
+    elimination stalls; the error names the index, keeps its cause, and
+    comes again on a repeated call."""
+    basis = build_basis(g2, kind)
+    x, y = basis.var_laurents
+    extra = orbit_sum(g2, (3, 3)).scale(basis.leads[1])
+    bad = dataclasses.replace(basis, var_laurents=(x, y + extra))
+    message = r"at index \(2, 1\): elimination stalled"
+    for _ in range(2):
+        with pytest.raises(NonDominantLeaderError, match=message) as got:
+            _poly_of(g2, bad, (2, 1))
+        assert type(got.value.__cause__) is NonDominantLeaderError
+    assert bad._polys == {}
+
+
+@pytest.mark.parametrize("error", [NonDivisibleError, NonDominantLeaderError, NotInvariantError])
+def test_each_error_of_the_computation_names_the_index(g2, error, monkeypatch):
+    def failing(*args):
+        raise error("the cause")
+
+    monkeypatch.setattr(genfunc_module, "reduce", failing)
+    for kind in Kind:
+        basis = build_basis(g2, kind)
+        with pytest.raises(error, match=r"^at index \(1, 0\): the cause$"):
+            _poly_of(g2, basis, (1, 0))
+        assert basis._polys == {}
 
 
 def test_closed_form_guards(a1, a1_second, g2, g2_first):

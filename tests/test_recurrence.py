@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 from operator import add, le
+from pathlib import Path
 
 import hypothesis
 import pytest
@@ -458,6 +459,16 @@ def test_the_recurrence_route_runs_without_the_gf_route(algebra, kind, monkeypat
     ):
         monkeypatch.setattr(owner, name, refuse)
     assert recurrence_table(rs, basis, *size) == expected
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_the_recurrence_route_neither_reads_nor_fills_the_gf_cache(g2, kind):
+    """The polynomials the GF route keeps in a basis are its own answers:
+    the recurrence module never names the cache, and a fill adds nothing to it."""
+    assert "_polys" not in Path(recurrence.__file__).read_text(encoding="utf-8")
+    basis = build_basis(g2, kind)
+    recurrence_table(g2, basis, 6, 6)
+    assert basis._polys == {}
 
 
 @pytest.mark.parametrize("kind", list(Kind))
