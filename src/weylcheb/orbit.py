@@ -5,10 +5,12 @@ with a stabilizer of order s contributes each orbit point s times and the
 orbit sum of 0 is the group order.  ``signed_orbit_sum`` weights each term
 by the determinant; it vanishes exactly on chamber walls and changes by
 det(w) under reflection of the index.  ``exact_divide`` divides an
-anti-invariant by A_rho in the dominant chamber and returns the dominant
-coefficients of the invariant quotient; ``unfold`` spreads dominant
-coefficients back over their orbits.  Both kinds of variable, and every
-second-kind polynomial on the generating-function route, come from them.
+anti-invariant by A_rho, the signed orbit sum of rho, in the dominant
+chamber and returns the dominant coefficients of the invariant quotient;
+the root system fixes A_rho, so it is not an argument.  ``unfold``
+spreads dominant coefficients back over their orbits.  Both kinds of
+variable, and every second-kind polynomial on the generating-function
+route, come from them.
 """
 
 from __future__ import annotations
@@ -53,25 +55,24 @@ def unit_weight(rs: RootSystem, i: int) -> Weight:
     return tuple(1 if j == i else 0 for j in range(rs.rank))
 
 
-def exact_divide(
-    rs: RootSystem, numerator: LaurentPoly, denominator: LaurentPoly
-) -> dict[Weight, int]:
+def _rho_offsets(rs: RootSystem) -> list[tuple[Weight, int]]:
+    """(rho - w rho, det w) for every w != 1: A_rho's terms but z^rho, below rho."""
+    return [(tuple(map(sub, rs.rho, act(rs, w, rs.rho))), w.det) for w in rs.elements if w.word]
+
+
+def exact_divide(rs: RootSystem, numerator: LaurentPoly) -> dict[Weight, int]:
     """Dominant coefficients of the invariant quotient ``numerator / A_rho``,
     by Racah's recursion (Humphreys, Lie Algebras, section 24):
-    q[mu] = num[mu+rho] - sum over e != rho of den[e] q[dom(mu+rho-e)].
-    rho - e is a nonzero sum of positive roots and folding raises a weight,
-    so ``dominant_sweep`` has fixed each q looked up.  By the Weyl character
-    formula the division is exact, with no remainder to sweep, when the
-    numerator is anti-invariant and the denominator is A_rho: anti-invariant,
-    with rho its only strictly dominant term, at coefficient 1.  Both are
-    checked; a failure raises NonDivisibleError."""
-    num, den, rho = numerator._terms, denominator._terms, rs.rho
+    q[mu] = num[mu+rho] - sum over w != 1 of det(w) q[dom(mu+rho-w rho)].
+    The root system fixes A_rho, so its terms come from the group itself
+    (``_rho_offsets``).  rho - w rho is a nonzero sum of positive roots and
+    folding raises a weight, so ``dominant_sweep`` has fixed each q looked
+    up.  Every anti-invariant is A_rho times an invariant, so the division
+    is exact, with no remainder to sweep, when the numerator is
+    anti-invariant; that is checked, and a failure raises NonDivisibleError."""
+    num, rho = numerator._terms, rs.rho
     check_symmetry(rs, num, -1, NonDivisibleError, "the numerator")
-    check_symmetry(rs, den, -1, NonDivisibleError, "the denominator")
-    strict = {e: c for e, c in den.items() if min(e) > 0}
-    if strict != {rho: 1}:
-        raise NonDivisibleError(f"the denominator is not A_rho: strictly dominant terms {strict}")
-    rest = [(tuple(map(sub, rho, e)), c) for e, c in den.items() if e != rho]
+    rest = _rho_offsets(rs)
     top = max((height(rs, tuple(map(sub, nu, rho))) for nu in num if min(nu) > 0), default=-1)
     folds: dict[Weight, Weight] = {}  # nu -> dom(nu)
     quot: dict[Weight, int] = {}
@@ -104,9 +105,5 @@ def variable_laurents(rs: RootSystem, kind: Kind) -> tuple[LaurentPoly, ...]:
     """
     if kind is Kind.FIRST:
         return tuple(orbit_sum(rs, unit_weight(rs, i)) for i in range(rs.rank))
-    den = signed_orbit_sum(rs, rs.rho)
-    out = []
-    for i in range(rs.rank):
-        num = signed_orbit_sum(rs, tuple(map(add, rs.rho, unit_weight(rs, i))))
-        out.append(unfold(rs, exact_divide(rs, num, den)))
-    return tuple(out)
+    shifted = (tuple(map(add, rs.rho, unit_weight(rs, i))) for i in range(rs.rank))
+    return tuple(unfold(rs, exact_divide(rs, signed_orbit_sum(rs, k))) for k in shifted)

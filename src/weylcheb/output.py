@@ -116,10 +116,9 @@ def table_text(
 
 
 def _t_poly_text(coeffs, parameter: str) -> str:
+    """P_i term by term: (-1)^k e_k over distinct orbit points is never zero."""
     pieces = []
     for k, coeff in enumerate(coeffs):
-        if not coeff:
-            continue
         if k == 0:
             pieces.append(coeff.as_text())
         else:

@@ -242,7 +242,8 @@ class VariableBasis:
 
     def _dominant_monomial(self, degrees: Degree) -> DominantCoeffs:
         """Dominant coefficients of prod(X_i ^ degrees[i]), built
-        incrementally through ``_power_cache``."""
+        incrementally through ``_power_cache``; every product-rule term is
+        positive, so none cancels."""
         cached = self._power_cache.get(degrees)
         if cached is not None:
             return cached
@@ -254,11 +255,7 @@ class VariableBasis:
             result = {}
             for lam, c in self._dominant_monomial(lower).items():
                 for mu, r in self._product_rule(lam, i):
-                    new = result.get(mu, 0) + c * r
-                    if new:
-                        result[mu] = new
-                    else:
-                        del result[mu]
+                    result[mu] = result.get(mu, 0) + c * r
         self._power_cache[degrees] = result
         return result
 

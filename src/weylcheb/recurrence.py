@@ -16,11 +16,12 @@ walls), by the image of ``rootsystem.fold`` with sign +1 for the first.
 A table is filled in three parts.  The seed block, below deg P_i on every
 axis i, is stepped by single variables: with L = X_i = x_i / lead_i, every
 weight of x_i lies at or below lambda_i in dominance, so solving for
-k + lambda_i steps forward (``_fill``).  Both kinds are sums of geometric
-sequences along axis i, with ratios z^nu over the orbit of lambda_i, so
-P_i(t) = prod (1 - t z^nu) annihilates every row or column from deg P_i
-on: the first deg P_1 columns step along n by P_2, every later column
-along m by P_1, on Kronecker-packed entries (``_build``).  The rule with
+k + lambda_i steps forward, and each entry asks for the lower ones it
+needs (``_fill``).  Both kinds are sums of geometric sequences along
+axis i, with ratios z^nu over the orbit of lambda_i, so P_i(t) =
+prod (1 - t z^nu) annihilates every row or column from deg P_i on: the
+first deg P_1 columns step along n by P_2, every later column along m
+by P_1, on Kronecker-packed entries (``_build``).  The rule with
 L a coefficient of P_i and k = 0 rewrites P_i over the X_i (``_seed``).
 
 The companion matrices realize the one-variable recurrences hidden in the
@@ -43,8 +44,8 @@ from .orbit import Kind, unit_weight
 from .polynomialize import _VAR_NAMES, NotInvariantError, VariableBasis, XYPoly, _check_basis, _pack
 from .polynomialize import reduce  # noqa: F401  bench/tracing.py wraps it; the fill never calls it
 from .rootsystem import (
-    _COORD_LIMIT, RootSystem, Weight, act, check_index, check_symmetry, check_weight,
-    dominant_sweep, fold, height, index_box,
+    _COORD_LIMIT, RootSystem, Weight, act, check_index, check_symmetry, check_weight, fold,
+    index_box,
 )
 
 # Bits per slot of the packed axis steps, widened for a step that could overflow them.
@@ -86,13 +87,12 @@ def _fold(rs: RootSystem, kind: Kind, index: Weight) -> NormalizedIndex:
 def _fill(
     rs: RootSystem, basis: VariableBasis, targets: Iterable[Weight]
 ) -> dict[Weight, XYPoly]:
-    """The targets and every index they depend on.  Target t comes from
-    t - lambda_i, i the first coordinate with t_i > 0; what it needs lies
-    strictly below t in dominance, hence in height and later in the sweep
-    that plans it.  Entries are filled over the X_i, in reverse plan order,
-    stepping by X_i; shifts that fold onto t itself (first kind only, e.g.
-    from 0) add to the coefficient divided out.  A variable that is not
-    invariant raises NotInvariantError."""
+    """The targets and every index they depend on, over the X_i.  Entry t
+    steps by X_i from t - lambda_i, i the first coordinate with t_i > 0;
+    every other shift folds onto t itself or strictly below it in
+    dominance, so the memoized recursion ``entry`` ends.  Shifts that fold
+    onto t (first kind only, e.g. from 0) add to the coefficient divided
+    out.  A variable that is not invariant raises NotInvariantError."""
     _check_basis(rs, basis)
     kind = basis.kind
     rules = []
@@ -100,12 +100,12 @@ def _fill(
         check_symmetry(rs, x._terms, 1, NotInvariantError, f"the variable {name}")
         steps = [(mu, c // lead) for mu, c in x._terms.items()]
         rules.append((XYPoly(rs.rank, {unit_weight(rs, i): 1}), steps))
-    zero = (0,) * rs.rank
-    needed = set(targets)
-    plans = []
-    for t in dominant_sweep(rs, max((height(rs, t) for t in needed), default=0)):
-        if t not in needed or t == zero:
-            continue
+    seed = 1 if kind is Kind.SECOND else len(rs.elements)
+    table = {(0,) * rs.rank: XYPoly.constant(rs.rank, seed)}
+
+    def entry(t: Weight) -> XYPoly:
+        if t in table:
+            return table[t]
         i = next(j for j, c in enumerate(t) if c > 0)
         base = tuple(c - 1 if j == i else c for j, c in enumerate(t))
         multiplier, steps = rules[i]
@@ -117,18 +117,18 @@ def _fill(
                 divisor += c * norm.sign
             elif norm.sign:
                 others += [(norm.sign * c // abs(c), norm.index)] * abs(c)
-        needed.update((base, *(index for _, index in others)))
-        plans.append((t, multiplier, base, others, divisor))
-    seed = 1 if kind is Kind.SECOND else len(rs.elements)
-    table = {zero: XYPoly.constant(rs.rank, seed)}
-    for t, multiplier, base, others, divisor in reversed(plans):
-        acc = multiplier * table[base]
+        acc = multiplier * entry(base)
         for sign, index in others:
-            term = table[index]
+            term = entry(index)
             acc = acc - term if sign > 0 else acc + term
         if divisor != 1:  # exact: every entry is integral over the X_i
             acc = XYPoly(rs.rank, {d: c // divisor for d, c in acc._terms.items()})
         table[t] = acc
+        return acc
+
+    for t in targets:
+        entry(t)
+    del entry  # entry's closure holds entry: without this the cycle keeps the table until a GC
     return table
 
 

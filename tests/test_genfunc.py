@@ -9,6 +9,7 @@ import re
 import pytest
 
 import weylcheb.genfunc as genfunc_module
+import weylcheb.orbit as orbit_module
 from weylcheb import (
     AlgebraId,
     ConvolutionNotTerminatingError,
@@ -91,7 +92,7 @@ def test_dominant_division_is_the_dominant_part_of_the_full_quotient(algebra):
     box = index_box(1, 12, None) if rs.rank == 1 else index_box(2, 8, 8)
     for lam in box:
         num = signed_orbit_sum(rs, tuple(c + 1 for c in lam))
-        quot = genfunc_module.exact_divide(rs, num, den)
+        quot = genfunc_module.exact_divide(rs, num)
         full = exact_divide(num, den)
         assert quot == {e: c for e, c in full._terms.items() if min(e) >= 0}, lam
         dim = sum(c * len(orbit_points(rs, mu)) for mu, c in quot.items())
@@ -99,16 +100,29 @@ def test_dominant_division_is_the_dominant_part_of_the_full_quotient(algebra):
 
 
 def test_dominant_division_checks_what_makes_it_exact(g2):
-    a_rho = signed_orbit_sum(g2, g2.rho)
+    """Every anti-invariant is A_rho times an invariant, so the numerator's
+    anti-invariance is the one check the division needs."""
     num = signed_orbit_sum(g2, (3, 2))
     divide = genfunc_module.exact_divide
     not_anti = r"the numerator is not Weyl-anti-invariant: z\^\(1, 1\)"
     with pytest.raises(NonDivisibleError, match=not_anti):
-        divide(g2, num + LaurentPoly.monomial(2, (1, 1)), a_rho)
-    for bad, term in ((a_rho.scale(2), r"\(1, 1\): 2"), (signed_orbit_sum(g2, (2, 1)), r"\(2, 1\): 1")):
-        with pytest.raises(NonDivisibleError, match=r"the denominator is not A_rho: .*" + term):
-            divide(g2, num, bad)
-    assert divide(g2, LaurentPoly.zero(2), a_rho) == {}
+        divide(g2, num + LaurentPoly.monomial(2, (1, 1)))
+    assert divide(g2, LaurentPoly.zero(2)) == {}
+
+
+@pytest.mark.parametrize("algebra", list(AlgebraId))
+def test_the_division_reads_a_rho_from_the_group(algebra):
+    """The division's offsets rho - w rho, w != 1, with signs det(w), are
+    exactly the terms of A_rho other than z^rho, taken both as the trace at
+    rho and as the signed orbit sum of rho."""
+    rs = build_root_system(algebra)
+    offsets = orbit_module._rho_offsets(rs)
+    assert len(offsets) == len(rs.elements) - 1
+    for a_rho in (coefficient_trace(rs, *rs.rho), signed_orbit_sum(rs, rs.rho)):
+        assert a_rho.coeff(rs.rho) == 1
+        terms = {tuple(r - e for r, e in zip(rs.rho, exp)): c
+                 for exp, c in a_rho._terms.items() if exp != rs.rho}
+        assert terms == dict(offsets)
 
 
 def test_second_kind_matches_reference_table(g2, g2_second):
@@ -344,3 +358,10 @@ def test_index_guards(g2, g2_second, a1, a1_second):
         second_kind_table(g2, g2_second, 2, True)
     with pytest.raises(ValueError, match="rank-1"):
         second_kind_table(a1, a1_second, 3, 5)
+
+
+def test_a_denominator_whose_constant_term_is_not_one_is_refused(g2, monkeypatch):
+    basis = build_basis(g2, Kind.SECOND)
+    monkeypatch.setattr(genfunc_module, "reduce", lambda basis, f: XYPoly.constant(2, 2))
+    with pytest.raises(RuntimeError, match="denominator constant term is not 1"):
+        denominator_coeffs(g2, basis, 0)

@@ -190,3 +190,20 @@ def test_arithmetic_rejects_mismatched_operands():
             op(xy, lp)
     assert not lp == xy
     assert lp != xy
+
+
+def test_a_key_of_the_wrong_rank_is_refused_and_a_poly_is_immutable():
+    with pytest.raises(ValueError, match="exponent rank mismatch"):
+        LaurentPoly(2, {(1,): 1})
+    with pytest.raises(ValueError, match="degree rank mismatch"):
+        XYPoly(1, {(1, 0): 1})
+    poly = LaurentPoly.one(2)
+    with pytest.raises(AttributeError, match="LaurentPoly is immutable"):
+        poly.rank = 1
+    assert poly.rank == 2
+
+
+def test_scaling_by_zero_gives_zero():
+    poly = LaurentPoly(2, {(1, -1): 3, (0, 2): Fraction(1, 2)})
+    assert poly.scale(0) == LaurentPoly.zero(2)
+    assert poly.scale(Fraction(0)) == LaurentPoly.zero(2)

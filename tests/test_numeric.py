@@ -62,14 +62,17 @@ def test_eval_vars_realness(g2_second):
 def test_ratio_identity_over_low_indices(g2, g2_second):
     total_skipped = 0
     total_samples = 0
-    for m in range(11):
-        for n in range(11 - m):
-            report = verify_ratio(g2, g2_second, m, n)
-            assert report.passed, (m, n, report.max_abs_error)
-            assert report.max_abs_error < 1e-8
-            assert report.worst_point is not None
-            total_skipped += report.skipped
-            total_samples += report.samples
+    indices = [(m, n) for m in range(11) for n in range(11 - m)]
+    run = numeric.sample_numerators(
+        g2, g2_second, indices, num_samples=100, seed=numeric.DEFAULT_SEED
+    )
+    for (m, n), sampled in zip(indices, run):
+        report = verify_ratio(g2, g2_second, m, n, sampled=sampled)
+        assert report.passed, (m, n, report.max_abs_error)
+        assert report.max_abs_error < 1e-8
+        assert report.worst_point is not None
+        total_skipped += report.skipped
+        total_samples += report.samples
     # near-singular points are rare under uniform sampling
     assert total_skipped < 0.05 * total_samples
 
@@ -436,3 +439,11 @@ def test_scaled_evaluator_is_the_exact_value_rounded_once(rank, terms, nums):
     exact = evaluate(poly, tuple(Fraction(n, 1 << 96) for n in nums))
     evaluator, denominator = numeric._scaled_evaluator(poly, 96)
     assert evaluator(nums) / denominator == float(exact)
+
+
+def test_a_non_integral_dimension_is_refused(g2):
+    """Coroots that are not the root system's own give a quotient that is
+    not an integer, which the formula refuses rather than truncates."""
+    bent = dataclasses.replace(g2, positive_coroots=((2, 1),))
+    with pytest.raises(ArithmeticError, match="dimension did not come out integral"):
+        weyl_dimension(bent, (1, 0))

@@ -70,6 +70,26 @@ def test_xypoly_arithmetic_basics():
     assert evaluate(p, (Fraction(1, 2), Fraction(1, 3))) == Fraction(5, 36)
 
 
+def test_xypoly_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="negative degree"):
+        XYPoly(2, {(1, -1): 1})
+
+
+@given(
+    data=st.data(),
+    bits=st.sampled_from([8, 16, 64, 128]),
+    weights=st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=12),
+)
+def test_pack_is_the_shifted_sum(data, bits, weights):
+    """Both the elimination and the recurrence steps pack by ``_pack``: the
+    sum of c << (slot * bits), for distinct slots and every |c| < 2^bits."""
+    bound = (1 << bits) - 1
+    slots = dict(zip(weights, data.draw(st.permutations(range(40)))))
+    coeffs = {mu: data.draw(st.integers(-bound, bound)) for mu in weights}
+    want = sum(c << (slots[mu] * bits) for mu, c in coeffs.items())
+    assert polynomialize._pack(coeffs, slots, bits) == want
+
+
 @given(p=xypolys)
 def test_xypoly_json_round_trip(p):
     assert from_json_obj(XYPoly, 2, p.to_json_obj()) == p
@@ -374,6 +394,21 @@ def test_product_rule_by_folds_matches_the_orbit_point_rule(algebra, kind):
             assert dict(basis._product_rule(lam, i)) == product_rule(basis, lam, i), (lam, i)
 
 
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_every_product_rule_term_and_monomial_coefficient_is_positive(algebra, kind):
+    """The coefficients of x_i and the stabilizer orders are positive, so
+    building an X-monomial adds positive terms only and nothing cancels."""
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, kind)
+    for degrees in itertools.product(range(7), repeat=rs.rank):
+        monomial = basis._dominant_monomial(degrees)
+        assert monomial and min(monomial.values()) > 0, degrees
+    assert basis._rules
+    for (lam, i), rule in basis._rules.items():
+        assert rule and all(c > 0 for _, c in rule), (lam, i)
+
+
 def test_a_product_rule_that_does_not_divide_is_refused(g2):
     """A non-invariant variable whose lead divides it passes ``leads``, but
     its fold sums do not divide by |W_lam| lead_i."""
@@ -398,6 +433,23 @@ def test_narrow_slots_widen_to_the_same_tables(algebra, kind, monkeypatch):
     assert table(rs, basis, *size) == wide
     widths = {bits for _, bits in basis._slots.packed}
     assert min(widths) == 8 and max(widths) > 8, widths
+
+
+_WRONG_SWEEPS = {
+    "drop-top": lambda sweep: sweep[1:],
+    "drop-x": lambda sweep: [mu for mu in sweep if mu != (1, 0)],
+    "reversed": lambda sweep: sweep[::-1],
+}
+
+
+@pytest.mark.parametrize("wrong", list(_WRONG_SWEEPS.values()), ids=list(_WRONG_SWEEPS))
+def test_a_wrong_sweep_makes_reduce_raise(wrong, monkeypatch, g2, g2_second):
+    """The sweep only orders the work.  A short or reversed one leaves a
+    residue, never a wrong answer."""
+    honest = polynomialize.dominant_sweep
+    monkeypatch.setattr(polynomialize, "dominant_sweep", lambda rs, top: wrong(honest(rs, top)))
+    with pytest.raises(NonDominantLeaderError):
+        reduce(g2_second, orbit_sum(g2, (2, 1)))
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -19,7 +20,6 @@ from weylcheb import (
     AlgebraId,
     Kind,
     LaurentPoly,
-    NonDominantLeaderError,
     NotInvariantError,
     NormalizedIndex,
     XYPoly,
@@ -36,7 +36,6 @@ from weylcheb import (
     polynomialize,
     recurrence,
     recurrence_table,
-    reduce,
     rootsystem,
     second_kind_table,
     signed_orbit_sum,
@@ -295,31 +294,31 @@ def test_the_first_stride_and_slots_hold_a_16_box(algebra, kind, monkeypatch):
     assert strides == [max(_sizes(table[t], max)[1] for t in box) + 1]
 
 
-_WRONG_SWEEPS = {
-    "drop-top": lambda sweep: sweep[1:],
-    "drop-x": lambda sweep: [mu for mu in sweep if mu != (1, 0)],
-    "reversed": lambda sweep: sweep[::-1],
-}
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize(
+    "algebra, size", [(AlgebraId.A1, 2), (AlgebraId.A2, 10), (AlgebraId.C2, 18), (AlgebraId.G2, 57)]
+)
+def test_the_seed_fill_builds_the_closure_of_its_block(algebra, size, kind):
+    """At 16 x 16 the seed block, with what it and the P_i need, has a fixed
+    number of entries on each algebra, the same on both kinds."""
+    rs = build_root_system(algebra)
+    box = rootsystem.index_box(rs.rank, 16, 16 if rs.rank == 2 else None)
+    table, _ = _seed(rs, build_basis(rs, kind), box)
+    assert len(table) == size
 
 
-@pytest.mark.parametrize("wrong", list(_WRONG_SWEEPS.values()), ids=list(_WRONG_SWEEPS))
-def test_a_wrong_sweep_makes_both_routes_raise(wrong, monkeypatch, g2, g2_second):
-    """The sweep only orders the work.  A short or reversed one leaves a
-    residue in reduce and a missing entry in the fill, never a wrong
-    answer."""
-    honest = rootsystem.dominant_sweep
-
-    def patched(rs, top):
-        return wrong(honest(rs, top))
-
-    with monkeypatch.context() as m:
-        m.setattr(polynomialize, "dominant_sweep", patched)
-        with pytest.raises(NonDominantLeaderError):
-            reduce(g2_second, orbit_sum(g2, (2, 1)))
-    with monkeypatch.context() as m:
-        m.setattr(recurrence, "dominant_sweep", patched)
-        with pytest.raises(KeyError):
-            recurrence_table(g2, g2_second, 2, 2)
+@pytest.mark.parametrize("kind", list(Kind))
+def test_the_seed_fill_leaves_no_reference_cycle(g2, kind):
+    """The fill recurses through a closure over itself; a cycle left behind
+    would keep the whole table alive until the next collection."""
+    basis = build_basis(g2, kind)
+    gc.collect()
+    gc.disable()
+    try:
+        _seed(g2, basis, rootsystem.index_box(2, 16, 16))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _gf_table(rs, basis, max_m, max_n=None):

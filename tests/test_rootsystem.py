@@ -24,6 +24,7 @@ from weylcheb import (
     verify_ratio,
     weyl_dimension,
 )
+from weylcheb import rootsystem
 from weylcheb.rootsystem import (
     act_all, check_index, check_weight, coset, dominant_sweep, fold, height, stabilizer_order,
 )
@@ -318,3 +319,19 @@ def test_coset_is_the_class_modulo_the_root_lattice(algebra):
             shifted = tuple(a + b for a, b in zip(mu, root))
             assert coset(rs, shifted) == coset(rs, mu)
         assert (coset(rs, mu) == coset(rs, (0,) * rs.rank)) == (mu in lattice), mu
+
+
+def test_act_rejects_a_weight_of_the_wrong_rank_or_out_of_range(g2):
+    w = g2.elements[1]
+    with pytest.raises(ValueError, match="weight rank mismatch"):
+        act(g2, w, (1,))
+    with pytest.raises(ValueError, match="weight coordinate out of supported range"):
+        act(g2, w, (2**31, 0))
+
+
+def test_the_weyl_closure_checks_the_group_order(monkeypatch):
+    """A closure of the wrong size is refused, not cached: the check runs
+    on an uncached build against a patched order."""
+    monkeypatch.setitem(rootsystem._WEYL_ORDER, AlgebraId.G2, 6)
+    with pytest.raises(RuntimeError, match="produced 12 elements, expected 6"):
+        rootsystem.build_root_system.__wrapped__(AlgebraId.G2)
