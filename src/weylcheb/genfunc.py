@@ -6,10 +6,11 @@ one entry per group element.  Because the matrices are diagonal, series
 coefficients come out in closed form: position j contributes
 z^{m (w_j mu_1) + n (w_j mu_2)}, so no truncated series is ever built.
 A second-kind polynomial is the trace at the rho-shifted index divided by
-the trace at rho, A_rho, in the dominant chamber (``orbit.exact_divide``,
-which reads A_rho from the root system, so the trace at rho is never
-built); the dominant coefficients of the quotient go straight to ``reduce``.
-A basis computes each polynomial once and keeps it (``VariableBasis._polys``).
+the trace at rho, A_rho, in the dominant chamber (``orbit.exact_divide``
+over the basis's Racah table, ``VariableBasis.racah``, which reads A_rho
+from the root system, so the trace at rho is never built); the dominant
+coefficients of the quotient go straight to ``reduce``.  A basis computes
+each polynomial once and keeps it (``VariableBasis._polys``).
 
 For the second kind the full generating function is rational; this module
 also computes its closed form: per-axis denominators P_k (products over the
@@ -88,7 +89,8 @@ def second_kind_poly(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPol
     _check_basis(rs, basis)
 
     def compute() -> XYPoly:
-        return reduce(basis, exact_divide(rs, coefficient_trace(rs, *(m + 1 for m in index))))
+        numerator = coefficient_trace(rs, *(m + 1 for m in index))
+        return reduce(basis, exact_divide(basis.racah, numerator))
 
     return _cached(basis, index, compute)
 

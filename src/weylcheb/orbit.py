@@ -7,20 +7,21 @@ by the determinant; it vanishes exactly on chamber walls and changes by
 det(w) under reflection of the index.  ``exact_divide`` divides an
 anti-invariant by A_rho, the signed orbit sum of rho, in the dominant
 chamber and returns the dominant coefficients of the invariant quotient;
-the root system fixes A_rho, so it is not an argument.  ``unfold``
-spreads dominant coefficients back over their orbits.  Both kinds of
-variable, and every second-kind polynomial on the generating-function
-route, come from them.
+it reads a ``RacahTable``, which folds each weight's terms of A_rho once.
+``unfold`` spreads dominant coefficients back over their orbits.  Both
+kinds of variable, and every second-kind polynomial on the
+generating-function route, come from them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from enum import Enum
-from operator import add, sub
+from operator import add, mul, sub
 
 from .laurent import LaurentPoly, NonDivisibleError
 from .rootsystem import (
-    RootSystem, Weight, act, act_all, check_symmetry, dominant_sweep, fold, height,
+    RootSystem, Weight, act, act_all, check_symmetry, coset, dominant_sweep, fold, height,
 )
 
 
@@ -55,37 +56,66 @@ def unit_weight(rs: RootSystem, i: int) -> Weight:
     return tuple(1 if j == i else 0 for j in range(rs.rank))
 
 
-def _rho_offsets(rs: RootSystem) -> list[tuple[Weight, int]]:
-    """(rho - w rho, det w) for every w != 1: A_rho's terms but z^rho, below rho."""
-    return [(tuple(map(sub, rs.rho, act(rs, w, rs.rho))), w.det) for w in rs.elements if w.word]
+class RacahTable:
+    """Racah's recursion for ``exact_divide``, worked out once per weight.
+
+    ``offsets`` holds (rho - w rho, det w) for each w != 1, A_rho but z^rho:
+    the root system fixes A_rho.  ``position`` numbers dominant weights;
+    ``cosets`` files those of height at most ``top`` by root-lattice coset,
+    ascending in ``dominant_sweep`` order, as heights and rows (position,
+    weight, the positions and summed det w of the folded neighbours
+    dom(mu + rho - w rho) that do not cancel).  ``grow`` folds a new weight's
+    neighbours once, and a neighbour above ``top`` gets its position when
+    first seen, so no row is ever rebuilt."""
+
+    def __init__(self, rs: RootSystem) -> None:
+        self.rs, self.top, self.position, self.cosets = rs, -1, {}, {}
+        self.offsets = [(tuple(map(sub, rs.rho, act(rs, w, rs.rho))), w.det)
+                        for w in rs.elements if w.word]
+
+    def grow(self, top: int) -> None:
+        """File every dominant weight of height at most ``top``, in place."""
+        if top <= self.top:
+            return
+        rs, at = self.rs, self.position.setdefault
+        sweep = dominant_sweep(rs, top)
+        for h, mu in reversed([(h, mu) for mu in sweep if (h := height(rs, mu)) > self.top]):
+            links: dict[int, int] = {}
+            for offset, c in self.offsets:
+                j = at(fold(rs, tuple(map(add, mu, offset)))[1], len(self.position))
+                links[j] = links.get(j, 0) + c
+            links = {j: c for j, c in links.items() if c}
+            heights, rows = self.cosets.setdefault(coset(rs, mu), ([], []))
+            heights.append(h)
+            rows.append((at(mu, len(self.position)), mu, tuple(links), tuple(links.values())))
+        self.top = top
 
 
-def exact_divide(rs: RootSystem, numerator: LaurentPoly) -> dict[Weight, int]:
+def exact_divide(table: RacahTable, numerator: LaurentPoly) -> dict[Weight, int]:
     """Dominant coefficients of the invariant quotient ``numerator / A_rho``,
-    by Racah's recursion (Humphreys, Lie Algebras, section 24):
+    by Racah's recursion (Humphreys, Lie Algebras, section 24) over ``table``:
     q[mu] = num[mu+rho] - sum over w != 1 of det(w) q[dom(mu+rho-w rho)].
-    The root system fixes A_rho, so its terms come from the group itself
-    (``_rho_offsets``).  rho - w rho is a nonzero sum of positive roots and
-    folding raises a weight, so ``dominant_sweep`` has fixed each q looked
-    up.  Every anti-invariant is A_rho times an invariant, so the division
-    is exact, with no remainder to sweep, when the numerator is
-    anti-invariant; that is checked, and a failure raises NonDivisibleError."""
-    num, rho = numerator._terms, rs.rho
-    check_symmetry(rs, num, -1, NonDivisibleError, "the numerator")
-    rest = _rho_offsets(rs)
-    top = max((height(rs, tuple(map(sub, nu, rho))) for nu in num if min(nu) > 0), default=-1)
-    folds: dict[Weight, Weight] = {}  # nu -> dom(nu)
+    rho - w rho is a nonzero sum of positive roots and folding raises a
+    weight, so each neighbour lies in mu's coset at a greater height: walking
+    the numerator's cosets highest first reads only finished entries, and a
+    neighbour above the numerator's top reads 0, as it has no term.  Every
+    anti-invariant is A_rho times an invariant, so the division is exact
+    when the numerator is anti-invariant; that is checked before the table
+    is touched, and a failure raises NonDivisibleError."""
+    rs = table.rs
+    check_symmetry(rs, numerator._terms, -1, NonDivisibleError, "the numerator")
+    lead = {tuple(map(sub, nu, rs.rho)): c for nu, c in numerator._terms.items() if min(nu) > 0}
+    top = max((height(rs, mu) for mu in lead), default=-1)
+    table.grow(top)
+    q = [0] * len(table.position)
+    for mu, c in lead.items():
+        q[table.position[mu]] = c
     quot: dict[Weight, int] = {}
-    for mu in dominant_sweep(rs, top):
-        coeff = num.get(tuple(map(add, mu, rho)), 0)
-        for offset, c in rest:
-            nu = tuple(map(add, mu, offset))
-            dom = folds.get(nu)
-            if dom is None:
-                dom = folds[nu] = fold(rs, nu)[1]
-            coeff -= c * quot.get(dom, 0)
-        if coeff:
-            quot[mu] = coeff
+    for heights, rows in map(table.cosets.__getitem__, {coset(rs, mu) for mu in lead}):
+        for p, mu, js, cs in reversed(rows[: bisect_right(heights, top)]):
+            if c := q[p] - sum(map(mul, cs, map(q.__getitem__, js))):
+                quot[mu] = c
+            q[p] = c
     return quot
 
 
@@ -106,4 +136,5 @@ def variable_laurents(rs: RootSystem, kind: Kind) -> tuple[LaurentPoly, ...]:
     if kind is Kind.FIRST:
         return tuple(orbit_sum(rs, unit_weight(rs, i)) for i in range(rs.rank))
     shifted = (tuple(map(add, rs.rho, unit_weight(rs, i))) for i in range(rs.rank))
-    return tuple(unfold(rs, exact_divide(rs, signed_orbit_sum(rs, k))) for k in shifted)
+    table = RacahTable(rs)
+    return tuple(unfold(rs, exact_divide(table, signed_orbit_sum(rs, k))) for k in shifted)

@@ -26,7 +26,7 @@ from math import lcm, prod
 from operator import add, attrgetter
 
 from .laurent import LaurentPoly, SparsePoly
-from .orbit import Kind, unfold, unit_weight, variable_laurents
+from .orbit import Kind, RacahTable, unfold, unit_weight, variable_laurents
 from .rootsystem import (
     RootSystem, Weight, check_symmetry, coset, dominant_sweep, fold, height, stabilizer_order,
 )
@@ -172,11 +172,12 @@ class VariableBasis:
     integer, sum of c << (slot(mu) * bits) over its terms c z^mu.
     ``_polys`` maps an index tuple to the polynomial ``genfunc`` computed
     there: a basis keeps every polynomial it has computed, as it keeps every
-    monomial, until the basis itself is dropped.  The dict caches are only
-    ever added to, so concurrent readers at worst recompute; ``_slots``
-    grows in place, so one basis must not reduce in two threads at once.
-    The caches are not constructor arguments, so ``dataclasses.replace``
-    gives the new basis empty ones.
+    monomial, until the basis itself is dropped.  ``racah``, the fifth
+    cache, is the table ``orbit.exact_divide`` reads.  The dict caches are
+    only ever added to, so concurrent readers at worst recompute; ``_slots``
+    and ``racah`` grow in place, so one basis must not reduce or divide in
+    two threads at once.  No cache is a constructor argument, so
+    ``dataclasses.replace`` gives the new basis empty ones.
     """
 
     rs: RootSystem
@@ -192,6 +193,11 @@ class VariableBasis:
     _polys: dict[Weight, XYPoly] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    @cached_property
+    def racah(self) -> RacahTable:
+        """The table ``orbit.exact_divide`` reads, grown as divisions need it."""
+        return RacahTable(self.rs)
 
     @cached_property
     def leads(self) -> tuple[int, ...]:

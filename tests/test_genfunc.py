@@ -9,7 +9,6 @@ import re
 import pytest
 
 import weylcheb.genfunc as genfunc_module
-import weylcheb.orbit as orbit_module
 from weylcheb import (
     AlgebraId,
     ConvolutionNotTerminatingError,
@@ -37,6 +36,7 @@ from weylcheb import (
     weyl_dimension,
 )
 from weylcheb.genfunc import denominator_coeffs
+from weylcheb.orbit import RacahTable
 from weylcheb.rootsystem import index_box
 from g2_reference import K_TABLE, P1_COEFFS, P2_COEFFS, SECOND_KIND, SINGULAR_ELEMENT
 from reference import closed_form_both_axes, exact_divide, expand, orbit_points
@@ -90,9 +90,10 @@ def test_dominant_division_is_the_dominant_part_of_the_full_quotient(algebra):
     rs = build_root_system(algebra)
     den = signed_orbit_sum(rs, rs.rho)
     box = index_box(1, 12, None) if rs.rank == 1 else index_box(2, 8, 8)
+    table = RacahTable(rs)
     for lam in box:
         num = signed_orbit_sum(rs, tuple(c + 1 for c in lam))
-        quot = genfunc_module.exact_divide(rs, num)
+        quot = genfunc_module.exact_divide(table, num)
         full = exact_divide(num, den)
         assert quot == {e: c for e, c in full._terms.items() if min(e) >= 0}, lam
         dim = sum(c * len(orbit_points(rs, mu)) for mu, c in quot.items())
@@ -106,8 +107,8 @@ def test_dominant_division_checks_what_makes_it_exact(g2):
     divide = genfunc_module.exact_divide
     not_anti = r"the numerator is not Weyl-anti-invariant: z\^\(1, 1\)"
     with pytest.raises(NonDivisibleError, match=not_anti):
-        divide(g2, num + LaurentPoly.monomial(2, (1, 1)))
-    assert divide(g2, LaurentPoly.zero(2)) == {}
+        divide(RacahTable(g2), num + LaurentPoly.monomial(2, (1, 1)))
+    assert divide(RacahTable(g2), LaurentPoly.zero(2)) == {}
 
 
 @pytest.mark.parametrize("algebra", list(AlgebraId))
@@ -116,7 +117,7 @@ def test_the_division_reads_a_rho_from_the_group(algebra):
     exactly the terms of A_rho other than z^rho, taken both as the trace at
     rho and as the signed orbit sum of rho."""
     rs = build_root_system(algebra)
-    offsets = orbit_module._rho_offsets(rs)
+    offsets = RacahTable(rs).offsets
     assert len(offsets) == len(rs.elements) - 1
     for a_rho in (coefficient_trace(rs, *rs.rho), signed_orbit_sum(rs, rs.rho)):
         assert a_rho.coeff(rs.rho) == 1
@@ -249,6 +250,36 @@ def test_a_replaced_basis_starts_with_an_empty_cache(g2):
     second_kind_table(g2, basis, 2, 2)
     assert len(basis._polys) == 9
     assert dataclasses.replace(basis)._polys == {}
+
+
+def _racah_state(table) -> tuple:
+    cosets = {cos: (list(heights), list(rows)) for cos, (heights, rows) in table.cosets.items()}
+    return table.top, dict(table.position), cosets
+
+
+def test_a_replaced_basis_starts_with_an_empty_racah_table(g2):
+    basis = build_basis(g2, Kind.SECOND)
+    second_kind_table(g2, basis, 2, 2)
+    assert basis.racah.top >= 0 and basis.racah.position
+    fresh = dataclasses.replace(basis).racah
+    assert fresh is not basis.racah
+    assert _racah_state(fresh) == (-1, {}, {})
+
+
+def test_a_refused_division_leaves_the_racah_table_as_it_was(g2):
+    """A numerator that is not anti-invariant is refused before the table
+    is read or grown, and the table still divides right after it."""
+    basis = build_basis(g2, Kind.SECOND)
+    second_kind_poly(g2, basis, 1, 1)
+    before = _racah_state(basis.racah)
+    bad = coefficient_trace(g2, 7, 7) + LaurentPoly.monomial(2, (8, 8))
+    with pytest.raises(NonDivisibleError, match="not Weyl-anti-invariant"):
+        genfunc_module.exact_divide(basis.racah, bad)
+    assert _racah_state(basis.racah) == before
+    num = coefficient_trace(g2, 7, 7)
+    full = exact_divide(num, signed_orbit_sum(g2, g2.rho))
+    want = {e: c for e, c in full._terms.items() if min(e) >= 0}
+    assert genfunc_module.exact_divide(basis.racah, num) == want
 
 
 def test_the_series_check_reuses_the_closed_form_table(g2, monkeypatch):

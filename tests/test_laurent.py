@@ -207,3 +207,9 @@ def test_scaling_by_zero_gives_zero():
     poly = LaurentPoly(2, {(1, -1): 3, (0, 2): Fraction(1, 2)})
     assert poly.scale(0) == LaurentPoly.zero(2)
     assert poly.scale(Fraction(0)) == LaurentPoly.zero(2)
+
+
+def test_repr_shows_the_terms_in_canonical_order():
+    assert repr(LaurentPoly.zero(2)) == "LaurentPoly(0)"
+    two = LaurentPoly(2, {(-1, 2): -3, (1, 0): 2})
+    assert repr(two) == "LaurentPoly(2*z^(1, 0) + -3*z^(-1, 2))"

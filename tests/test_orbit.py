@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import random
+from functools import partial
+from operator import add
+
 import pytest
 from hypothesis import given, strategies as st
 
+import weylcheb.orbit as orbit_module
 from weylcheb import (
     AlgebraId,
     Kind,
@@ -16,6 +21,8 @@ from weylcheb import (
     unit_weight,
     variable_laurents,
 )
+from weylcheb.orbit import RacahTable, exact_divide as dominant_divide
+from weylcheb.rootsystem import coset, dominant_sweep, height, index_box
 from g2_reference import SINGULAR_ELEMENT, X_LAURENT, Y_LAURENT
 from reference import apply_weyl, exact_divide
 
@@ -131,3 +138,76 @@ def test_first_kind_variables_are_orbit_sums(g2):
     # each fundamental weight has a stabilizer of order two
     assert x.coeff((1, 0)) == 2
     assert y.coeff((0, 1)) == 2
+
+
+def _dominant_quotient(rs, num) -> dict:
+    """The dominant part of the full Laurent quotient ``num / A_rho``."""
+    full = exact_divide(num, signed_orbit_sum(rs, rs.rho))
+    return {e: c for e, c in full._terms.items() if min(e) >= 0}
+
+
+def _warm_table(rs) -> RacahTable:
+    """A table grown out of order by a seeded shuffle of a 7 x 7 box of
+    character numerators (0..10 at rank 1), each quotient checked.  Each
+    numerator is also divided less the character whose coefficient it has
+    just below its top, so the quotient has a zero there that the weights
+    below it read."""
+    box = index_box(1, 10, None) if rs.rank == 1 else index_box(2, 6, 6)
+    random.Random(25).shuffle(box)
+    table = RacahTable(rs)
+    for lam in box:
+        num = signed_orbit_sum(rs, tuple(c + 1 for c in lam))
+        quot = dominant_divide(table, num)
+        assert quot == _dominant_quotient(rs, num), lam
+        for mu, c in list(quot.items())[1:2]:
+            num -= signed_orbit_sum(rs, tuple(a + 1 for a in mu)).scale(c)
+            quot = dominant_divide(table, num)
+            assert mu not in quot and quot == _dominant_quotient(rs, num), lam
+    # 0 and the fundamental weights lie in different cosets, but on G2
+    shifted = [rs.rho] + [tuple(map(add, rs.rho, unit_weight(rs, i))) for i in range(rs.rank)]
+    mixed = sum(map(partial(signed_orbit_sum, rs), shifted), LaurentPoly.zero(rs.rank))
+    assert dominant_divide(table, mixed) == _dominant_quotient(rs, mixed)
+    return table
+
+
+@pytest.mark.parametrize("algebra", list(AlgebraId))
+def test_racah_table_links_each_weight_to_its_coset_above_it(algebra):
+    """A table grown out of order divides right, files every dominant
+    weight up to its top once, in ascending sweep order, and links each to
+    nonzero merged coefficients at strictly greater heights of its own
+    coset; that is what lets the walk read only finished entries."""
+    rs = build_root_system(algebra)
+    table = _warm_table(rs)
+    weight_at = {p: mu for mu, p in table.position.items()}
+    assert sorted(weight_at) == list(range(len(weight_at)))
+    filed = []
+    for cos, (heights, rows) in table.cosets.items():
+        assert [(h, mu) for h, (_, mu, _, _) in zip(heights, rows, strict=True)] == sorted(
+            (height(rs, mu), mu) for _, mu, _, _ in rows
+        )
+        for h, (p, mu, js, cs) in zip(heights, rows):
+            assert weight_at[p] == mu and coset(rs, mu) == cos and height(rs, mu) == h
+            assert len(js) == len(set(js)) == len(cs) and all(cs), mu
+            for j in js:
+                assert coset(rs, weight_at[j]) == cos and height(rs, weight_at[j]) > h, mu
+        filed += [mu for _, mu, _, _ in rows]
+    assert sorted(filed) == sorted(dominant_sweep(rs, table.top))
+
+
+def test_racah_table_grows_only_above_its_top(g2, monkeypatch):
+    """A division whose top the table already reaches sweeps and folds
+    nothing, and leaves every row as it was."""
+    table = RacahTable(g2)
+    num = signed_orbit_sum(g2, (5, 5))
+    assert dominant_divide(table, num) == _dominant_quotient(g2, num)
+    rows = {cos: list(rows) for cos, (_, rows) in table.cosets.items()}
+
+    def refuse(*args):
+        raise AssertionError("a warm table was grown")
+
+    for name in ("dominant_sweep", "fold"):
+        monkeypatch.setattr(orbit_module, name, refuse)
+    for k in ((2, 3), (5, 5), (1, 1)):
+        num = signed_orbit_sum(g2, k)
+        assert dominant_divide(table, num) == _dominant_quotient(g2, num), k
+    assert {cos: rows for cos, (_, rows) in table.cosets.items()} == rows
