@@ -15,13 +15,12 @@ generating-function route, come from them.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from enum import Enum
 from operator import add, mul, sub
 
 from .laurent import LaurentPoly, NonDivisibleError
 from .rootsystem import (
-    RootSystem, Weight, act, act_all, check_symmetry, coset, dominant_sweep, fold, height,
+    DominantIndex, RootSystem, Weight, act, act_all, check_symmetry, fold, height,
 )
 
 
@@ -60,35 +59,35 @@ class RacahTable:
     """Racah's recursion for ``exact_divide``, worked out once per weight.
 
     ``offsets`` holds (rho - w rho, det w) for each w != 1, A_rho but z^rho:
-    the root system fixes A_rho.  ``position`` numbers dominant weights;
-    ``cosets`` files those of height at most ``top`` by root-lattice coset,
-    ascending in ``dominant_sweep`` order, as heights and rows (position,
-    weight, the positions and summed det w of the folded neighbours
-    dom(mu + rho - w rho) that do not cancel).  ``grow`` folds a new weight's
-    neighbours once, and a neighbour above ``top`` gets its position when
-    first seen, so no row is ever rebuilt."""
+    the root system fixes A_rho.  The weights are those of ``index``, a
+    ``DominantIndex`` that may be shared.  ``rows`` holds, per coset and by
+    rank, each weight's folded neighbours dom(mu + rho - w rho) that do not
+    cancel, as their ranks and summed det w.  A neighbour lies at most
+    ``reach`` higher than its weight, so ``grow`` grows the index that far
+    first; it folds each new weight's neighbours once, and no row is ever
+    rebuilt."""
 
-    def __init__(self, rs: RootSystem) -> None:
-        self.rs, self.top, self.position, self.cosets = rs, -1, {}, {}
+    def __init__(self, rs: RootSystem, index: DominantIndex | None = None) -> None:
+        self.rs, self.rows = rs, {}
+        self.index = DominantIndex(rs) if index is None else index
         self.offsets = [(tuple(map(sub, rs.rho, act(rs, w, rs.rho))), w.det)
                         for w in rs.elements if w.word]
+        # dom(mu + nu) <= mu + dom(nu) for dominant mu, so nothing folds higher
+        self.reach = max(height(rs, fold(rs, nu)[1]) for nu, _ in self.offsets)
 
-    def grow(self, top: int) -> None:
-        """File every dominant weight of height at most ``top``, in place."""
-        if top <= self.top:
-            return
-        rs, at = self.rs, self.position.setdefault
-        sweep = dominant_sweep(rs, top)
-        for h, mu in reversed([(h, mu) for mu in sweep if (h := height(rs, mu)) > self.top]):
+    def grow(self, cos: Weight, rank: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The rows of the coset ``cos`` up to ``rank``, a filed one, each folded once."""
+        rs, index, rows = self.rs, self.index, self.rows.setdefault(cos, [])
+        weights = index.cosets[cos]
+        index.grow(height(rs, weights[rank]) + self.reach)
+        for mu in weights[len(rows) : rank + 1]:
             links: dict[int, int] = {}
             for offset, c in self.offsets:
-                j = at(fold(rs, tuple(map(add, mu, offset)))[1], len(self.position))
+                j = index.where[fold(rs, tuple(map(add, mu, offset)))[1]][1]
                 links[j] = links.get(j, 0) + c
             links = {j: c for j, c in links.items() if c}
-            heights, rows = self.cosets.setdefault(coset(rs, mu), ([], []))
-            heights.append(h)
-            rows.append((at(mu, len(self.position)), mu, tuple(links), tuple(links.values())))
-        self.top = top
+            rows.append((tuple(links), tuple(links.values())))
+        return rows
 
 
 def exact_divide(table: RacahTable, numerator: LaurentPoly) -> dict[Weight, int]:
@@ -96,26 +95,32 @@ def exact_divide(table: RacahTable, numerator: LaurentPoly) -> dict[Weight, int]
     by Racah's recursion (Humphreys, Lie Algebras, section 24) over ``table``:
     q[mu] = num[mu+rho] - sum over w != 1 of det(w) q[dom(mu+rho-w rho)].
     rho - w rho is a nonzero sum of positive roots and folding raises a
-    weight, so each neighbour lies in mu's coset at a greater height: walking
-    the numerator's cosets highest first reads only finished entries, and a
-    neighbour above the numerator's top reads 0, as it has no term.  Every
-    anti-invariant is A_rho times an invariant, so the division is exact
-    when the numerator is anti-invariant; that is checked before the table
-    is touched, and a failure raises NonDivisibleError."""
-    rs = table.rs
+    weight, so each neighbour lies in mu's coset at a greater height and
+    rank: walking each of the numerator's cosets down from its highest term
+    there reads only finished entries, and an entry above that term reads
+    0, as it has no term and every neighbour of it lies higher still.
+    Every anti-invariant is A_rho times an invariant, so the division is
+    exact when the numerator is anti-invariant; that is checked before the
+    table is touched, and a failure raises NonDivisibleError."""
+    rs, index = table.rs, table.index
     check_symmetry(rs, numerator._terms, -1, NonDivisibleError, "the numerator")
     lead = {tuple(map(sub, nu, rs.rho)): c for nu, c in numerator._terms.items() if min(nu) > 0}
-    top = max((height(rs, mu) for mu in lead), default=-1)
-    table.grow(top)
-    q = [0] * len(table.position)
+    index.grow(max((height(rs, mu) for mu in lead), default=-1))
+    parts: dict[Weight, dict[int, int]] = {}
     for mu, c in lead.items():
-        q[table.position[mu]] = c
+        cos, r = index.where[mu]
+        parts.setdefault(cos, {})[r] = c
     quot: dict[Weight, int] = {}
-    for heights, rows in map(table.cosets.__getitem__, {coset(rs, mu) for mu in lead}):
-        for p, mu, js, cs in reversed(rows[: bisect_right(heights, top)]):
-            if c := q[p] - sum(map(mul, cs, map(q.__getitem__, js))):
-                quot[mu] = c
-            q[p] = c
+    for cos, part in parts.items():
+        rows, weights = table.grow(cos, max(part)), index.cosets[cos]
+        q = [0] * len(weights)
+        for r, c in part.items():
+            q[r] = c
+        for r in range(max(part), -1, -1):
+            js, cs = rows[r]
+            if c := q[r] - sum(map(mul, cs, map(q.__getitem__, js))):
+                quot[weights[r]] = c
+            q[r] = c
     return quot
 
 

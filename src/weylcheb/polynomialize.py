@@ -7,28 +7,32 @@ such as a monomial in the variables, is fixed by its dominant coefficients.
 invariance, or just its dominant coefficients, then cancels the dominant
 terms one leading weight at a time, highest first, in integers.
 
-The monomials are built with product rules.  X_i is W-invariant, so the
-product of the orbit sum m_lam with X_i is a sum of orbit sums, one
-``fold`` per term of X_i (Humphreys, Lie Algebras, section 24, exercise 9;
-Bourbaki, Lie Groups, ch. VI section 3).  The elimination is packed: each
-dominant weight of one root-lattice coset has a slot of B bits in one
-Python int, and subtracting a monomial is one big-int multiply-subtract.
-Every call proves that no slot overflowed, and redoes a coset at 2B bits
-when it cannot.
+Every dominant weight has one place, its coset and rank in the basis's
+``DominantIndex``, and everything here is a list by rank.  The monomials
+are built with product rules.  X_i is W-invariant, so the product of the
+orbit sum m_lam with X_i is a sum of orbit sums, one ``fold`` per term of
+X_i (Humphreys, Lie Algebras, section 24, exercise 9; Bourbaki, Lie
+Groups, ch. VI section 3); a rule is folded once per (weight, axis) and
+kept as target ranks.  The elimination is packed: the weight of rank r
+in one root-lattice coset has slot r + 1 of B bits in one Python int,
+and subtracting a monomial is one big-int multiply-subtract.  Every call
+proves that no slot overflowed, and redoes a coset at 2B bits when it
+cannot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import repeat
 from math import lcm, prod
 from operator import add, attrgetter
 
 from .laurent import LaurentPoly, SparsePoly
 from .orbit import Kind, RacahTable, unfold, unit_weight, variable_laurents
 from .rootsystem import (
-    RootSystem, Weight, check_symmetry, coset, dominant_sweep, fold, height, stabilizer_order,
+    DominantIndex, RootSystem, Weight, check_symmetry, fold, height, stabilizer_order,
 )
 
 
@@ -40,8 +44,8 @@ class NonDominantLeaderError(ValueError):
     """Elimination stalled on a nonzero polynomial with no dominant term."""
 
 
-# Bits per slot of the packed elimination in ``reduce``, doubled for an
-# input whose slots could overflow it.
+# Bits per slot of a coset's first packed elimination in ``reduce``,
+# doubled for an input whose slots could overflow it.
 _SLOT_BITS = 64
 
 
@@ -122,36 +126,10 @@ def _sum_text(terms: dict, rank: dict, body: dict) -> str:
 
 DominantCoeffs = dict[Weight, int | Fraction]
 
+# An X-monomial's dominant coefficients by rank in its leader's coset.
+Ranked = list[int]
 
-class _Slots:
-    """Where ``reduce`` packs each dominant weight, for one basis.
-
-    ``sweep`` is the ascending ``dominant_sweep`` seen so far.  Per
-    root-lattice coset, ``cosets`` holds the coset's weights in that order
-    and their slots, 1, 2, ... in that order; ``coset_of`` holds each
-    weight's coset, and ``packed`` the monomials packed per (coset, slot
-    width).  A sweep that neither extends nor continues the one seen so
-    far replaces it, and every slot and packed monomial with it, so a
-    packed monomial always has the slots it was packed with.
-    """
-
-    def __init__(self) -> None:
-        self.sweep: list[Weight] = []
-        self.coset_of: dict[Weight, Weight] = {}
-        self.cosets: dict[Weight, tuple[list[Weight], dict[Weight, int]]] = {}
-        self.packed: dict[tuple[Weight, int], dict[Weight, tuple[int, int]]] = {}
-
-    def extend(self, rs: RootSystem, ascending: list[Weight]) -> None:
-        """Give a slot to each weight of ``ascending`` that has none."""
-        if self.sweep[: len(ascending)] != ascending[: len(self.sweep)]:
-            for part in (self.sweep, self.coset_of, self.cosets, self.packed):
-                part.clear()
-        for mu in ascending[len(self.sweep) :]:
-            cos = self.coset_of[mu] = coset(rs, mu)
-            order, slots = self.cosets.setdefault(cos, ([], {}))
-            self.sweep.append(mu)
-            order.append(mu)
-            slots[mu] = len(order)
+_cache = partial(field, default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -162,42 +140,40 @@ class VariableBasis:
     Inside, everything is in integers over X_i = x_i / lead_i (``leads``),
     the orbit sums over distinct points, whose monomials all lead with 1;
     only ``over_x``, rewriting a result over the x_i, makes a ``Fraction``.
-    An X-monomial is W-invariant, so ``_power_cache`` maps a degree vector
-    to its dominant coefficients {exponent: coefficient}.  An entry is the
-    entry one degree lower times one X_i, computed with product rules: the
-    dominant part of (the distinct orbit points of lambda) * X_i, built
-    once per (dominant lambda, i) in ``_rules`` by one fold per term of
-    x_i.  ``_slots`` holds where ``reduce`` packs each dominant weight and
-    the monomials it has packed there: an X-monomial led by lambda as one
-    integer, sum of c << (slot(mu) * bits) over its terms c z^mu.
+    ``index`` gives each dominant weight its coset and rank, and an
+    X-monomial lies in its leader's coset, so ``_power_cache`` maps a
+    degree vector to its dominant coefficients as a list by rank.
+    ``_rules`` holds, per (coset, axis) and by rank, the product rules
+    that build them, as (target rank, coefficient) pairs; ``_packed``,
+    per (coset, slot width) and by slot, the monomials ``reduce`` packed
+    there; and ``_widths`` the widest slots each coset has needed.
     ``_polys`` maps an index tuple to the polynomial ``genfunc`` computed
-    there: a basis keeps every polynomial it has computed, as it keeps every
-    monomial, until the basis itself is dropped.  ``racah``, the fifth
-    cache, is the table ``orbit.exact_divide`` reads.  The dict caches are
-    only ever added to, so concurrent readers at worst recompute; ``_slots``
-    and ``racah`` grow in place, so one basis must not reduce or divide in
-    two threads at once.  No cache is a constructor argument, so
+    there, kept, like every monomial, as long as the basis.
+    ``racah``, the table ``orbit.exact_divide`` reads, shares the index.
+    The caches are only ever added to, but the index, the rule lists and
+    ``racah`` grow in place, so one basis must not reduce or divide in two
+    threads at once.  No cache is a constructor argument, so
     ``dataclasses.replace`` gives the new basis empty ones.
     """
 
     rs: RootSystem
     kind: Kind
     var_laurents: tuple[LaurentPoly, ...]
-    _power_cache: dict[Degree, DominantCoeffs] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _rules: dict[tuple[Weight, int], tuple[tuple[Weight, int], ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _slots: _Slots = field(default_factory=_Slots, init=False, repr=False, compare=False)
-    _polys: dict[Weight, XYPoly] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _power_cache: dict[Degree, Ranked] = _cache()
+    _rules: dict[tuple[Weight, int], list] = _cache()
+    _packed: dict[tuple[Weight, int], dict[int, tuple[int, int]]] = _cache()
+    _polys: dict[Weight, XYPoly] = _cache()
+    _widths: dict[Weight, int] = _cache()
+
+    @cached_property
+    def index(self) -> DominantIndex:
+        """Every dominant weight's coset and rank, grown as work needs it."""
+        return DominantIndex(self.rs)
 
     @cached_property
     def racah(self) -> RacahTable:
         """The table ``orbit.exact_divide`` reads, grown as divisions need it."""
-        return RacahTable(self.rs)
+        return RacahTable(self.rs, self.index)
 
     @cached_property
     def leads(self) -> tuple[int, ...]:
@@ -220,55 +196,76 @@ class VariableBasis:
             out[d] = c // s if c % s == 0 else Fraction(c, s)
         return XYPoly._wrap(poly.rank, out)  # c // s is nonzero, Fraction(c, s) not integral
 
-    def _product_rule(self, lam: Weight, i: int) -> tuple[tuple[Weight, int], ...]:
+    def _product_rule(self, lam: Weight, i: int, cos: Weight) -> tuple[tuple[int, int], ...]:
         """Dominant terms of m_lam * X_i, m_lam the sum over the distinct
-        orbit points of lam.  X_i is invariant, so with c_b the coefficient
-        of z^b in x_i, m_lam * X_i is the sum over b of
+        orbit points of lam, each as its rank in the coset ``cos`` and its
+        coefficient.  X_i is invariant, so with c_b the coefficient of z^b
+        in x_i, m_lam * X_i is the sum over b of
         c_b |W_(lam+b)| m_dom(lam+b) / (|W_lam| lead_i): one fold per term
-        of x_i.  Each sum is checked to divide."""
-        rule = self._rules.get((lam, i))
-        if rule is None:
-            rs = self.rs
-            acc: dict[Weight, int] = {}
-            for b, c in self.var_laurents[i]._terms.items():
-                mu = fold(rs, tuple(map(add, lam, b)))[1]
-                acc[mu] = acc.get(mu, 0) + c * stabilizer_order(rs, mu)
-            scale = stabilizer_order(rs, lam) * self.leads[i]
-            terms = []
-            for mu, c in acc.items():
-                q, r = divmod(c, scale)
-                if r:
-                    raise ArithmeticError(
-                        f"the product rule of {lam} and {_VAR_NAMES[i]} does not divide at {mu}"
-                    )
-                if q:
-                    terms.append((mu, q))
-            rule = self._rules[(lam, i)] = tuple(terms)
-        return rule
+        of x_i.  Each sum is checked to divide, and a term the index has not
+        filed in ``cos`` stalls."""
+        rs, where = self.rs, self.index.where
+        acc: dict[Weight, int] = {}
+        for b, c in self.var_laurents[i]._terms.items():
+            mu = fold(rs, tuple(map(add, lam, b)))[1]
+            acc[mu] = acc.get(mu, 0) + c * stabilizer_order(rs, mu)
+        scale = stabilizer_order(rs, lam) * self.leads[i]
+        terms = []
+        for mu, c in acc.items():
+            q, r = divmod(c, scale)
+            if r:
+                raise ArithmeticError(
+                    f"the product rule of {lam} and {_VAR_NAMES[i]} does not divide at {mu}"
+                )
+            if q:
+                if (at := where.get(mu)) is None or at[0] != cos:
+                    raise _stalled([mu])
+                terms.append((at[1], q))
+        return tuple(terms)
 
-    def _dominant_monomial(self, degrees: Degree) -> DominantCoeffs:
-        """Dominant coefficients of prod(X_i ^ degrees[i]), built
-        incrementally through ``_power_cache``; every product-rule term is
-        positive, so none cancels."""
+    def _dominant_monomial(self, degrees: Degree) -> Ranked:
+        """Dominant coefficients of prod(X_i ^ degrees[i]) by rank, built
+        incrementally through ``_power_cache``: each term q of the entry one
+        degree lower scatters q times its product rule.  Every product-rule
+        term is positive, so none cancels.  The leader is the weight
+        ``degrees``, and a rule term that the index has not filed in its
+        coset, or that lies above it, raises NonDominantLeaderError."""
         cached = self._power_cache.get(degrees)
         if cached is not None:
             return cached
+        index = self.index
+        index.grow(height(self.rs, degrees))
+        cos, top = index.where[degrees]
         if not any(degrees):
-            result: DominantCoeffs = {(0,) * self.rs.rank: 1}
+            result = [1]
         else:
-            i = max(range(len(degrees)), key=lambda j: degrees[j])
+            i = max(range(len(degrees)), key=degrees.__getitem__)
             lower = tuple(d - 1 if j == i else d for j, d in enumerate(degrees))
-            result = {}
-            for lam, c in self._dominant_monomial(lower).items():
-                for mu, r in self._product_rule(lam, i):
-                    result[mu] = result.get(mu, 0) + c * r
+            prev = self._dominant_monomial(lower)
+            source = index.where[lower][0]
+            weights, rules = index.cosets[source], self._rules.setdefault((source, i), [])
+            rules += [None] * (len(prev) - len(rules))
+            result = [0] * (top + 1)
+            try:
+                for r, q in enumerate(prev):
+                    if q:
+                        if (rule := rules[r]) is None:
+                            rule = rules[r] = self._product_rule(weights[r], i, cos)
+                        for t, c in rule:
+                            result[t] += c * q
+            except IndexError:
+                above = max(t for q, rule in zip(prev, rules) if q and rule for t, _ in rule)
+                raise _stalled([index.cosets[cos][above]]) from None
         self._power_cache[degrees] = result
         return result
 
     def monomial_laurent(self, degrees: Degree) -> LaurentPoly:
         """Expansion of prod(x_i ^ degrees[i]): the cached X-monomial
         unfolded over its orbits and scaled by prod(lead_i ^ degrees[i])."""
-        dominant = self._dominant_monomial(tuple(degrees))
+        degrees = tuple(degrees)
+        monomial = self._dominant_monomial(degrees)
+        weights = self.index.cosets[self.index.where[degrees][0]]
+        dominant = {mu: c for mu, c in zip(weights, monomial) if c}
         return unfold(self.rs, dominant).scale(prod(map(pow, self.leads, degrees)))
 
 
@@ -297,40 +294,36 @@ def _stalled(residue: list[Weight]) -> NonDominantLeaderError:
     )
 
 
-def _pack(coeffs: DominantCoeffs, slots: dict[Weight, int], bits: int) -> int:
-    """sum(c << (slots[mu] * bits)), built in linear time through bytes,
-    positive and negative coefficients apart; every |c| < 2^bits.  A weight
-    with no slot raises NonDominantLeaderError."""
-    if missing := [mu for mu in coeffs if mu not in slots]:
-        raise _stalled(missing)
+def _pack_ranks(coeffs: Ranked, bits: int) -> int:
+    """sum(c << ((r + 1) * bits)) over coeffs[r], every |c| < 2^(bits-1), in
+    linear time: each slot is biased by 2^(bits-1) to a nonnegative digit,
+    so one ``to_bytes`` per slot and two ``from_bytes`` build it."""
     width = bits // 8
-    size = (max(map(slots.__getitem__, coeffs)) + 1) * width
-    halves = bytearray(size), bytearray(size)
-    for mu, c in coeffs.items():
-        at = slots[mu] * width
-        halves[c < 0][at : at + width] = abs(c).to_bytes(width, "little")
-    return int.from_bytes(halves[0], "little") - int.from_bytes(halves[1], "little")
+    digits = map(add, coeffs, repeat(1 << (bits - 1)))
+    raw = bytes(width) + b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
+    bias = bytes(width) + (bytes(width - 1) + b"\x80") * len(coeffs)
+    return int.from_bytes(raw, "little") - int.from_bytes(bias, "little")
 
 
 def _eliminate(
-    basis: VariableBasis, cos: Weight, f: dict[Weight, int], bits: int
+    basis: VariableBasis, cos: Weight, f: Ranked, bits: int
 ) -> dict[Weight, int] | None:
-    """The leaders of ``f``, integer dominant coefficients in the coset
-    ``cos``; None if a slot of ``bits`` could overflow.
+    """The leaders of ``f``, integer dominant coefficients by rank in the
+    coset ``cos``; None if a slot of ``bits`` could overflow.
 
-    Weight k of the coset has slot k, bits k*B to k*B + B - 1 of one
-    integer W = f - sum of c_d M_d.  The slots are read from the top
-    down, each as the signed digit round(W / 2^kB) mod 2^B; a digit is
-    exact when every slot of W is below 2^(B-1) in absolute value, and a
-    nonzero one is a leader d, whose monomial M_d is subtracted in one
-    big-int operation.  The slots of f and sum |c_d| max|M_d| below
-    2^(B-2) bound every slot of W, so then W = 0 proves f = sum c_d M_d."""
+    Rank r has slot k = r + 1, bits k*B to k*B + B - 1 of one integer
+    W = f - sum of c_d M_d.  The slots are read from the top down, each as
+    the signed digit round(W / 2^kB) mod 2^B; a digit is exact when every
+    slot of W is below 2^(B-1) in absolute value, and a nonzero one is a
+    leader d, whose monomial M_d is subtracted in one big-int operation.
+    The slots of f and sum |c_d| max|M_d| below 2^(B-2) bound every slot
+    of W, so then W = 0 proves f = sum c_d M_d."""
     limit = 1 << (bits - 2)
-    if max(map(abs, f.values())) >= limit:
+    if max(map(abs, f)) >= limit:
         return None
-    order, slots = basis._slots.cosets[cos]
-    packed = basis._slots.packed.setdefault((cos, bits), {})
-    work = _pack(f, slots, bits)
+    weights = basis.index.cosets[cos]
+    packed = basis._packed.setdefault((cos, bits), {})
+    work = _pack_ranks(f, bits)
     half, mask = 1 << (bits - 1), (1 << bits) - 1
 
     def digit(k: int) -> int:
@@ -339,23 +332,22 @@ def _eliminate(
 
     out = {}
     spent = 0
-    for k in range(max(map(slots.__getitem__, f)), 0, -1):
+    for k in range(len(f), 0, -1):
         if c := digit(k):
-            lam = order[k - 1]
-            entry = packed.get(lam)
+            entry = packed.get(k)
             if entry is None:
-                monomial = basis._dominant_monomial(lam)
-                largest = max(map(abs, monomial.values()))
+                monomial = basis._dominant_monomial(weights[k - 1])
+                largest = max(map(abs, monomial))
                 if largest >= limit:
                     return None
-                entry = packed[lam] = largest, _pack(monomial, slots, bits)
+                entry = packed[k] = largest, _pack_ranks(monomial, bits)
             spent += abs(c) * entry[0]
             if spent >= limit:
                 return None
             work -= c * entry[1]
-            out[lam] = c
+            out[weights[k - 1]] = c
     if work:
-        raise _stalled([mu for k, mu in enumerate(order, 1) if digit(k)])
+        raise _stalled([mu for k, mu in enumerate(weights, 1) if digit(k)])
     return out
 
 
@@ -366,20 +358,22 @@ def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
     Only dominant terms are worked on.  That is exact because a Laurent
     input is checked to be invariant, a dict is the dominant part of exactly
     one invariant once its keys are checked dominant, and every monomial
-    subtracted is invariant.  The leaders come in ``dominant_sweep`` order
-    up to the input's top height: the other terms of a monomial lie a sum
-    of positive roots below its leader, hence lower in height, so each
-    working coefficient is final when the sweep reaches it.  A monomial
-    lies in its leader's root-lattice coset, so each coset of the input is
-    eliminated apart, packed in slots over that coset's weights alone
-    (``_eliminate``).  Every X-monomial leads with 1, so the elimination is
-    in integers: a ``Fraction`` input is scaled by the lcm of its
-    denominators and divided back at the end, and otherwise only
-    ``basis.over_x``, rewriting the result over the x_i, makes a
-    ``Fraction``.  Slots start at ``_SLOT_BITS`` bits, and a coset whose
-    slots could overflow them is redone at twice the width.  A term with no
-    slot or a residue left raises NonDominantLeaderError; a coefficient not
-    an ``int`` or ``Fraction``, or a dict key not dominant, ValueError.
+    subtracted is invariant.  The leaders come down the ranks of
+    ``basis.index``, grown to the input's top height: the other terms of a
+    monomial lie a sum of positive roots below its leader, hence lower in
+    height and rank, so each working coefficient is final when its rank is
+    read.  A monomial lies in its leader's root-lattice coset, so each
+    coset of the input is eliminated apart, packed in slots over that
+    coset's ranks alone (``_eliminate``).  Every X-monomial leads with 1,
+    so the elimination is in integers: a ``Fraction`` input is scaled by
+    the lcm of its denominators and divided back at the end, and otherwise
+    only ``basis.over_x``, rewriting the result over the x_i, makes a
+    ``Fraction``.  A coset's slots start at the widest it has needed on
+    this basis (``_widths``), at first ``_SLOT_BITS`` bits, and a coset
+    whose slots could overflow them is redone at twice the width.  A term
+    the index has not filed, or a residue left, raises
+    NonDominantLeaderError; a coefficient not an ``int`` or ``Fraction``,
+    or a dict key not dominant, ValueError.
     """
     rs = basis.rs
     terms = f if isinstance(f, dict) else f._terms
@@ -394,22 +388,24 @@ def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
         exp, c = next((e, c) for e, c in terms.items() if type(c) not in (int, Fraction))
         raise ValueError(f"the coefficient {c!r} at weight {exp} is not an int or a Fraction")
     scale = lcm(*(c.denominator for c in work.values()))
-    top = max((height(rs, exp) for exp in work), default=-1)  # no terms: no sweep
-    ascending = dominant_sweep(rs, top)[::-1]
-    basis._slots.extend(rs, ascending)
-    coset_of, reached = basis._slots.coset_of, set(ascending)
-    if outside := [exp for exp in work if exp not in reached]:
+    index = basis.index
+    index.grow(max((height(rs, exp) for exp in work), default=-1))
+    if outside := [exp for exp in work if exp not in index.where]:
         raise _stalled(outside)
-    parts: dict[Weight, dict[Weight, int]] = {}
+    parts: dict[Weight, Ranked] = {}
     for exp, c in work.items():
-        parts.setdefault(coset_of[exp], {})[exp] = (c * scale).numerator
+        cos, r = index.where[exp]
+        part = parts.setdefault(cos, [])
+        part += [0] * (r + 1 - len(part))
+        part[r] = (c * scale).numerator
 
     out: dict[Degree, int | Fraction] = {}
     for cos, part in parts.items():
-        bits = _SLOT_BITS
+        bits = basis._widths.get(cos, _SLOT_BITS)
         while (leaders := _eliminate(basis, cos, part, bits)) is None:
             bits *= 2
+        basis._widths[cos] = bits
         out.update(leaders)
     if scale != 1:
-        out = {exp: Fraction(c, scale) for exp, c in out.items()}
-    return basis.over_x(XYPoly(rs.rank, out))
+        out = {exp: c // scale if c % scale == 0 else Fraction(c, scale) for exp, c in out.items()}
+    return basis.over_x(XYPoly._wrap(rs.rank, out))  # filed weights, nonzero digits

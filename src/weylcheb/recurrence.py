@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 from .genfunc import RationalGF, denominator_coeffs
 from .laurent import LaurentPoly
 from .orbit import Kind, unit_weight
-from .polynomialize import _VAR_NAMES, NotInvariantError, VariableBasis, XYPoly, _check_basis, _pack
+from .polynomialize import _VAR_NAMES, NotInvariantError, VariableBasis, XYPoly, _check_basis
 from .polynomialize import reduce  # noqa: F401  bench/tracing.py wraps it; the fill never calls it
 from .rootsystem import (
     _COORD_LIMIT, RootSystem, Weight, act, check_index, check_symmetry, check_weight, fold,
@@ -167,6 +167,18 @@ def _stride(sizes: list[list[tuple[int, int]]], stats: dict, corner: Weight) -> 
     rates = [max(Fraction(x, k) for k, (_, x) in enumerate(axis) if k) for axis in sizes]
     excess = max(x - sum(map(mul, rates, t)) for t, (_, x) in stats.items())
     return floor(excess + sum(map(mul, rates, corner))) + 1
+
+
+def _pack(coeffs: dict[Weight, int], slots: dict[Weight, int], bits: int) -> int:
+    """sum(c << (slots[mu] * bits)), built in linear time through bytes,
+    positive and negative coefficients apart; every |c| < 2^bits."""
+    width = bits // 8
+    size = (max(map(slots.__getitem__, coeffs)) + 1) * width
+    halves = bytearray(size), bytearray(size)
+    for mu, c in coeffs.items():
+        at = slots[mu] * width
+        halves[c < 0][at : at + width] = abs(c).to_bytes(width, "little")
+    return int.from_bytes(halves[0], "little") - int.from_bytes(halves[1], "little")
 
 
 def _unpack(value: int, bits: int) -> Sequence[int]:

@@ -12,10 +12,12 @@ row ``i`` of the Cartan matrix, and the simple reflection acts by
 Every route indexes its polynomials by a dominant weight: one nonnegative
 integer per fundamental weight.  ``check_index`` is the one check of that
 contract, ``index_box`` the one table order and ``dominant_sweep`` the one
-order of the exact sweeps.  ``fold`` is the one descent of a weight to the
-dominant chamber, and ``check_symmetry`` the one Weyl (anti-)invariance
-check of a Laurent polynomial's terms.  ``check_weight`` is the check for functions
-whose domain also holds negative weights.  ``stabilizer_order`` reads a
+order of the exact sweeps; a ``DominantIndex`` files the weights of that
+order once per basis, by root-lattice coset, a height shell at a time.
+``fold`` is the one descent of a weight to the dominant chamber, and
+``check_symmetry`` the one Weyl (anti-)invariance check of a Laurent
+polynomial's terms.  ``check_weight`` is the check for functions whose
+domain also holds negative weights.  ``stabilizer_order`` reads a
 dominant weight's stabilizer order from a table built once per algebra,
 and ``coset`` gives a weight's class modulo the root lattice.
 """
@@ -240,13 +242,43 @@ def height(rs: RootSystem, mu: Weight) -> int:
     return sum(map(mul, rs.heights, mu))
 
 
-def dominant_sweep(rs: RootSystem, top: int) -> list[Weight]:
-    """The dominant weights of height at most ``top``, highest first and
-    lexicographically descending within a height.  A weight minus a sum of
-    positive roots has strictly smaller height, so it comes later."""
-    box = product(*(range(top // h + 1) for h in rs.heights))
-    sweep = sorted(((s, mu) for mu in box if (s := height(rs, mu)) <= top), reverse=True)
+def dominant_sweep(rs: RootSystem, top: int, low: int = -1) -> list[Weight]:
+    """The dominant weights of height above ``low`` and at most ``top``,
+    highest first and lexicographically descending within a height.  A
+    weight minus a sum of positive roots has strictly smaller height, so it
+    comes later.  Only the last coordinate's range depends on ``low``, so
+    a shell costs its own weights and one range per other coordinate."""
+    *heads, last = rs.heights
+    sweep = []
+    for head in product(*(range(top // h + 1) for h in heads)):
+        base = sum(map(mul, heads, head))
+        first = max(0, (low - base) // last + 1)
+        sweep += [(base + b * last, (*head, b)) for b in range(first, (top - base) // last + 1)]
+    sweep.sort(reverse=True)
     return [mu for _, mu in sweep]
+
+
+class DominantIndex:
+    """The dominant weights of height at most ``top``, each filed once: per
+    root-lattice coset, ``cosets`` lists them ascending in
+    ``dominant_sweep`` order, and ``where`` holds each weight's coset and
+    rank, its place in that list.  ``grow`` appends only the shell above
+    the old top, so a rank never changes and a list by rank stays valid."""
+
+    def __init__(self, rs: RootSystem) -> None:
+        self.rs, self.top = rs, -1
+        self.cosets: dict[Weight, list[Weight]] = {}
+        self.where: dict[Weight, tuple[Weight, int]] = {}
+
+    def grow(self, top: int) -> None:
+        """File every dominant weight of height at most ``top``, in place."""
+        if top <= self.top:
+            return
+        for mu in reversed(dominant_sweep(self.rs, top, self.top)):
+            weights = self.cosets.setdefault(cos := coset(self.rs, mu), [])
+            self.where[mu] = cos, len(weights)
+            weights.append(mu)
+        self.top = top
 
 
 def check_index(rs: RootSystem, index: Weight) -> None:

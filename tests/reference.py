@@ -23,9 +23,17 @@ def expand(basis, p):
     acc = {}
     for deg, coeff in p._terms.items():
         scaled = coeff * prod(map(pow, basis.leads, deg))
-        for mu, c in basis._dominant_monomial(deg).items():
+        for mu, c in dominant_monomial(basis, deg).items():
             acc[mu] = acc.get(mu, 0) + scaled * c
     return unfold(basis.rs, acc)
+
+
+def dominant_monomial(basis, deg):
+    """The cached X-monomial of ``deg`` as {weight: coefficient}: its list
+    by rank, read through the basis's index."""
+    ranked = basis._dominant_monomial(tuple(deg))
+    weights = basis.index.cosets[basis.index.where[tuple(deg)][0]]
+    return {mu: c for mu, c in zip(weights, ranked) if c}
 
 
 def orbit_points(rs, lam):

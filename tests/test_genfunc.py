@@ -37,7 +37,7 @@ from weylcheb import (
 )
 from weylcheb.genfunc import denominator_coeffs
 from weylcheb.orbit import RacahTable
-from weylcheb.rootsystem import index_box
+from weylcheb.rootsystem import height, index_box
 from g2_reference import K_TABLE, P1_COEFFS, P2_COEFFS, SECOND_KIND, SINGULAR_ELEMENT
 from reference import closed_form_both_axes, exact_divide, expand, orbit_points
 
@@ -253,17 +253,18 @@ def test_a_replaced_basis_starts_with_an_empty_cache(g2):
 
 
 def _racah_state(table) -> tuple:
-    cosets = {cos: (list(heights), list(rows)) for cos, (heights, rows) in table.cosets.items()}
-    return table.top, dict(table.position), cosets
+    rows = {cos: list(rows) for cos, rows in table.rows.items()}
+    return rows, table.index.top, dict(table.index.where)
 
 
 def test_a_replaced_basis_starts_with_an_empty_racah_table(g2):
     basis = build_basis(g2, Kind.SECOND)
     second_kind_table(g2, basis, 2, 2)
-    assert basis.racah.top >= 0 and basis.racah.position
-    fresh = dataclasses.replace(basis).racah
-    assert fresh is not basis.racah
-    assert _racah_state(fresh) == (-1, {}, {})
+    assert basis.racah.index.top >= 0 and basis.racah.rows
+    replaced = dataclasses.replace(basis)
+    fresh = replaced.racah
+    assert fresh is not basis.racah and fresh.index is replaced.index is not basis.index
+    assert _racah_state(fresh) == ({}, -1, {})
 
 
 def test_a_refused_division_leaves_the_racah_table_as_it_was(g2):
@@ -313,6 +314,28 @@ def test_a_failure_names_the_index_and_is_not_cached(g2, kind):
             _poly_of(g2, bad, (2, 1))
         assert type(got.value.__cause__) is NonDominantLeaderError
     assert bad._polys == {}
+
+
+@pytest.mark.parametrize("grown", [(1, 0), (4, 4)], ids=["below-the-bad-term", "past-it"])
+@pytest.mark.parametrize("kind", list(Kind))
+def test_a_failure_on_a_grown_index_names_the_index(g2, kind, grown):
+    """The same bad basis first reduces the valid low index (1, 0), so its
+    index has grown; then its index is grown to ``grown``, either still
+    below the term (3, 3) of y's product rule or past it, where that term
+    is filed but lies above y's leader.  Either way the stall names the
+    index and the weight, and is never a KeyError or IndexError."""
+    basis = build_basis(g2, kind)
+    x, y = basis.var_laurents
+    extra = orbit_sum(g2, (3, 3)).scale(basis.leads[1])
+    bad = dataclasses.replace(basis, var_laurents=(x, y + extra))
+    assert _poly_of(g2, bad, (1, 0)) == _poly_of(g2, basis, (1, 0))
+    bad.index.grow(height(g2, grown))
+    message = r"at index \(2, 1\): elimination stalled.*z\^\(3, 3\)"
+    for _ in range(2):
+        with pytest.raises(NonDominantLeaderError, match=message) as got:
+            _poly_of(g2, bad, (2, 1))
+        assert type(got.value.__cause__) is NonDominantLeaderError
+    assert list(bad._polys) == [(1, 0)]
 
 
 @pytest.mark.parametrize("error", [NonDivisibleError, NonDominantLeaderError, NotInvariantError])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import weylcheb.orbit as orbit_module
+import weylcheb.rootsystem as rootsystem_module
 from weylcheb import (
     AlgebraId,
     Kind,
@@ -22,7 +23,7 @@ from weylcheb import (
     variable_laurents,
 )
 from weylcheb.orbit import RacahTable, exact_divide as dominant_divide
-from weylcheb.rootsystem import coset, dominant_sweep, height, index_box
+from weylcheb.rootsystem import coset, dominant_sweep, fold, height, index_box
 from g2_reference import SINGULAR_ELEMENT, X_LAURENT, Y_LAURENT
 from reference import apply_weyl, exact_divide
 
@@ -172,42 +173,54 @@ def _warm_table(rs) -> RacahTable:
 
 @pytest.mark.parametrize("algebra", list(AlgebraId))
 def test_racah_table_links_each_weight_to_its_coset_above_it(algebra):
-    """A table grown out of order divides right, files every dominant
-    weight up to its top once, in ascending sweep order, and links each to
+    """A table grown out of order divides right, its index files every
+    dominant weight up to its top once, in ascending sweep order, with
+    every neighbour of a row's weight, and each row links its weight to
     nonzero merged coefficients at strictly greater heights of its own
-    coset; that is what lets the walk read only finished entries."""
+    coset, filed by rank; that is what lets the walk read only finished
+    entries."""
     rs = build_root_system(algebra)
     table = _warm_table(rs)
-    weight_at = {p: mu for mu, p in table.position.items()}
-    assert sorted(weight_at) == list(range(len(weight_at)))
+    index = table.index
     filed = []
-    for cos, (heights, rows) in table.cosets.items():
-        assert [(h, mu) for h, (_, mu, _, _) in zip(heights, rows, strict=True)] == sorted(
-            (height(rs, mu), mu) for _, mu, _, _ in rows
-        )
-        for h, (p, mu, js, cs) in zip(heights, rows):
-            assert weight_at[p] == mu and coset(rs, mu) == cos and height(rs, mu) == h
+    for cos, weights in index.cosets.items():
+        assert weights == sorted(weights, key=lambda mu: (height(rs, mu), mu))
+        assert all(index.where[mu] == (cos, r) for r, mu in enumerate(weights))
+        rows = table.rows.get(cos, [])
+        if rows:  # every neighbour of a row's weight is filed
+            assert height(rs, weights[len(rows) - 1]) + table.reach <= index.top
+        for (js, cs), mu in zip(rows, weights):
+            assert coset(rs, mu) == cos
             assert len(js) == len(set(js)) == len(cs) and all(cs), mu
+            merged = {}
+            for offset, c in table.offsets:
+                nu = fold(rs, tuple(map(add, mu, offset)))[1]
+                merged[nu] = merged.get(nu, 0) + c
+            assert {weights[j]: c for j, c in zip(js, cs)} == {
+                nu: c for nu, c in merged.items() if c
+            }, mu
             for j in js:
-                assert coset(rs, weight_at[j]) == cos and height(rs, weight_at[j]) > h, mu
-        filed += [mu for _, mu, _, _ in rows]
-    assert sorted(filed) == sorted(dominant_sweep(rs, table.top))
+                assert coset(rs, weights[j]) == cos and height(rs, weights[j]) > height(rs, mu), mu
+        filed += weights
+    assert sorted(filed) == sorted(dominant_sweep(rs, index.top))
 
 
 def test_racah_table_grows_only_above_its_top(g2, monkeypatch):
     """A division whose top the table already reaches sweeps and folds
-    nothing, and leaves every row as it was."""
+    nothing, and leaves every row and the index as they were."""
     table = RacahTable(g2)
     num = signed_orbit_sum(g2, (5, 5))
     assert dominant_divide(table, num) == _dominant_quotient(g2, num)
-    rows = {cos: list(rows) for cos, (_, rows) in table.cosets.items()}
+    rows = {cos: list(rows) for cos, rows in table.rows.items()}
+    where = dict(table.index.where)
 
     def refuse(*args):
         raise AssertionError("a warm table was grown")
 
-    for name in ("dominant_sweep", "fold"):
-        monkeypatch.setattr(orbit_module, name, refuse)
+    monkeypatch.setattr(rootsystem_module, "dominant_sweep", refuse)
+    monkeypatch.setattr(orbit_module, "fold", refuse)
     for k in ((2, 3), (5, 5), (1, 1)):
         num = signed_orbit_sum(g2, k)
         assert dominant_divide(table, num) == _dominant_quotient(g2, num), k
-    assert {cos: rows for cos, (_, rows) in table.cosets.items()} == rows
+    assert {cos: list(rows) for cos, rows in table.rows.items()} == rows
+    assert table.index.where == where

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weylcheb import (
     AlgebraId,
@@ -34,9 +34,12 @@ from weylcheb import (
     unit_weight,
     verify_ratio,
 )
-from weylcheb import polynomialize
+from weylcheb import polynomialize, recurrence, rootsystem
+from weylcheb.orbit import unfold
 from weylcheb.rootsystem import coset, height
-from reference import evaluate, expand, from_json_obj, orbit_points, product_rule
+from reference import (
+    dominant_monomial, evaluate, expand, from_json_obj, orbit_points, product_rule,
+)
 
 ALGEBRAS = (AlgebraId.A1, AlgebraId.A2, AlgebraId.C2, AlgebraId.G2)
 
@@ -81,13 +84,23 @@ def test_xypoly_refuses_a_negative_degree():
     weights=st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=12),
 )
 def test_pack_is_the_shifted_sum(data, bits, weights):
-    """Both the elimination and the recurrence steps pack by ``_pack``: the
-    sum of c << (slot * bits), for distinct slots and every |c| < 2^bits."""
+    """The recurrence steps pack by ``_pack``: the sum of c << (slot * bits),
+    for distinct slots and every |c| < 2^bits."""
     bound = (1 << bits) - 1
     slots = dict(zip(weights, data.draw(st.permutations(range(40)))))
     coeffs = {mu: data.draw(st.integers(-bound, bound)) for mu in weights}
     want = sum(c << (slots[mu] * bits) for mu, c in coeffs.items())
-    assert polynomialize._pack(coeffs, slots, bits) == want
+    assert recurrence._pack(coeffs, slots, bits) == want
+
+
+@given(data=st.data(), bits=st.sampled_from([8, 16, 64, 128]), size=st.integers(1, 40))
+def test_pack_ranks_is_the_shifted_sum(data, bits, size):
+    """The elimination packs a list by rank: rank r at slot r + 1, the sum
+    of c << ((r + 1) * bits), for every |c| < 2^(bits-1)."""
+    bound = (1 << (bits - 1)) - 1
+    coeffs = data.draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size))
+    want = sum(c << ((r + 1) * bits) for r, c in enumerate(coeffs))
+    assert polynomialize._pack_ranks(coeffs, bits) == want
 
 
 @given(p=xypolys)
@@ -207,10 +220,66 @@ def test_dominant_cache_matches_explicit_product(case):
         for _ in range(e):
             product = product * var
     assert basis.monomial_laurent(deg) == product
-    # the cache holds the X-monomial, X_i = x_i / lead_i
+    # the cache holds the X-monomial, X_i = x_i / lead_i, as a list by rank
     scale = prod(lead**d for lead, d in zip(leading_coeffs(basis), deg))
     dominant = {exp: Fraction(c, scale) for exp, c in product.terms() if min(exp) >= 0}
-    assert basis._power_cache[deg] == dominant
+    weights = basis.index.cosets[basis.index.where[deg][0]]
+    cached = basis._power_cache[deg]
+    assert {mu: c for mu, c in zip(weights, cached) if c} == dominant
+    assert len(cached) == basis.index.where[deg][1] + 1
+
+
+_PRODUCTS: dict = {}
+
+
+def _dominant_products(rs, basis) -> dict:
+    """The dominant part of the product of the variables' Laurent
+    expansions over X_i, for every degree up to (5, 5) (rank 1: up to 10)."""
+    key = rs.algebra, basis.kind
+    if key not in _PRODUCTS:
+        top = (10,) if rs.rank == 1 else (5, 5)
+        products = {(0,) * rs.rank: LaurentPoly.one(rs.rank)}
+        for deg in itertools.product(*(range(t + 1) for t in top)):
+            if any(deg):
+                i = next(j for j, d in enumerate(deg) if d)
+                lower = tuple(d - (j == i) for j, d in enumerate(deg))
+                products[deg] = products[lower] * basis.var_laurents[i]
+        _PRODUCTS[key] = {
+            deg: {mu: Fraction(c, prod(map(pow, basis.leads, deg)))
+                  for mu, c in p._terms.items() if min(mu) >= 0}
+            for deg, p in products.items()
+        }
+    return _PRODUCTS[key]
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@settings(max_examples=6)
+@given(data=st.data())
+def test_monomials_built_in_any_order_are_the_laurent_products(algebra, kind, data):
+    """Monomials built in a drawn order, on a cold basis and on one whose
+    index a drawn polynomial has grown first, so the index grows in other
+    steps, equal the dominant part of the product of the expansions; and
+    with 8-bit slots, so that the slots widen, each reduces to itself."""
+    rs = build_root_system(algebra)
+    expected = _dominant_products(rs, build_basis(rs, kind))
+    order = data.draw(st.permutations(sorted(expected)))
+    cold, warm = build_basis(rs, kind), build_basis(rs, kind)
+    index = data.draw(st.sampled_from(sorted(expected)))
+    if kind is Kind.SECOND:
+        second_kind_poly(rs, warm, *index)
+    else:
+        first_kind_poly(rs, warm, index)
+    for basis in (cold, warm):
+        for deg in order:
+            assert dominant_monomial(basis, deg) == expected[deg], deg
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(polynomialize, "_SLOT_BITS", 8)
+        narrow = build_basis(rs, kind)
+        for deg in order:
+            laurent = unfold(rs, expected[deg]).scale(prod(map(pow, narrow.leads, deg)))
+            assert reduce(narrow, laurent) == XYPoly(rs.rank, {deg: 1}), deg
+    assert max(bits for _, bits in narrow._packed) > 8
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -227,9 +296,10 @@ def test_cached_monomials_are_integral_with_unit_leaders(algebra, kind):
     for deg in itertools.product(range(5), repeat=rs.rank):
         basis.monomial_laurent(deg)
     assert len(basis._power_cache) == 5**rs.rank
-    for deg, monomial in basis._power_cache.items():
-        assert all(type(c) is int for c in monomial.values()), deg
-        assert monomial[deg] == 1, deg
+    for deg, ranked in basis._power_cache.items():
+        assert all(type(c) is int for c in ranked), deg
+        monomial = dominant_monomial(basis, deg)
+        assert monomial[deg] == ranked[-1] == 1, deg
         assert all(height(rs, mu) < height(rs, deg) for mu in monomial if mu != deg), deg
     p = XYPoly(rs.rank, {(1,) * rs.rank: 3, (2,) + (0,) * (rs.rank - 1): 8})
     assert (basis.over_x(p) is p) == (expected == (1,) * rs.rank)
@@ -329,9 +399,13 @@ def test_reduce_checks_invariance_outside_the_dominant_chamber(g2, g2_second):
 
 def test_reduce_reports_a_residue_it_cannot_eliminate(g2):
     basis = build_basis(g2, Kind.SECOND)
-    # A corrupted cache entry for x that leaves a non-dominant term behind.
-    basis._power_cache[(1, 0)] = {(1, 0): 1, (0, 0): 1, (-1, 1): 1}
-    with pytest.raises(NonDominantLeaderError, match=r"1 residual term.*\(-1, 1\)"):
+    # A corrupted cache entry for x with a term at y, above its leader, that
+    # subtracting it leaves behind in a slot already read.
+    ranked = basis._dominant_monomial((1, 0))
+    basis.index.grow(height(g2, (0, 1)))
+    assert basis.index.where[(0, 1)][1] == len(ranked)
+    basis._power_cache[(1, 0)] = ranked + [1]
+    with pytest.raises(NonDominantLeaderError, match=r"1 residual term.*\(0, 1\)"):
         reduce(basis, basis.var_laurents[0])
 
 
@@ -389,9 +463,13 @@ def test_reduce_keeps_a_fractional_input_exact(g2, g2_first):
 def test_product_rule_by_folds_matches_the_orbit_point_rule(algebra, kind):
     rs = build_root_system(algebra)
     basis = build_basis(rs, kind)
+    index = basis.index
+    index.grow(height(rs, (7,) * rs.rank))
     for lam in itertools.product(range(7), repeat=rs.rank):
         for i in range(rs.rank):
-            assert dict(basis._product_rule(lam, i)) == product_rule(basis, lam, i), (lam, i)
+            cos = index.where[tuple(a + b for a, b in zip(lam, unit_weight(rs, i)))][0]
+            rule = {index.cosets[cos][t]: c for t, c in basis._product_rule(lam, i, cos)}
+            assert rule == product_rule(basis, lam, i), (lam, i)
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -402,11 +480,14 @@ def test_every_product_rule_term_and_monomial_coefficient_is_positive(algebra, k
     rs = build_root_system(algebra)
     basis = build_basis(rs, kind)
     for degrees in itertools.product(range(7), repeat=rs.rank):
-        monomial = basis._dominant_monomial(degrees)
+        monomial = dominant_monomial(basis, degrees)
         assert monomial and min(monomial.values()) > 0, degrees
+        assert min(basis._dominant_monomial(degrees)) >= 0, degrees
     assert basis._rules
-    for (lam, i), rule in basis._rules.items():
-        assert rule and all(c > 0 for _, c in rule), (lam, i)
+    for (cos, i), rules in basis._rules.items():
+        weights = basis.index.cosets[cos]
+        for lam, rule in zip(weights, rules):
+            assert rule is None or rule and all(c > 0 for _, c in rule), (lam, i)
 
 
 def test_a_product_rule_that_does_not_divide_is_refused(g2):
@@ -417,6 +498,18 @@ def test_a_product_rule_that_does_not_divide_is_refused(g2):
     bad = dataclasses.replace(first, var_laurents=(x + LaurentPoly.monomial(2, (5, 0)).scale(2), y))
     with pytest.raises(ArithmeticError, match="product rule of \\(0, 0\\) and x"):
         reduce(bad, orbit_sum(g2, (1, 0)))
+
+
+def test_a_product_rule_term_in_another_coset_stalls(a2):
+    """A basis from dataclasses.replace skips build_basis.  With x + 1 as a
+    variable, the product rule that builds x has a term at (0, 0), in the
+    root lattice and not in x's coset, so the monomial is refused, naming
+    that weight, rather than filed by its rank in the wrong coset."""
+    basis = build_basis(a2, Kind.SECOND)
+    x, y = basis.var_laurents
+    bad = dataclasses.replace(basis, var_laurents=(x + LaurentPoly.one(2), y))
+    with pytest.raises(NonDominantLeaderError, match=r"1 residual term.*z\^\(0, 0\)"):
+        reduce(bad, x)
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -431,7 +524,7 @@ def test_narrow_slots_widen_to_the_same_tables(algebra, kind, monkeypatch):
     monkeypatch.setattr(polynomialize, "_SLOT_BITS", 8)
     basis = build_basis(rs, kind)
     assert table(rs, basis, *size) == wide
-    widths = {bits for _, bits in basis._slots.packed}
+    widths = {bits for _, bits in basis._packed}
     assert min(widths) == 8 and max(widths) > 8, widths
 
 
@@ -442,32 +535,45 @@ _WRONG_SWEEPS = {
 }
 
 
+def _wrong_shells(monkeypatch, wrong) -> None:
+    """Make every shell an index grows by ``wrong``."""
+    honest = rootsystem.dominant_sweep
+    monkeypatch.setattr(
+        rootsystem, "dominant_sweep", lambda rs, top, low=-1: wrong(honest(rs, top, low))
+    )
+
+
 @pytest.mark.parametrize("wrong", list(_WRONG_SWEEPS.values()), ids=list(_WRONG_SWEEPS))
-def test_a_wrong_sweep_makes_reduce_raise(wrong, monkeypatch, g2, g2_second):
-    """The sweep only orders the work.  A short or reversed one leaves a
-    residue, never a wrong answer."""
-    honest = polynomialize.dominant_sweep
-    monkeypatch.setattr(polynomialize, "dominant_sweep", lambda rs, top: wrong(honest(rs, top)))
+def test_a_wrong_sweep_makes_reduce_raise(wrong, monkeypatch, g2):
+    """The sweep only orders the work.  A short or reversed one that the
+    index is grown by raises a stall, never a wrong answer."""
+    basis = build_basis(g2, Kind.SECOND)
+    _wrong_shells(monkeypatch, wrong)
     with pytest.raises(NonDominantLeaderError):
-        reduce(g2_second, orbit_sum(g2, (2, 1)))
+        reduce(basis, orbit_sum(g2, (2, 1)))
 
 
 @pytest.mark.parametrize(
     "wrong", [lambda sweep: sweep[::-1], lambda sweep: sweep[1:]], ids=["reversed", "drop-top"]
 )
 def test_a_wrong_sweep_on_a_warm_basis_raises_and_spoils_nothing(wrong, g2, monkeypatch):
-    """Slots cached from a higher sweep do not hide a short one, and
-    monomials packed over a reversed sweep are dropped when the honest
-    sweep comes back, so the basis still reduces correctly."""
+    """A warm index grows only above its top, so a wrong shell it grows by
+    raises, and every rank, rule and monomial filed before it stays as it
+    was: the basis still reduces correctly up to its old top."""
     basis = build_basis(g2, Kind.SECOND)
     f = orbit_sum(g2, (2, 1))
     expected = reduce(build_basis(g2, Kind.SECOND), f)
-    reduce(basis, orbit_sum(g2, (3, 1)))
-    honest = polynomialize.dominant_sweep
+    assert reduce(basis, f) == expected
+    where, monomials = dict(basis.index.where), {d: list(m) for d, m in basis._power_cache.items()}
+    rules = {key: list(rows) for key, rows in basis._rules.items()}
     with monkeypatch.context() as m:
-        m.setattr(polynomialize, "dominant_sweep", lambda rs, top: wrong(honest(rs, top)))
+        _wrong_shells(m, wrong)
         with pytest.raises(NonDominantLeaderError):
-            reduce(basis, f)
+            reduce(basis, orbit_sum(g2, (3, 1)))
+    assert {mu: basis.index.where[mu] for mu in where} == where
+    assert {d: basis._power_cache[d] for d in monomials} == monomials
+    assert all(basis._rules[key][r] == rule for key, rows in rules.items()
+               for r, rule in enumerate(rows) if rule is not None)
     assert reduce(basis, f) == expected
 
 
@@ -479,21 +585,19 @@ def test_reduce_packs_each_coset_over_its_own_weights(algebra):
     basis = build_basis(rs, Kind.SECOND)
     p = XYPoly(2, {(2, 1): 3, (1, 0): -2, (0, 0): 1})
     assert reduce(basis, expand(basis, p)) == p
-    assert len({cos for cos, _ in basis._slots.packed}) == 2
-    for cos, (order, _) in basis._slots.cosets.items():
-        assert {coset(rs, mu) for mu in order} == {cos}
+    assert len({cos for cos, _ in basis._packed}) == 2
+    for cos, weights in basis.index.cosets.items():
+        assert {coset(rs, mu) for mu in weights} == {cos}
 
 
 def test_a_sweep_out_of_order_ends_in_a_residue_at_a_bounded_width(g2, monkeypatch):
-    """With x swapped above (2, 1), subtracting the monomial of (2, 1)
-    leaves a slot above the next one read.  Each slot is read as a signed
-    digit, which stays exact there, so the elimination ends in a residue
-    instead of widening the slots without end."""
-    honest, eliminate = polynomialize.dominant_sweep, polynomialize._eliminate
+    """With x swapped above (2, 1), the monomial of (2, 1) has a term above
+    its leader.  The elimination ends in a stall instead of widening the
+    slots without end."""
+    eliminate = polynomialize._eliminate
     widths = []
 
-    def swapped(rs, top):
-        sweep = honest(rs, top)
+    def swapped(sweep):
         i, j = sweep.index((2, 1)), sweep.index((1, 0))
         sweep[i], sweep[j] = sweep[j], sweep[i]
         return sweep
@@ -503,8 +607,9 @@ def test_a_sweep_out_of_order_ends_in_a_residue_at_a_bounded_width(g2, monkeypat
         assert bits <= 4096, "the slots kept widening"
         return eliminate(basis, cos, f, bits)
 
-    monkeypatch.setattr(polynomialize, "dominant_sweep", swapped)
+    basis = build_basis(g2, Kind.SECOND)
+    _wrong_shells(monkeypatch, swapped)
     monkeypatch.setattr(polynomialize, "_eliminate", bounded)
     with pytest.raises(NonDominantLeaderError):
-        reduce(build_basis(g2, Kind.SECOND), orbit_sum(g2, (2, 1)))
+        reduce(basis, orbit_sum(g2, (2, 1)))
     assert max(widths) <= 128, widths
