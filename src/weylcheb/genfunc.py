@@ -24,6 +24,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import mul
 
 from .laurent import LaurentPoly, NonDivisibleError
 # bench/tracing.py wraps genfunc.exact_divide, which second_kind_poly calls by this name.
@@ -55,15 +57,20 @@ def coefficient_trace(rs: RootSystem, *index: int) -> LaurentPoly:
     signed orbit sums.
     """
     check_index(rs, index)
-    diagonals = [diagonal_exp_matrix(rs, i) for i in range(rs.rank)]
+    rows, dets = _trace_rows(rs)
+    coords = map(sum, map(map, repeat(mul), repeat(index), rows))
     acc: dict[Weight, int] = {}
-    for w, *entries in zip(rs.elements, *diagonals):
-        exp = tuple(
-            sum(m * entry[c] for m, entry in zip(index, entries))
-            for c in range(rs.rank)
-        )
-        acc[exp] = acc.get(exp, 0) + w.det
-    return LaurentPoly(rs.rank, acc)
+    for exp, det in zip(zip(*[coords] * rs.rank), dets):  # rank coords per exponent
+        acc[exp] = acc.get(exp, 0) + det
+    return LaurentPoly._wrap(rs.rank, {exp: c for exp, c in acc.items() if c})
+
+
+@lru_cache(maxsize=None)
+def _trace_rows(rs: RootSystem) -> tuple[tuple[Weight, ...], tuple[int, ...]]:
+    """Per diagonal position, per coordinate c, the diagonals' entries c; and the dets."""
+    diagonals = [diagonal_exp_matrix(rs, i) for i in range(rs.rank)]
+    rows = tuple(row for entries in zip(*diagonals) for row in zip(*entries))
+    return rows, tuple(w.det for w in rs.elements)
 
 
 def _cached(basis: VariableBasis, index: Weight, compute) -> XYPoly:

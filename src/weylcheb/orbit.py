@@ -79,7 +79,8 @@ class RacahTable:
         """The rows of the coset ``cos`` up to ``rank``, a filed one, each folded once."""
         rs, index, rows = self.rs, self.index, self.rows.setdefault(cos, [])
         weights = index.cosets[cos]
-        index.grow(height(rs, weights[rank]) + self.reach)
+        if len(rows) <= rank:
+            index.grow(height(rs, weights[rank]) + self.reach)
         for mu in weights[len(rows) : rank + 1]:
             links: dict[int, int] = {}
             for offset, c in self.offsets:
@@ -99,16 +100,14 @@ def exact_divide(table: RacahTable, numerator: LaurentPoly) -> dict[Weight, int]
     rank: walking each of the numerator's cosets down from its highest term
     there reads only finished entries, and an entry above that term reads
     0, as it has no term and every neighbour of it lies higher still.
-    Every anti-invariant is A_rho times an invariant, so the division is
-    exact when the numerator is anti-invariant; that is checked before the
-    table is touched, and a failure raises NonDivisibleError."""
+    Every anti-invariant is A_rho times an invariant, so the division is exact
+    when the numerator is anti-invariant, checked before the table is touched
+    (NonDivisibleError).  ``place`` grows the index only for unfiled terms."""
     rs, index = table.rs, table.index
     check_symmetry(rs, numerator._terms, -1, NonDivisibleError, "the numerator")
     lead = {tuple(map(sub, nu, rs.rho)): c for nu, c in numerator._terms.items() if min(nu) > 0}
-    index.grow(max((height(rs, mu) for mu in lead), default=-1))
     parts: dict[Weight, dict[int, int]] = {}
-    for mu, c in lead.items():
-        cos, r = index.where[mu]
+    for (cos, r), c in zip(index.place(lead), lead.values()):
         parts.setdefault(cos, {})[r] = c
     quot: dict[Weight, int] = {}
     for cos, part in parts.items():

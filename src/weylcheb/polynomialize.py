@@ -25,14 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm, prod
 from operator import add, attrgetter
+from struct import pack
 
 from .laurent import LaurentPoly, SparsePoly
 from .orbit import Kind, RacahTable, unfold, unit_weight, variable_laurents
 from .rootsystem import (
-    DominantIndex, RootSystem, Weight, check_symmetry, fold, height, stabilizer_order,
+    DominantIndex, RootSystem, Weight, check_symmetry, fold, stabilizer_order,
 )
 
 
@@ -202,17 +203,17 @@ class VariableBasis:
         coefficient.  X_i is invariant, so with c_b the coefficient of z^b
         in x_i, m_lam * X_i is the sum over b of
         c_b |W_(lam+b)| m_dom(lam+b) / (|W_lam| lead_i): one fold per term
-        of x_i.  Each sum is checked to divide, and a term the index has not
+        of x_i, one |W_mu| per target.  Each sum must divide, and a term not
         filed in ``cos`` stalls."""
         rs, where = self.rs, self.index.where
         acc: dict[Weight, int] = {}
         for b, c in self.var_laurents[i]._terms.items():
             mu = fold(rs, tuple(map(add, lam, b)))[1]
-            acc[mu] = acc.get(mu, 0) + c * stabilizer_order(rs, mu)
+            acc[mu] = acc.get(mu, 0) + c
         scale = stabilizer_order(rs, lam) * self.leads[i]
         terms = []
         for mu, c in acc.items():
-            q, r = divmod(c, scale)
+            q, r = divmod(c * stabilizer_order(rs, mu), scale)
             if r:
                 raise ArithmeticError(
                     f"the product rule of {lam} and {_VAR_NAMES[i]} does not divide at {mu}"
@@ -234,7 +235,7 @@ class VariableBasis:
         if cached is not None:
             return cached
         index = self.index
-        index.grow(height(self.rs, degrees))
+        index.place((degrees,))
         cos, top = index.where[degrees]
         if not any(degrees):
             result = [1]
@@ -296,11 +297,14 @@ def _stalled(residue: list[Weight]) -> NonDominantLeaderError:
 
 def _pack_ranks(coeffs: Ranked, bits: int) -> int:
     """sum(c << ((r + 1) * bits)) over coeffs[r], every |c| < 2^(bits-1), in
-    linear time: each slot is biased by 2^(bits-1) to a nonnegative digit,
-    so one ``to_bytes`` per slot and two ``from_bytes`` build it."""
+    linear time: with each slot biased by 2^(bits-1) to a digit >= 0, one ``struct.pack``
+    (64-bit slots; else one ``to_bytes`` per slot) and two ``from_bytes`` build it."""
     width = bits // 8
     digits = map(add, coeffs, repeat(1 << (bits - 1)))
-    raw = bytes(width) + b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
+    if bits == 64:
+        raw = bytes(width) + pack(f"<{len(coeffs)}Q", *digits)
+    else:
+        raw = bytes(width) + b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
     bias = bytes(width) + (bytes(width - 1) + b"\x80") * len(coeffs)
     return int.from_bytes(raw, "little") - int.from_bytes(bias, "little")
 
@@ -333,7 +337,8 @@ def _eliminate(
     out = {}
     spent = 0
     for k in range(len(f), 0, -1):
-        if c := digit(k):
+        rounded = ((work >> (k * bits - 1)) + 1) >> 1  # digit(k), inline
+        if c := ((rounded + half) & mask) - half:
             entry = packed.get(k)
             if entry is None:
                 monomial = basis._dominant_monomial(weights[k - 1])
@@ -359,12 +364,12 @@ def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
     input is checked to be invariant, a dict is the dominant part of exactly
     one invariant once its keys are checked dominant, and every monomial
     subtracted is invariant.  The leaders come down the ranks of
-    ``basis.index``, grown to the input's top height: the other terms of a
-    monomial lie a sum of positive roots below its leader, hence lower in
-    height and rank, so each working coefficient is final when its rank is
-    read.  A monomial lies in its leader's root-lattice coset, so each
-    coset of the input is eliminated apart, packed in slots over that
-    coset's ranks alone (``_eliminate``).  Every X-monomial leads with 1,
+    ``basis.index``, which grows only if a key is not filed (``place``):
+    the other terms of a monomial lie a sum of positive roots below its
+    leader, lower in height and rank, so each working coefficient is final
+    when its rank is read.  A monomial lies in its leader's root-lattice
+    coset, so each coset of the input is eliminated apart, packed in slots
+    over that coset's ranks alone (``_eliminate``).  Every X-monomial leads with 1,
     so the elimination is in integers: a ``Fraction`` input is scaled by
     the lcm of its denominators and divided back at the end, and otherwise
     only ``basis.over_x``, rewriting the result over the x_i, makes a
@@ -373,28 +378,29 @@ def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
     whose slots could overflow them is redone at twice the width.  A term
     the index has not filed, or a residue left, raises
     NonDominantLeaderError; a coefficient not an ``int`` or ``Fraction``,
-    or a dict key not dominant, ValueError.
+    or a dict key not dominant (checked over all keys at once, then the
+    first such key named), ValueError.
     """
     rs = basis.rs
     terms = f if isinstance(f, dict) else f._terms
     if terms is not f:
         check_symmetry(rs, terms, 1, NotInvariantError, "input")
         work = {exp: c for exp, c in terms.items() if min(exp) >= 0}
-    elif bad := [e for e in f if len(e) != rs.rank or any(type(a) is not int or a < 0 for a in e)]:
-        raise ValueError(f"dominant coefficients keyed by a non-dominant weight {bad[0]}")
+    elif ({*map(len, f)} - {rs.rank} or {*map(type, chain(*f))} - {int}
+          or min(chain(*f), default=0) < 0):
+        bad = next(e for e in f if len(e) != rs.rank or any(type(a) is not int or a < 0 for a in e))
+        raise ValueError(f"dominant coefficients keyed by a non-dominant weight {bad}")
     else:
         work = {exp: c for exp, c in f.items() if c}
     if not {*map(type, terms.values())} <= {int, Fraction}:
         exp, c = next((e, c) for e, c in terms.items() if type(c) not in (int, Fraction))
         raise ValueError(f"the coefficient {c!r} at weight {exp} is not an int or a Fraction")
-    scale = lcm(*(c.denominator for c in work.values()))
-    index = basis.index
-    index.grow(max((height(rs, exp) for exp in work), default=-1))
-    if outside := [exp for exp in work if exp not in index.where]:
-        raise _stalled(outside)
+    scale = lcm(*map(attrgetter("denominator"), work.values()))
+    places = basis.index.place(work)
+    if None in places:
+        raise _stalled([exp for exp, at in zip(work, places) if at is None])
     parts: dict[Weight, Ranked] = {}
-    for exp, c in work.items():
-        cos, r = index.where[exp]
+    for (cos, r), c in zip(places, work.values()):
         part = parts.setdefault(cos, [])
         part += [0] * (r + 1 - len(part))
         part[r] = (c * scale).numerator

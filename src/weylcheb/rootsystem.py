@@ -223,8 +223,8 @@ def fold(rs: RootSystem, mu: Weight) -> tuple[int, Weight]:
 
 
 def stabilizer_order(rs: RootSystem, mu: Weight) -> int:
-    """The order of the stabilizer of the dominant weight ``mu`` in W."""
-    return rs.stabilizers[sum(1 << j for j, c in enumerate(mu) if not c)]
+    """The order of the stabilizer of the dominant weight ``mu`` in W (mask 0 off the walls)."""
+    return rs.stabilizers[sum(1 << j for j, c in enumerate(mu) if not c) if 0 in mu else 0]
 
 
 def coset(rs: RootSystem, mu: Weight) -> Weight:
@@ -279,6 +279,14 @@ class DominantIndex:
             self.where[mu] = cos, len(weights)
             weights.append(mu)
         self.top = top
+
+    def place(self, weights) -> list[tuple[Weight, int] | None]:
+        """Each weight's (coset, rank), or None; only weights not yet filed grow the index."""
+        places = list(map(self.where.get, weights))
+        if None in places:
+            self.grow(max(height(self.rs, mu) for mu, at in zip(weights, places) if at is None))
+            places = list(map(self.where.get, weights))
+        return places
 
 
 def check_index(rs: RootSystem, index: Weight) -> None:

@@ -6,10 +6,11 @@ import dataclasses
 import itertools
 import re
 from fractions import Fraction
+from functools import partial
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weylcheb import (
     AlgebraId,
@@ -35,7 +36,8 @@ from weylcheb import (
     verify_ratio,
 )
 from weylcheb import polynomialize, recurrence, rootsystem
-from weylcheb.orbit import unfold
+from weylcheb.genfunc import coefficient_trace
+from weylcheb.orbit import exact_divide, unfold
 from weylcheb.rootsystem import coset, height
 from reference import (
     dominant_monomial, evaluate, expand, from_json_obj, orbit_points, product_rule,
@@ -93,12 +95,27 @@ def test_pack_is_the_shifted_sum(data, bits, weights):
     assert recurrence._pack(coeffs, slots, bits) == want
 
 
-@given(data=st.data(), bits=st.sampled_from([8, 16, 64, 128]), size=st.integers(1, 40))
-def test_pack_ranks_is_the_shifted_sum(data, bits, size):
-    """The elimination packs a list by rank: rank r at slot r + 1, the sum
-    of c << ((r + 1) * bits), for every |c| < 2^(bits-1)."""
+@st.composite
+def ranked_lists(draw):
+    """A slot width and a list by rank whose every |c| < 2^(bits-1)."""
+    bits = draw(st.sampled_from([8, 16, 64, 128]))
     bound = (1 << (bits - 1)) - 1
-    coeffs = data.draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size))
+    return bits, draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=40))
+
+
+_WIDE = (1 << 62) - 1  # the widest coefficient a 64-bit slot of _eliminate holds
+
+
+@given(case=ranked_lists())
+@example(case=(64, [_WIDE]))
+@example(case=(64, [-_WIDE]))
+@example(case=(64, [0]))
+@example(case=(64, [_WIDE, 0, -_WIDE, -_WIDE, 0, _WIDE]))
+def test_pack_ranks_is_the_shifted_sum(case):
+    """The elimination packs a list by rank: rank r at slot r + 1, the sum
+    of c << ((r + 1) * bits), for every |c| < 2^(bits-1).  64-bit slots go
+    through ``struct``, the others through ``to_bytes``."""
+    bits, coeffs = case
     want = sum(c << ((r + 1) * bits) for r, c in enumerate(coeffs))
     assert polynomialize._pack_ranks(coeffs, bits) == want
 
@@ -367,6 +384,77 @@ def test_reduce_rejects_malformed_dominant_coefficients(g2_first, dominant, mess
     ``bool``, or a ``Fraction``."""
     with pytest.raises(ValueError, match=re.escape(message)):
         reduce(g2_first, dominant)
+
+
+# Keys that are not dominant weights, by rank.
+_BAD_KEYS = {
+    1: [(-1,), (2, 0), (0.5,), (9.0,), ()],
+    2: [(-1, 1), (1,), (0, 0, 1), (True, 9), (0.5, 0), (2, -3), (1.0, 9)],
+}
+
+
+def _first_bad_key(keys, rank):
+    """The key ``reduce`` names: the first that is not a dominant weight."""
+    return next(e for e in keys if len(e) != rank or any(type(a) is not int or a < 0 for a in e))
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_reduce_places_a_dict_on_a_fresh_and_on_a_grown_index(algebra, kind, data):
+    """Each key of a dict is placed by one index lookup, and the index
+    grows only when a key is not filed.  On a fresh basis the lookups miss
+    and the index grows to the highest key, not the first; on a basis grown
+    past the input it stays as it was; both agree with the unfolded Laurent
+    polynomial.  Zero coefficients far above the index's top are dropped,
+    not filed, and a dict with bad keys names the first of them."""
+    rs = build_root_system(algebra)
+    degs = st.tuples(*[st.integers(0, 3)] * rs.rank)
+    p = XYPoly(rs.rank, data.draw(st.dictionaries(degs, int_coeffs, max_size=4)))
+    f = expand(build_basis(rs, kind), p)
+    terms = sorted((mu, c) for mu, c in f._terms.items() if min(mu) >= 0)
+    dominant = dict(sorted(terms, key=lambda term: height(rs, term[0])))  # lowest first
+    far = st.tuples(*[st.integers(40, 60)] * rs.rank)
+    zeros = dict.fromkeys(data.draw(st.lists(far, max_size=3)), 0)
+
+    fresh = build_basis(rs, kind)
+    assert reduce(fresh, {**dominant, **zeros}) == p
+    assert fresh.index.top >= max((height(rs, mu) for mu in dominant), default=-1)
+    assert fresh.index.top < height(rs, (40,) * rs.rank)
+    grown = build_basis(rs, kind)
+    grown.index.grow(height(rs, (12,) * rs.rank))
+    top = grown.index.top
+    assert reduce(grown, {**dominant, **zeros}) == p
+    assert grown.index.top == top
+    assert reduce(build_basis(rs, kind), f) == p
+
+    bad = dict.fromkeys(data.draw(st.lists(st.sampled_from(_BAD_KEYS[rs.rank]), min_size=1)), 1)
+    mixed = dict(data.draw(st.permutations([*dominant.items(), *bad.items()])))
+    first = _first_bad_key(mixed, rs.rank)
+    with pytest.raises(ValueError, match=re.escape(f"non-dominant weight {first}")):
+        reduce(build_basis(rs, kind), mixed)
+
+
+def test_filed_weights_divide_and_reduce_without_growing_the_index(g2, monkeypatch):
+    """A division or a reduce whose weights the index has filed only looks
+    them up, so it runs with the sweep broken; on a fresh basis the same
+    calls still grow the index."""
+    numerator = coefficient_trace(g2, 3, 2)
+    quotient = exact_divide(build_basis(g2, Kind.SECOND).racah, numerator)
+    want = reduce(build_basis(g2, Kind.SECOND), quotient)
+    warm = build_basis(g2, Kind.SECOND)
+    second_kind_table(g2, warm, 3, 3)
+
+    def broken(*args):
+        raise RuntimeError("the index swept")
+
+    monkeypatch.setattr(rootsystem, "dominant_sweep", broken)
+    assert exact_divide(warm.racah, numerator) == quotient
+    assert reduce(warm, quotient) == want
+    for call in (lambda basis: exact_divide(basis.racah, numerator), partial(reduce, f=quotient)):
+        with pytest.raises(RuntimeError, match="the index swept"):
+            call(build_basis(g2, Kind.SECOND))
 
 
 def test_reduce_rejects_a_laurent_polynomial_with_float_coefficients(g2, g2_first):
