@@ -170,6 +170,7 @@ def main(argv: list[str] | None = None) -> int:
             text = output.table_json(algebra, kind, max_m, max_n, table)
         else:
             text = output.table_text(kind, table, latex=args.format == "latex")
+        del table, basis  # only the text is needed now; the basis caches the GF polynomials
         _emit(args, text)
         return 0
 

@@ -16,7 +16,6 @@ small, so they still go through ``json.dumps``.
 from __future__ import annotations
 
 import json
-from operator import add
 
 from .genfunc import RationalGF
 from .numeric import VerificationReport
@@ -54,23 +53,28 @@ def _subscript(index: tuple[int, ...]) -> str:
 # A table entry's term, at the nesting depth of the layout: _TERM_OPEN, the
 # coefficient's str (str(Fraction(coeff)), as in ``to_json_obj``), its degree.
 _TERM_OPEN = '        {\n          "coeff": "'
+_NEXT_TERM = ",\n" + _TERM_OPEN
 
 
 def _degree_json(deg: tuple[int, ...]) -> str:
+    """``deg``'s text after a coefficient, with the separator that opens the next term."""
     digits = ",\n            ".join(map(str, deg))
-    return f'",\n          "degree": [\n            {digits}\n          ]\n        }}'
+    return f'",\n          "degree": [\n            {digits}\n          ]\n        }}{_NEXT_TERM}'
 
 
-def _table_entry(index: tuple[int, ...], poly: XYPoly, rank: dict, text: dict) -> str:
+def _table_entry(index: tuple[int, ...], poly: XYPoly, rank: dict, text: dict) -> list[str]:
+    """The entry's head, its coefficient and degree texts in turn, and its tail."""
     head = f'    {{\n      "m": {index[0]},\n'
     if len(index) > 1:
         head += f'      "n": {index[1]},\n'
     if not poly:
-        return f'{head}      "poly": []\n    }}'
+        return [f'{head}      "poly": []\n    }}']
     keys = sorted(poly._terms, key=rank.__getitem__)
-    coeffs = map(str, map(poly._terms.__getitem__, keys))
-    terms = (",\n" + _TERM_OPEN).join(map(add, coeffs, map(text.__getitem__, keys)))
-    return f'{head}      "poly": [\n{_TERM_OPEN}{terms}\n      ]\n    }}'
+    pieces = [None] * (2 * len(keys))
+    pieces[::2] = map(str, map(poly._terms.__getitem__, keys))
+    pieces[1::2] = map(text.__getitem__, keys)
+    pieces[-1] = pieces[-1][: -len(_NEXT_TERM)]  # the last term opens none
+    return [f'{head}      "poly": [\n{_TERM_OPEN}', *pieces, "\n      ]\n    }"]
 
 
 def table_json(
@@ -95,7 +99,8 @@ def table_json(
     parts = [head, '  "polynomials": [']
     sep = "\n"
     for idx in sorted(table):
-        parts += (sep, _table_entry(idx, table[idx], rank, text))
+        parts.append(sep)
+        parts += _table_entry(idx, table[idx], rank, text)
         sep = ",\n"
     parts.append("\n  ]" if table else "]")
     parts.append(f',\n  "schema": {SCHEMA_VERSION}\n}}\n')

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import floor
 from operator import mul
 from struct import unpack
@@ -182,16 +183,17 @@ def _pack(coeffs: dict[Weight, int], slots: dict[Weight, int], bits: int) -> int
 
 
 def _unpack(value: int, bits: int) -> Sequence[int]:
-    """The slots of ``value``, each below 2^(bits-1) in size, as digits
-    biased by 2^(bits-1): with the bias every digit is nonnegative, so one
-    ``to_bytes`` reads them all."""
+    """The slots of ``value``, each below 2^(bits-1) in size, as signed ints.
+    Biased by 2^(bits-1), every slot is a nonnegative digit, so one
+    ``to_bytes`` reads them all; XOR with the bias leaves each value mod 2^bits."""
     width = bits // 8
     count = abs(value).bit_length() // bits + 1
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    raw = (value + bias).to_bytes(count * width, "little")
+    raw = ((value + bias) ^ bias).to_bytes(count * width, "little")
     if bits == 64:
-        return unpack(f"<{count}Q", raw)
-    return [int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)]
+        return unpack(f"<{count}q", raw)
+    return [int.from_bytes(raw[j : j + width], "little", signed=True)
+            for j in range(0, len(raw), width)]
 
 
 def _build(rs: RootSystem, basis: VariableBasis, box: list[Weight]) -> dict[Weight, XYPoly]:
@@ -200,7 +202,8 @@ def _build(rs: RootSystem, basis: VariableBasis, box: list[Weight]) -> dict[Weig
     Past the seed block, U_t = -sum over k >= 1 of P_i[k] U_(t - k e_i),
     i the first axis with t_i >= deg P_i.  X^a Y^b packs to a slot of
     ``bits`` bits at a + stride * b of one int, so a step is one shifted
-    multiply-subtract per term of P_i, and each entry is decoded once.
+    multiply-subtract per term of P_i, and each entry is decoded once, as
+    signed slots whose nonzero ones are its terms.
     Packing is a ring homomorphism, so U_t decodes exactly if it fits its
     slots: each step bounds its coefficients and x-degree by its
     operands', and widens the slots or the stride first if need be.  A
@@ -232,10 +235,9 @@ def _build(rs: RootSystem, basis: VariableBasis, box: list[Weight]) -> dict[Weig
                 if s not in packed:
                     packed[s] = _pack(table[s]._terms, {d: slot(d) for d in table[s]._terms}, bits)
                 acc -= sum((c * packed[s]) << shift for c, shift in shifts[i][k])
-            packed[t], digits, half = acc, _unpack(acc, bits), 1 << (bits - 1)
+            packed[t], digits = acc, _unpack(acc, bits)
             keys += [(j % stride, j // stride)[: rs.rank] for j in range(len(keys), len(digits))]
-            terms = {d: c - half for d, c in zip(keys, digits) if c != half}
-            table[t] = u = XYPoly._wrap(rs.rank, terms)
+            table[t] = u = XYPoly._wrap(rs.rank, dict(compress(zip(keys, digits), digits)))
             stats[t] = _sizes(u, max)
         if t[0] >= degrees[0]:
             packed.pop((t[0] - degrees[0], *t[1:]), None)

@@ -79,10 +79,43 @@ _MIXED = (
     {(0, 0): XYPoly.zero(2), (0, 1): XYPoly(2, {(0, 1): Fraction(-3, 8), (1, 0): -1})},
 )
 _EMPTY = (AlgebraId.A1, Kind.SECOND, 0, None, {})
+# the edges of an entry's pieces: one term, whose degree text loses its
+# separator; a Fraction last; an empty entry between two others; one entry
+_ONE_TERM = (
+    AlgebraId.C2,
+    Kind.SECOND,
+    1,
+    0,
+    {(0, 0): XYPoly.constant(2, 1), (1, 0): XYPoly(2, {(1, 0): -7})},
+)
+_FRACTION_LAST = (
+    AlgebraId.G2,
+    Kind.FIRST,
+    0,
+    0,
+    {(0, 0): XYPoly(2, {(2, 1): 5, (1, 0): -2, (0, 0): Fraction(1, 3)})},
+)
+_EMPTY_BETWEEN = (
+    AlgebraId.A2,
+    Kind.SECOND,
+    1,
+    1,
+    {
+        (0, 0): XYPoly(2, {(0, 1): 2, (0, 0): -1}),
+        (0, 1): XYPoly.zero(2),
+        (1, 0): XYPoly(2, {(1, 0): 3, (0, 0): 4}),
+        (1, 1): XYPoly.zero(2),
+    },
+)
+_ONE_ENTRY = (AlgebraId.A1, Kind.FIRST, 0, None, {(0,): XYPoly(1, {(2,): -1, (0,): 2})})
 
 
 @example(case=_MIXED)
 @example(case=_EMPTY)
+@example(case=_ONE_TERM)
+@example(case=_FRACTION_LAST)
+@example(case=_EMPTY_BETWEEN)
+@example(case=_ONE_ENTRY)
 @given(case=tables())
 def test_table_json_matches_json_dumps(case):
     assert output.table_json(*case) == _reference_table_json(*case)

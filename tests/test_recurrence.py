@@ -273,7 +273,7 @@ def test_narrow_slots_and_stride_widen_to_the_same_tables(algebra, kind, monkeyp
 def test_the_first_stride_and_slots_hold_a_16_box(algebra, kind, monkeypatch):
     """The first stride is one more than the box's largest x-degree, a bound
     known before any step, and 64-bit slots hold every coefficient up to
-    16 x 16, so no step there widens either."""
+    16 x 16, so no step there widens either.  A zero slot decodes to no term."""
     rs = build_root_system(algebra)
     widths, strides = set(), []
     honest_unpack, honest_stride = recurrence._unpack, recurrence._stride
@@ -292,6 +292,41 @@ def test_the_first_stride_and_slots_hold_a_16_box(algebra, kind, monkeypatch):
     table = _build(rs, build_basis(rs, kind), box)
     assert widths == {64}
     assert strides == [max(_sizes(table[t], max)[1] for t in box) + 1]
+    assert all(all(u._terms.values()) for u in table.values())
+
+
+_SLOT_WIDTHS = (8, 16, 64, 128, 192)
+
+
+def _widest(bits: int) -> int:
+    return (1 << (bits - 1)) - 1
+
+
+def _slot_values(bits: int):
+    """Slot -> nonzero value, every |value| < 2^(bits-1), the extremes drawn often."""
+    top = _widest(bits)
+    value = st.one_of(st.sampled_from((top, -top)), st.integers(-top, top).filter(bool))
+    return st.tuples(st.just(bits), st.dictionaries(st.integers(0, 24), value, min_size=1))
+
+
+def _extremes(bits: int) -> tuple[int, dict[int, int]]:
+    """Both extremes, an empty slot 0 and gaps, and a negative top slot."""
+    return bits, {1: _widest(bits), 2: -_widest(bits), 3: -1, 6: -_widest(bits)}
+
+
+@hypothesis.example(case=_extremes(8))
+@hypothesis.example(case=_extremes(16))
+@hypothesis.example(case=_extremes(64))
+@hypothesis.example(case=_extremes(128))
+@hypothesis.example(case=_extremes(192))
+@hypothesis.given(case=st.sampled_from(_SLOT_WIDTHS).flatmap(_slot_values))
+def test_unpack_reads_back_every_packed_slot(case):
+    """_unpack inverts _pack: each slot's signed value, and 0 in every slot
+    that has no term, up to the top slot at least."""
+    bits, values = case
+    digits = recurrence._unpack(recurrence._pack(values, {j: j for j in values}, bits), bits)
+    assert len(digits) > max(values)
+    assert list(digits) == [values.get(j, 0) for j in range(len(digits))]
 
 
 @pytest.mark.parametrize("kind", list(Kind))
