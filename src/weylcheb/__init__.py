@@ -12,7 +12,6 @@ from .genfunc import (
     RationalGF,
     closed_form_gf,
     coefficient_trace,
-    diagonal_exp_matrix,
     first_kind_poly,
     first_kind_table,
     gf_series_check,
@@ -40,7 +39,6 @@ from .polynomialize import (
 )
 from .recurrence import (
     NormalizedIndex,
-    apply_poly_to_matrix,
     build_companions,
     minimal_poly_check,
     normalize_index,
@@ -76,13 +74,11 @@ __all__ = [
     "WeylElement",
     "XYPoly",
     "act",
-    "apply_poly_to_matrix",
     "build_basis",
     "build_companions",
     "build_root_system",
     "closed_form_gf",
     "coefficient_trace",
-    "diagonal_exp_matrix",
     "dimension_check",
     "first_kind_poly",
     "first_kind_table",

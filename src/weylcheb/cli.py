@@ -19,7 +19,7 @@ import sys
 from contextlib import nullcontext
 
 from . import output
-from .genfunc import closed_form_gf, first_kind_table, second_kind_poly, second_kind_table
+from .genfunc import closed_form_gf, first_kind_table, second_kind_table
 from .numeric import (
     DEFAULT_SEED,
     AllPointsSingularError,
@@ -194,7 +194,6 @@ def main(argv: list[str] | None = None) -> int:
         results = []
         passed = True
         for index, sampled in zip(indices, run):
-            poly = second_kind_poly(rs, basis, *index)
             report = verify_ratio(
                 rs,
                 basis,
@@ -202,10 +201,9 @@ def main(argv: list[str] | None = None) -> int:
                 num_samples=args.samples,
                 tol=args.tol,
                 seed=seed,
-                poly=poly,
                 sampled=sampled,
             )
-            dims = dimension_check(rs, basis, *index, poly=poly)
+            dims = dimension_check(rs, basis, *index)
             results.append(output.verify_result_obj(index, report, dims))
             if not (report.passed and dims[0] == dims[1]):
                 passed = False

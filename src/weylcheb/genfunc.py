@@ -25,7 +25,7 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import mul
+from operator import add, mul
 
 from .laurent import LaurentPoly, NonDivisibleError
 # bench/tracing.py wraps genfunc.exact_divide, which second_kind_poly calls by this name.
@@ -96,7 +96,7 @@ def second_kind_poly(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPol
     _check_basis(rs, basis)
 
     def compute() -> XYPoly:
-        numerator = coefficient_trace(rs, *(m + 1 for m in index))
+        numerator = coefficient_trace(rs, *map(add, index, rs.rho))
         return reduce(basis, exact_divide(basis.racah, numerator))
 
     return _cached(basis, index, compute)

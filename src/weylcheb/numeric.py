@@ -24,6 +24,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .genfunc import second_kind_poly
@@ -203,7 +204,7 @@ def _numerator_values(
     """Each index's numerator A_{lambda+rho} at every used sample,
     sample-major: one power chain per axis and sample reaches every
     numerator's exponents, and no chain outlives its sample."""
-    numerators = [signed_orbit_sum(rs, tuple(c + 1 for c in index)) for index in indices]
+    numerators = [signed_orbit_sum(rs, tuple(map(add, index, rs.rho))) for index in indices]
     extents = _extents(numerators)
     columns: list[list[complex]] = [[] for _ in numerators]
     for sample in samples.used:
@@ -250,12 +251,18 @@ def _scaled_evaluator(poly: XYPoly, scale: int) -> tuple[Callable[[Sequence[int]
 
 
 def _check_request(
-    rs: RootSystem, basis: VariableBasis, num_samples: int, indices: Sequence[tuple[int, ...]]
+    rs: RootSystem,
+    basis: VariableBasis,
+    num_samples: int,
+    seed: int,
+    indices: Sequence[tuple[int, ...]],
 ) -> None:
     if basis.kind is not Kind.SECOND:
         raise ValueError("torus sampling needs a second-kind basis")
     if type(num_samples) is not int or num_samples <= 0:
         raise ValueError(f"num_samples must be a positive integer, got {num_samples!r}")
+    if type(seed) is not int:  # random.Random(None) would draw unseeded points
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     for index in indices:
         check_index(rs, index)
     _check_basis(rs, basis)
@@ -275,7 +282,7 @@ def sample_numerators(
     index) at a time.  Raises AllPointsSingularError here, before anything
     is yielded, when every sample is singular.
     """
-    _check_request(rs, basis, num_samples, indices)
+    _check_request(rs, basis, num_samples, seed, indices)
     samples = _draw_samples(basis, seed, num_samples)
     if not samples.used:
         raise AllPointsSingularError(
@@ -296,21 +303,22 @@ def verify_ratio(
     *index: int,
     num_samples: int = 100,
     tol: float = 1e-8,
-    seed: int | None = None,
-    poly: XYPoly | None = None,
+    seed: int = DEFAULT_SEED,
     sampled: Sampled | None = None,
 ) -> VerificationReport:
-    """Sample the defining ratio of signed orbit sums against the
-    polynomial; near-singular denominators are skipped and counted.
+    """Sample the defining ratio of signed orbit sums against the basis's
+    polynomial at the index; near-singular denominators are skipped and
+    counted.
 
     The samples and the numerator values come from ``sampled``, a record
     of a ``sample_numerators`` run with this basis, seed, sample count and
-    index; without it, a run over this one index draws them.
+    index; without it, a run over this one index draws them.  The
+    polynomial comes last, from ``second_kind_poly``, which computes it
+    once per basis, so the samples are checked before it is computed.
     """
-    _check_request(rs, basis, num_samples, [index])
+    _check_request(rs, basis, num_samples, seed, [index])
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
-    seed = DEFAULT_SEED if seed is None else seed
     key = (basis, seed, num_samples, index)
     if sampled is None:
         (sampled,) = sample_numerators(rs, basis, [index], num_samples=num_samples, seed=seed)
@@ -321,8 +329,7 @@ def verify_ratio(
             for b, s, n, i in (sampled.key, key)
         )
         raise ValueError(f"sampled values of run ({got}) cannot verify run ({want})")
-    if poly is None:
-        poly = second_kind_poly(rs, basis, *index)
+    poly = second_kind_poly(rs, basis, *index)
     evaluate, scaled_denominator = _scaled_evaluator(poly, _FIXED_BITS)
     max_err = 0.0
     worst: AnglePoint | None = None
@@ -355,27 +362,18 @@ def weyl_dimension(rs: RootSystem, index: tuple[int, ...]) -> int:
     return value
 
 
-def dimension_check(
-    rs: RootSystem,
-    basis: VariableBasis,
-    *index: int,
-    poly: XYPoly | None = None,
-) -> tuple[int, int]:
+def dimension_check(rs: RootSystem, basis: VariableBasis, *index: int) -> tuple[int, int]:
     """Exact substitution at the origin against the dimension formula.
 
     At the origin every exponential is 1, so each variable value is just
-    the coefficient sum of its Laurent expansion; the substitution is the
-    exact evaluator at integer arguments (scale 0).
+    the coefficient sum of its Laurent expansion; the substitution of the
+    basis's polynomial (``second_kind_poly``) is the exact evaluator at
+    integer arguments (scale 0).
     """
     if basis.kind is not Kind.SECOND:
         raise ValueError("dimension_check needs a second-kind basis")
-    check_index(rs, index)
-    _check_basis(rs, basis)
-    origin = tuple(
-        sum(laurent._terms.values()) for laurent in basis.var_laurents
-    )
-    if poly is None:
-        poly = second_kind_poly(rs, basis, *index)
+    poly = second_kind_poly(rs, basis, *index)  # checks the index and the basis
+    origin = tuple(sum(laurent._terms.values()) for laurent in basis.var_laurents)
     evaluate, denominator = _scaled_evaluator(poly, 0)
     left, rest = divmod(evaluate(origin), denominator)
     if rest:

@@ -59,17 +59,17 @@ class RacahTable:
     """Racah's recursion for ``exact_divide``, worked out once per weight.
 
     ``offsets`` holds (rho - w rho, det w) for each w != 1, A_rho but z^rho:
-    the root system fixes A_rho.  The weights are those of ``index``, a
-    ``DominantIndex`` that may be shared.  ``rows`` holds, per coset and by
-    rank, each weight's folded neighbours dom(mu + rho - w rho) that do not
-    cancel, as their ranks and summed det w.  A neighbour lies at most
-    ``reach`` higher than its weight, so ``grow`` grows the index that far
-    first; it folds each new weight's neighbours once, and no row is ever
-    rebuilt."""
+    the root system fixes A_rho, and the table reads it from ``index``, a
+    ``DominantIndex`` that may be shared, whose weights it links.  ``rows``
+    holds, per coset and by rank, each weight's folded neighbours
+    dom(mu + rho - w rho) that do not cancel, as their ranks and summed
+    det w.  A neighbour lies at most ``reach`` higher than its weight, so
+    ``grow`` grows the index that far first; it folds each new weight's
+    neighbours once, and no row is ever rebuilt."""
 
-    def __init__(self, rs: RootSystem, index: DominantIndex | None = None) -> None:
-        self.rs, self.rows = rs, {}
-        self.index = DominantIndex(rs) if index is None else index
+    def __init__(self, index: DominantIndex) -> None:
+        rs = self.rs = index.rs
+        self.index, self.rows = index, {}
         self.offsets = [(tuple(map(sub, rs.rho, act(rs, w, rs.rho))), w.det)
                         for w in rs.elements if w.word]
         # dom(mu + nu) <= mu + dom(nu) for dominant mu, so nothing folds higher
@@ -140,5 +140,5 @@ def variable_laurents(rs: RootSystem, kind: Kind) -> tuple[LaurentPoly, ...]:
     if kind is Kind.FIRST:
         return tuple(orbit_sum(rs, unit_weight(rs, i)) for i in range(rs.rank))
     shifted = (tuple(map(add, rs.rho, unit_weight(rs, i))) for i in range(rs.rank))
-    table = RacahTable(rs)
+    table = RacahTable(DominantIndex(rs))
     return tuple(unfold(rs, exact_divide(table, signed_orbit_sum(rs, k))) for k in shifted)

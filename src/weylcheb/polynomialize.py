@@ -174,7 +174,7 @@ class VariableBasis:
     @cached_property
     def racah(self) -> RacahTable:
         """The table ``orbit.exact_divide`` reads, grown as divisions need it."""
-        return RacahTable(self.rs, self.index)
+        return RacahTable(self.index)
 
     @cached_property
     def leads(self) -> tuple[int, ...]:

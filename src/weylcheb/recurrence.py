@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import floor
-from operator import mul
+from operator import add, mul, sub
 from struct import unpack
 from typing import Iterable, Sequence
 
@@ -70,13 +70,13 @@ def normalize_index(rs: RootSystem, *n: int) -> NormalizedIndex:
     sign of ``fold`` is its determinant.  A coordinate of n + rho at 2**31 or
     beyond in size is rejected."""
     check_weight(rs, n)
-    shifted = tuple(c + 1 for c in n)
+    shifted = tuple(map(add, n, rs.rho))
     if max(map(abs, shifted)) >= _COORD_LIMIT:
         raise ValueError("weight coordinate out of supported range")
     sign, image = fold(rs, shifted)
     if 0 in image:
         return NormalizedIndex(0, None)
-    return NormalizedIndex(sign, tuple(c - 1 for c in image))
+    return NormalizedIndex(sign, tuple(map(sub, image, rs.rho)))
 
 
 def _fold(rs: RootSystem, kind: Kind, index: Weight) -> NormalizedIndex:
@@ -286,7 +286,7 @@ def build_companions(rs: RootSystem, basis: VariableBasis) -> tuple[Companion, .
     return tuple(mats)
 
 
-def apply_poly_to_matrix(coeffs: tuple[XYPoly, ...], mat: Companion) -> Companion:
+def _apply_poly_to_matrix(coeffs: tuple[XYPoly, ...], mat: Companion) -> Companion:
     """Horner evaluation of sum_k coeffs[k] M^k as a matrix over XYPoly.
 
     Defined for companions only: A M shifts each row of A one column right
@@ -327,7 +327,7 @@ def minimal_poly_check(
             f" {rs.rank} companions, got {counts[0]} and {counts[1]}"
         )
     for coeffs, mat in zip(gf.denominators, companions):
-        value = apply_poly_to_matrix(coeffs, mat)
+        value = _apply_poly_to_matrix(coeffs, mat)
         if any(entry for row in value for entry in row):
             return False
     return True

@@ -63,7 +63,6 @@ class WeylElement:
 
     matrix: IntMatrix
     det: int
-    word_length: int
     word: tuple[int, ...]
 
 
@@ -86,7 +85,7 @@ class RootSystem:
 
     @property
     def generators(self) -> tuple[WeylElement, ...]:
-        return tuple(w for w in self.elements if w.word_length == 1)
+        return tuple(w for w in self.elements if len(w.word) == 1)
 
 
 def _identity(d: int) -> IntMatrix:
@@ -124,7 +123,7 @@ def build_root_system(algebra: AlgebraId) -> RootSystem:
     gens = [_reflection_matrix(cartan, i) for i in range(d)]
 
     ident = _identity(d)
-    elements = [WeylElement(ident, 1, 0, ())]
+    elements = [WeylElement(ident, 1, ())]
     seen = {ident}
     queue: deque[tuple[IntMatrix, tuple[int, ...]]] = deque([(ident, ())])
     while queue:
@@ -135,7 +134,7 @@ def build_root_system(algebra: AlgebraId) -> RootSystem:
                 continue
             seen.add(prod)
             next_word = word + (gi,)
-            elements.append(WeylElement(prod, _det(prod), len(next_word), next_word))
+            elements.append(WeylElement(prod, _det(prod), next_word))
             queue.append((prod, next_word))
 
     if len(elements) != _WEYL_ORDER[algebra]:
@@ -242,7 +241,7 @@ def height(rs: RootSystem, mu: Weight) -> int:
     return sum(map(mul, rs.heights, mu))
 
 
-def dominant_sweep(rs: RootSystem, top: int, low: int = -1) -> list[Weight]:
+def dominant_sweep(rs: RootSystem, top: int, low: int) -> list[Weight]:
     """The dominant weights of height above ``low`` and at most ``top``,
     highest first and lexicographically descending within a height.  A
     weight minus a sum of positive roots has strictly smaller height, so it

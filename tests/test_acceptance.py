@@ -17,7 +17,6 @@ from weylcheb import (
     Kind,
     LaurentPoly,
     XYPoly,
-    apply_poly_to_matrix,
     build_basis,
     build_companions,
     build_root_system,
@@ -32,6 +31,7 @@ from weylcheb import (
     verify_ratio,
 )
 from weylcheb.numeric import sample_numerators
+from weylcheb.recurrence import _apply_poly_to_matrix
 
 from g2_reference import (
     K_TABLE,
@@ -193,10 +193,10 @@ def test_criterion_09_minimal_polynomials(capsys):
     gf = closed_form_gf(rs, basis)
     mats = build_companions(rs, basis)
     annihilated = all(
-        not any(entry for row in apply_poly_to_matrix(coeffs, mat) for entry in row)
+        not any(entry for row in _apply_poly_to_matrix(coeffs, mat) for entry in row)
         for coeffs, mat in zip(gf.denominators, mats)
     )
-    truncated = apply_poly_to_matrix(gf.denominators[0][:6], mats[0])
+    truncated = _apply_poly_to_matrix(gf.denominators[0][:6], mats[0])
     ok = annihilated and any(entry for row in truncated for entry in row)
     elapsed = time.perf_counter() - start
     _report(capsys, 9, "minimal polynomials", ok, elapsed)

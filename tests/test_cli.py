@@ -18,6 +18,7 @@ from weylcheb import (
     build_basis,
     build_root_system,
     cli,
+    genfunc,
     numeric,
     second_kind_poly,
 )
@@ -413,21 +414,18 @@ def test_usage_errors_come_before_any_work(argv, monkeypatch, capsys):
 
 
 def test_verify_computes_each_polynomial_once(monkeypatch, capsys):
-    # verify_ratio and dimension_check get the polynomial from the command
+    # verify_ratio and dimension_check read the polynomial from the basis,
+    # so each index's numerator is traced once, at the rho-shifted index
     calls = []
-    original = cli.second_kind_poly
+    original = genfunc.coefficient_trace
 
-    def counting(rs, basis, *index):
+    def counting(rs, *index):
         calls.append(index)
-        return original(rs, basis, *index)
+        return original(rs, *index)
 
-    def unused(*args):
-        raise AssertionError("polynomial recomputed inside numeric")
-
-    monkeypatch.setattr(cli, "second_kind_poly", counting)
-    monkeypatch.setattr(numeric, "second_kind_poly", unused)
+    monkeypatch.setattr(genfunc, "coefficient_trace", counting)
     assert cli.main(["verify", "--max-m", "1", "--max-n", "2", "--samples", "20"]) == 0
-    assert calls == [(m, n) for m in range(2) for n in range(3)]
+    assert calls == [(m + 1, n + 1) for m in range(2) for n in range(3)]
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 

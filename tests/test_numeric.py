@@ -83,10 +83,10 @@ def test_ratio_identity_rank_one(a1, a1_second):
     assert report.max_abs_error < 1e-8
 
 
-def test_ratio_detects_wrong_polynomial(g2, g2_second):
-    report = verify_ratio(
-        g2, g2_second, 1, 0, poly=XYPoly.constant(2, 5), num_samples=20
-    )
+def test_ratio_detects_wrong_polynomial(g2):
+    basis = build_basis(g2, Kind.SECOND)
+    basis._polys[(1, 0)] = XYPoly.constant(2, 5)
+    report = verify_ratio(g2, basis, 1, 0, num_samples=20)
     assert not report.passed
     assert report.max_abs_error > 1.0
 
@@ -131,6 +131,11 @@ def test_argument_guards(g2, g2_second, g2_first, monkeypatch):
     for num_samples in (True, 2.5):
         with pytest.raises(ValueError, match="num_samples"):
             verify_ratio(g2, g2_second, 1, 0, num_samples=num_samples)
+    for seed in (None, True, 2.5):
+        with pytest.raises(ValueError, match="seed"):
+            verify_ratio(g2, g2_second, 1, 0, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            numeric.sample_numerators(g2, g2_second, [(1, 0)], num_samples=20, seed=seed)
     with pytest.raises(ValueError):
         verify_ratio(g2, g2_second, 1, 0, tol=0.0)
     with pytest.raises(ValueError):
@@ -139,11 +144,13 @@ def test_argument_guards(g2, g2_second, g2_first, monkeypatch):
         verify_ratio(g2, g2_second, 1, 0, tol=float("inf"))
     with pytest.raises(ValueError):
         verify_ratio(g2, g2_second, -1, 0)
-    with pytest.raises(ValueError):
-        dimension_check(g2, g2_first, 1, 0)
-    for poly in (None, XYPoly(2, {(1, 0): 1})):
+    cached = dataclasses.replace(g2_first)
+    cached._polys[(1, 0)] = XYPoly(2, {(1, 0): 1})
+    for basis in (g2_first, cached):
         with pytest.raises(ValueError, match="second-kind basis"):
-            verify_ratio(g2, g2_first, 1, 0, num_samples=20, seed=7, poly=poly)
+            verify_ratio(g2, basis, 1, 0, num_samples=20, seed=7)
+        with pytest.raises(ValueError, match="dimension_check needs a second-kind basis"):
+            dimension_check(g2, basis, 1, 0)
     with pytest.raises(ValueError, match="second-kind basis"):
         numeric.sample_numerators(g2, g2_first, [(1, 0)], num_samples=20, seed=7)
     for indices, num_samples in (([(1, 0), (-1, 0)], 20), ([(1, 0)], 0)):
@@ -344,18 +351,20 @@ def test_not_real_variables_raise_on_every_call(g2, g2_second, monkeypatch):
     )
     assert bad._power_cache == {}
     draws = counting_draws(monkeypatch)
-    one = XYPoly.constant(2, 1)
     for index in ((1, 0), (1, 0), (0, 2)):
         with pytest.raises(ArithmeticError, match="not real"):
-            verify_ratio(g2, bad, *index, num_samples=20, seed=3, poly=one)
+            verify_ratio(g2, bad, *index, num_samples=20, seed=3)
         with pytest.raises(ArithmeticError, match="not real"):
             numeric.sample_numerators(g2, bad, [index], num_samples=20, seed=3)
-    # each call drew afresh and raised
+    # each call drew afresh and raised before a polynomial was computed
     assert draws == [(3, 20)] * 6
+    assert bad._polys == {}
 
 
-def test_dimension_check_uses_a_given_polynomial(g2, g2_second):
-    assert dimension_check(g2, g2_second, 1, 1, poly=XYPoly.constant(2, 5)) == (5, 64)
+def test_dimension_check_uses_the_cached_polynomial(g2):
+    basis = build_basis(g2, Kind.SECOND)
+    basis._polys[(1, 1)] = XYPoly.constant(2, 5)
+    assert dimension_check(g2, basis, 1, 1) == (5, 64)
 
 
 def test_report_passed_property():
@@ -411,10 +420,11 @@ def test_dimension_check_rank_one(a1, a1_second):
         assert dimension_check(a1, a1_second, m) == (m + 1, m + 1)
 
 
-def test_dimension_check_rejects_a_non_integral_value(g2, g2_second):
-    half = XYPoly.constant(2, Fraction(1, 2))
+def test_dimension_check_rejects_a_non_integral_value(g2):
+    basis = build_basis(g2, Kind.SECOND)
+    basis._polys[(1, 1)] = XYPoly.constant(2, Fraction(1, 2))
     with pytest.raises(ArithmeticError, match="not integral"):
-        dimension_check(g2, g2_second, 1, 1, poly=half)
+        dimension_check(g2, basis, 1, 1)
 
 
 _coeffs = st.one_of(

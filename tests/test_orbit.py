@@ -23,7 +23,7 @@ from weylcheb import (
     variable_laurents,
 )
 from weylcheb.orbit import RacahTable, exact_divide as dominant_divide
-from weylcheb.rootsystem import coset, dominant_sweep, fold, height, index_box
+from weylcheb.rootsystem import DominantIndex, coset, dominant_sweep, fold, height, index_box
 from g2_reference import SINGULAR_ELEMENT, X_LAURENT, Y_LAURENT
 from reference import apply_weyl, exact_divide
 
@@ -155,7 +155,7 @@ def _warm_table(rs) -> RacahTable:
     below it read."""
     box = index_box(1, 10, None) if rs.rank == 1 else index_box(2, 6, 6)
     random.Random(25).shuffle(box)
-    table = RacahTable(rs)
+    table = RacahTable(DominantIndex(rs))
     for lam in box:
         num = signed_orbit_sum(rs, tuple(c + 1 for c in lam))
         quot = dominant_divide(table, num)
@@ -202,13 +202,13 @@ def test_racah_table_links_each_weight_to_its_coset_above_it(algebra):
             for j in js:
                 assert coset(rs, weights[j]) == cos and height(rs, weights[j]) > height(rs, mu), mu
         filed += weights
-    assert sorted(filed) == sorted(dominant_sweep(rs, index.top))
+    assert sorted(filed) == sorted(dominant_sweep(rs, index.top, -1))
 
 
 def test_racah_table_grows_only_above_its_top(g2, monkeypatch):
     """A division whose top the table already reaches sweeps and folds
     nothing, and leaves every row and the index as they were."""
-    table = RacahTable(g2)
+    table = RacahTable(DominantIndex(g2))
     num = signed_orbit_sum(g2, (5, 5))
     assert dominant_divide(table, num) == _dominant_quotient(g2, num)
     rows = {cos: list(rows) for cos, rows in table.rows.items()}

@@ -162,14 +162,12 @@ def test_basis_construction_all_cases():
     ids=lambda value: getattr(value, "__name__", None),
 )
 def test_a_basis_of_another_algebra_is_rejected(entry, kind, args, g2, g2_second):
-    """A C2 basis passed with G2 is rejected, also when the right
-    polynomial comes with it."""
+    """A C2 basis passed with G2 is rejected, also when its cache holds
+    the right polynomial."""
     c2_basis = build_basis(build_root_system(AlgebraId.C2), kind)
-    given_poly = {}
-    if entry in (verify_ratio, dimension_check):
-        given_poly["poly"] = second_kind_poly(g2, g2_second, 1, 1)
+    c2_basis._polys[(1, 1)] = second_kind_poly(g2, g2_second, 1, 1)
     with pytest.raises(ValueError, match="built for C2, not for G2"):
-        entry(g2, c2_basis, *args, **given_poly)
+        entry(g2, c2_basis, *args)
 
 
 @given(p=xypolys)
@@ -627,7 +625,7 @@ def _wrong_shells(monkeypatch, wrong) -> None:
     """Make every shell an index grows by ``wrong``."""
     honest = rootsystem.dominant_sweep
     monkeypatch.setattr(
-        rootsystem, "dominant_sweep", lambda rs, top, low=-1: wrong(honest(rs, top, low))
+        rootsystem, "dominant_sweep", lambda rs, top, low: wrong(honest(rs, top, low))
     )
 
 

@@ -23,7 +23,6 @@ from weylcheb import (
     NotInvariantError,
     NormalizedIndex,
     XYPoly,
-    apply_poly_to_matrix,
     build_basis,
     build_companions,
     build_root_system,
@@ -41,7 +40,7 @@ from weylcheb import (
     signed_orbit_sum,
 )
 from weylcheb.genfunc import denominator_coeffs
-from weylcheb.recurrence import _build, _seed, _sizes
+from weylcheb.recurrence import _apply_poly_to_matrix, _build, _seed, _sizes
 from g2_reference import P1_COEFFS, P2_COEFFS
 
 
@@ -175,14 +174,14 @@ def test_minimal_polynomials(g2, g2_gf, g2_second):
     assert minimal_poly_check(g2, g2_gf, companions)
     # constant polynomial 1 maps any companion to the identity matrix
     one = (XYPoly.constant(2, 1),)
-    applied = apply_poly_to_matrix(one, companions[0])
+    applied = _apply_poly_to_matrix(one, companions[0])
     for r in range(6):
         for c in range(6):
             want = XYPoly.constant(2, 1) if r == c else XYPoly.zero(2)
             assert applied[r][c] == want
     # dropping the top coefficient leaves a nonzero matrix: the degree is
     # genuinely minimal
-    truncated = apply_poly_to_matrix(g2_gf.denominators[0][:6], companions[0])
+    truncated = _apply_poly_to_matrix(g2_gf.denominators[0][:6], companions[0])
     assert any(entry for row in truncated for entry in row)
 
 
@@ -564,6 +563,6 @@ def test_reversed_denominator_annihilates_companion(algebra):
     gf = closed_form_gf(rs, basis)
     companions = build_companions(rs, basis)
     for den, companion in zip(gf.denominators, companions):
-        value = apply_poly_to_matrix(den[::-1], companion)
+        value = _apply_poly_to_matrix(den[::-1], companion)
         assert not any(entry for row in value for entry in row)
     assert minimal_poly_check(rs, gf, companions) is (algebra is not AlgebraId.A2)
