@@ -28,11 +28,11 @@ from itertools import repeat
 from operator import add, mul
 
 from .laurent import LaurentPoly, NonDivisibleError
-# bench/tracing.py wraps genfunc.exact_divide, which second_kind_poly calls by this name.
+# bench/tracing.py wraps genfunc.exact_divide (called here) and genfunc.orbit_sum (unused).
 from .orbit import Kind, exact_divide, orbit_sum, unit_weight
 from .polynomialize import NonDominantLeaderError, NotInvariantError, VariableBasis, XYPoly
 from .polynomialize import _check_basis, reduce
-from .rootsystem import RootSystem, Weight, act, check_index, index_box
+from .rootsystem import RootSystem, Weight, act, check_index, index_box, stabilizer_order
 
 log = logging.getLogger(__name__)
 
@@ -104,12 +104,13 @@ def second_kind_poly(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPol
 
 def first_kind_poly(rs: RootSystem, basis: VariableBasis, n: Weight) -> XYPoly:
     """First-kind polynomial: the plain orbit sum rewritten over the
-    variables (non-normalized convention, so the index 0 gives |W|)."""
+    variables (non-normalized convention, so the index 0 gives |W|); reduce
+    needs only its dominant term, n once per group element fixing n."""
     if basis.kind is not Kind.FIRST:
         raise ValueError("first_kind_poly needs a first-kind basis")
     check_index(rs, n)
     _check_basis(rs, basis)
-    return _cached(basis, n, lambda: reduce(basis, orbit_sum(rs, n)))
+    return _cached(basis, n, lambda: reduce(basis, {tuple(n): stabilizer_order(rs, n)}))
 
 
 def second_kind_table(
@@ -203,13 +204,14 @@ def gf_series_check(
     rs = basis.rs
     p_coeffs, q_coeffs = gf.denominators
     box = index_box(2, max_m, max_n)
+    steps = [(a, b, p * q) for a, p in enumerate(p_coeffs)
+             for b, q in enumerate(q_coeffs) if a or b]
     series: dict[tuple[int, int], XYPoly] = {}
     for m, n in box:
         acc = gf.numerator.get((m, n), XYPoly.zero(2))
-        for a in range(min(m, len(p_coeffs) - 1) + 1):
-            for b in range(min(n, len(q_coeffs) - 1) + 1):
-                if a or b:
-                    acc = acc - p_coeffs[a] * q_coeffs[b] * series[(m - a, n - b)]
+        for a, b, step in steps:
+            if a <= m and b <= n:
+                acc = acc - step * series[(m - a, n - b)]
         series[(m, n)] = acc
     for m, n in box:
         direct = second_kind_poly(rs, basis, m, n)

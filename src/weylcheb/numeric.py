@@ -15,7 +15,9 @@ fixed-point power chain per axis reaches the exponents of every index in
 the block, each index's terms are read from it, and the chain is dropped
 with the point.  Fixed-point values are exact functions of the point, and
 a chain value does not depend on how far the chain reaches, so the reports
-are bit-identical to evaluating every index afresh.
+are bit-identical to evaluating every index afresh.  With k = br (ar + ai),
+ar br - ai bi = k - ai (br + bi) and ar bi + ai br = k + ar (bi - br) in
+integers: a product a b truncates alike with three multiplications or four.
 """
 
 from __future__ import annotations
@@ -86,16 +88,21 @@ def _fixed_complex(value: tuple[int, int]) -> complex:
     )
 
 
-def _extents(laurents: Sequence[LaurentPoly]) -> tuple[tuple[int, int], ...]:
+def _plans(laurents: Sequence[LaurentPoly]) -> tuple[tuple[tuple[int, int], ...], list[tuple]]:
     """Per axis, the lowest and the highest exponent of these Laurent
-    polynomials, widened to include 0."""
+    polynomials, widened to include 0; and each one's plan: the exponents
+    of its +1 terms, of its -1 terms, and its other (exponent, coeff) terms."""
     exps = [exp for laurent in laurents for exp in laurent._terms]
-    return tuple((min(0, *column), max(0, *column)) for column in zip(*exps))
+    plans = []
+    for terms in (laurent._terms.items() for laurent in laurents):
+        others = [(e, c) for e, c in terms if c * c != 1]
+        plans.append(([e for e, c in terms if c == 1], [e for e, c in terms if c == -1], others))
+    return tuple((min(0, *column), max(0, *column)) for column in zip(*exps)), plans
 
 
 def _power_chains(
     axes: tuple[tuple[int, int], ...], extents: tuple[tuple[int, int], ...]
-) -> list[list[tuple[int, int]]]:
+) -> list[list[tuple[int, int, int]]]:
     """Each axis's powers z^e for lo <= e <= hi in 96-fractional-bit
     integers, built outward from exponent 0: up by z, down by its
     fixed-point inverse.
@@ -106,47 +113,57 @@ def _power_chains(
     the absolute error near 2^-96, so only the relative rounding of the
     final conversion survives.  Each power is the same truncated product
     of its neighbour toward 0 whatever the extent, so a chain that reaches
-    further holds the same values.  A chain lists z^0 .. z^hi and then
-    z^lo .. z^-1, so indexing it by e reads z^e, a negative e from the end.
+    further holds the same values.  A step to a b is (k - ai (br + bi)) >> 96
+    and (k + ar (bi - br)) >> 96 with k = br (ar + ai); unshifted, these are
+    the integers ar br - ai bi and ar bi + ai br.  A chain lists z^0 .. z^hi,
+    then z^lo .. z^-1, so indexing it by e reads z^e as the three integers
+    a product reads: (re, im, re + im) on x, (re, im - re, re + im) on y.
     """
     bits = _FIXED_BITS
     one = 1 << bits
     chains = []
-    for (re, im), (lo, hi) in zip(axes, extents):
+    for axis, ((re, im), (lo, hi)) in enumerate(zip(axes, extents)):
         norm = (re * re + im * im) >> bits
         inverse = ((re << bits) // norm, (-im << bits) // norm)
-        up: list[tuple[int, int]] = [(one, 0)]
-        down: list[tuple[int, int]] = []
+        up, down = [(one, -one if axis else 0, one)], []
         for (br, bi), count, chain in (((re, im), hi, up), (inverse, -lo, down)):
             ar, ai = one, 0
+            b_sum, b_diff = br + bi, bi - br
             for _ in range(count):
-                ar, ai = (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
-                chain.append((ar, ai))
+                k = br * (ar + ai)
+                ar, ai = (k - ai * b_sum) >> bits, (k + ar * b_diff) >> bits
+                chain.append((ar, ai - ar if axis else ai, ar + ai))
         up.extend(reversed(down))
         chains.append(up)
     return chains
 
 
-def _fixed_value(chains: list[list[tuple[int, int]]], laurent: LaurentPoly) -> tuple[int, int]:
-    """The Laurent polynomial at the chains' torus point; in rank 2 each
-    term is its x-power times its y-power.  The sums are exact integers,
-    so term order cannot matter."""
-    bits = _FIXED_BITS
-    acc_re = acc_im = 0
+def _power_sum(chains: list[list[tuple[int, int, int]]], exps) -> tuple[int, int]:
+    """The sum of z^e over the exponents e at the chains' torus point; in
+    rank 2 each z^e is its x-power times its y-power, three multiplications."""
     if len(chains) == 1:
-        (chain,) = chains
-        for (e,), coeff in laurent._terms.items():
-            wr, wi = chain[e]
-            acc_re += coeff * wr
-            acc_im += coeff * wi
-        return (acc_re, acc_im)
-    x_chain, y_chain = chains
-    for (ex, ey), coeff in laurent._terms.items():
-        ar, ai = x_chain[ex]
-        br, bi = y_chain[ey]
-        acc_re += coeff * ((ar * br - ai * bi) >> bits)
-        acc_im += coeff * ((ar * bi + ai * br) >> bits)
-    return (acc_re, acc_im)
+        (x,) = chains
+        return sum(x[e][0] for (e,) in exps), sum(x[e][1] for (e,) in exps)
+    x, y = chains
+    re = im = 0
+    for ex, ey in exps:
+        xr, xi, xs = x[ex]
+        yr, yd, ys = y[ey]
+        k = yr * xs
+        re += (k - xi * ys) >> _FIXED_BITS
+        im += (k + xr * yd) >> _FIXED_BITS
+    return re, im
+
+
+def _planned_value(chains: list[list[tuple[int, int, int]]], plan: tuple) -> tuple[int, int]:
+    """The planned Laurent polynomial at the chains' torus point, in exact
+    integer sums: only a term other than +1 and -1 meets its coefficient."""
+    plus, minus, others = plan
+    (re, im), (minus_re, minus_im) = _power_sum(chains, plus), _power_sum(chains, minus)
+    for exp, coeff in others:
+        term_re, term_im = _power_sum(chains, (exp,))
+        re, im = re + coeff * term_re, im + coeff * term_im
+    return re - minus_re, im - minus_im
 
 
 class _Sample(NamedTuple):
@@ -178,7 +195,7 @@ def _draw_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusSa
     variables there; raises before returning if a variable is not real."""
     rs = basis.rs
     denominator = signed_orbit_sum(rs, rs.rho)
-    extents = _extents((denominator, *basis.var_laurents))
+    extents, (den_plan, *var_plans) = _plans((denominator, *basis.var_laurents))
     rng = random.Random(seed)
     imag_limit = _fixed_embed(_IMAG_CUTOFF)
     used = []
@@ -187,11 +204,11 @@ def _draw_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusSa
         pt = AnglePoint(rng.random(), rng.random() if rs.rank == 2 else 0.0)
         axes = _fixed_axes(pt, rs.rank)
         chains = _power_chains(axes, extents)
-        den_val = _fixed_complex(_fixed_value(chains, denominator))
+        den_val = _fixed_complex(_planned_value(chains, den_plan))
         if abs(den_val) < _SINGULAR_CUTOFF:
             skipped += 1
             continue
-        variables = [_fixed_value(chains, v) for v in basis.var_laurents]
+        variables = [_planned_value(chains, plan) for plan in var_plans]
         if any(abs(v_im) >= imag_limit for _, v_im in variables):
             raise ArithmeticError(f"variable value is not real at {pt}")
         used.append(_Sample(pt, axes, den_val, tuple(re for re, _ in variables)))
@@ -205,12 +222,12 @@ def _numerator_values(
     sample-major: one power chain per axis and sample reaches every
     numerator's exponents, and no chain outlives its sample."""
     numerators = [signed_orbit_sum(rs, tuple(map(add, index, rs.rho))) for index in indices]
-    extents = _extents(numerators)
+    extents, plans = _plans(numerators)
     columns: list[list[complex]] = [[] for _ in numerators]
     for sample in samples.used:
         chains = _power_chains(sample.axes, extents)
-        for numerator, column in zip(numerators, columns):
-            column.append(_fixed_complex(_fixed_value(chains, numerator)))
+        for plan, column in zip(plans, columns):
+            column.append(_fixed_complex(_planned_value(chains, plan)))
     return [tuple(column) for column in columns]
 
 
@@ -236,13 +253,14 @@ def _scaled_evaluator(poly: XYPoly, scale: int) -> tuple[Callable[[Sequence[int]
         rows.extend([] for _ in range(i + 1 - len(rows)))
         rows[i].extend(0 for _ in range(j + 1 - len(rows[i])))
         rows[i][j] = coeff.numerator * (common // coeff.denominator) << (scale * (top - i - j))
+    rows = [row[::-1] for row in reversed(rows)]  # Horner's order
 
     def evaluate(nums: Sequence[int]) -> int:
-        x, y = (*nums, 0)[:2]
+        x, y = nums[0], nums[-1]  # in rank 1 a row is one coefficient: y only multiplies 0
         acc = 0
-        for row in reversed(rows):
+        for row in rows:
             inner = 0
-            for coeff in reversed(row):
+            for coeff in row:
                 inner = inner * y + coeff
             acc = acc * x + inner
         return acc

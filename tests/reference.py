@@ -70,6 +70,50 @@ def evaluate(poly, point):
     return sum(c * prod(z**e for z, e in zip(point, exp)) for exp, c in poly._terms.items())
 
 
+def power_chains(axes, extents):
+    """Each axis's powers z^e for lo <= e <= hi as (re, im) integers with
+    96 fractional bits, stepped outward from z^0 by the four-multiply
+    complex product: the reference for ``numeric._power_chains``.  A chain
+    lists z^0 .. z^hi and then z^lo .. z^-1, so indexing it by e reads z^e."""
+    bits = 96
+    one = 1 << bits
+    chains = []
+    for (re, im), (lo, hi) in zip(axes, extents):
+        norm = (re * re + im * im) >> bits
+        inverse = ((re << bits) // norm, (-im << bits) // norm)
+        up, down = [(one, 0)], []
+        for (br, bi), count, chain in (((re, im), hi, up), (inverse, -lo, down)):
+            ar, ai = one, 0
+            for _ in range(count):
+                ar, ai = (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
+                chain.append((ar, ai))
+        chains.append(up + down[::-1])
+    return chains
+
+
+def fixed_value(chains, laurent):
+    """The Laurent polynomial at the chains' point: in rank 2 each term is
+    its x-power times its y-power by the four-multiply product, truncated
+    to 96 fractional bits, then times its coefficient.  The reference for
+    ``numeric._planned_value``."""
+    bits = 96
+    acc_re = acc_im = 0
+    if len(chains) == 1:
+        (chain,) = chains
+        for (e,), coeff in laurent._terms.items():
+            wr, wi = chain[e]
+            acc_re += coeff * wr
+            acc_im += coeff * wi
+        return (acc_re, acc_im)
+    x_chain, y_chain = chains
+    for (ex, ey), coeff in laurent._terms.items():
+        ar, ai = x_chain[ex]
+        br, bi = y_chain[ey]
+        acc_re += coeff * ((ar * br - ai * bi) >> bits)
+        acc_im += coeff * ((ar * bi + ai * br) >> bits)
+    return (acc_re, acc_im)
+
+
 def apply_weyl(poly, rs, w):
     """Move the exponents of a Laurent polynomial through the group element
     ``w``.  Exponent maps are bijective, so no two terms collide."""

@@ -382,6 +382,20 @@ def test_first_kind_examples(g2, g2_first, a1, a1_first):
     assert reduce(g2_first, expand(g2_first, p)) == p
 
 
+@pytest.mark.parametrize(
+    "algebra, bound",
+    [(AlgebraId.A1, 30), (AlgebraId.A2, 10), (AlgebraId.C2, 10), (AlgebraId.G2, 10)],
+)
+def test_first_kind_reduces_the_orbit_sums_dominant_term(algebra, bound):
+    """first_kind_poly hands reduce only the orbit sum's one dominant term,
+    n times its stabilizer order; reducing the whole orbit sum, checked
+    invariant, gives the same polynomial."""
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, Kind.FIRST)
+    for index in index_box(rs.rank, bound, bound if rs.rank == 2 else None):
+        assert first_kind_poly(rs, basis, index) == reduce(basis, orbit_sum(rs, index)), index
+
+
 def test_table_shapes(a1, a1_second, a1_first, g2, g2_second):
     small = second_kind_table(g2, g2_second, 2, 3)
     assert set(small) == {(m, n) for m in range(3) for n in range(4)}

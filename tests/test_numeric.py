@@ -28,7 +28,8 @@ from weylcheb import (
     weyl_dimension,
 )
 from g2_reference import DIMENSIONS
-from reference import evaluate
+from reference import evaluate, fixed_value, power_chains
+from weylcheb.rootsystem import index_box
 
 # first sample of this seed lands within the singular cutoff for A1
 SINGULAR_SEED = 585832
@@ -290,6 +291,93 @@ def test_samples_are_drawn_once_per_key(g2, monkeypatch):
     draws.clear()
     verify_in_blocks(g2, basis, indices, 40, 7, 10**6)
     assert draws == [(7, 40)]
+
+
+@st.composite
+def _planned_points(draw):
+    """A Laurent polynomial with +1, -1 and larger coefficients, and a
+    torus point of its rank: z = 1, -1, i or a random angle per axis."""
+    rank = draw(st.integers(1, 2))
+    angle = st.one_of(st.sampled_from([0.0, 0.5, 0.25]), st.floats(0, 1, exclude_max=True))
+    coeff = st.one_of(st.sampled_from([1, -1]), st.integers(-10**6, 10**6).filter(bool))
+    exps = st.tuples(*[st.integers(-12, 12)] * rank)
+    terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=16))
+    return LaurentPoly(rank, terms), AnglePoint(*draw(st.tuples(*[angle] * rank)))
+
+
+@given(_planned_points())
+@example((LaurentPoly(2, {(3, -2): 1, (-4, 5): -1, (0, 0): 2}), AnglePoint(0.25, 0.5)))
+@example((LaurentPoly(2, {(7, 7): -10**6, (-9, 1): 1}), AnglePoint(0.0, 0.25)))
+@example((LaurentPoly(1, {(5,): 1, (-5,): -1, (0,): 3}), AnglePoint(0.5)))
+@example((LaurentPoly(1, {(-12,): -10**6}), AnglePoint(0.1234567)))
+def test_the_three_multiply_kernel_gives_the_four_multiply_integers(case):
+    """Chains stepped by three multiplications and plans summed with three
+    per rank-2 term give the integers of the four-multiply reference."""
+    laurent, point = case
+    axes = numeric._fixed_axes(point, laurent.rank)
+    extents, (plan,) = numeric._plans([laurent])
+    plus, minus, others = plan
+    assert {**dict.fromkeys(plus, 1), **dict.fromkeys(minus, -1), **dict(others)} == laurent._terms
+    assert len(plus) + len(minus) + len(others) == len(laurent._terms)
+    assert all(c * c != 1 for _, c in others)
+    chains, want = numeric._power_chains(axes, extents), power_chains(axes, extents)
+    for axis, (chain, want_chain) in enumerate(zip(chains, want)):
+        assert chain == [(r, i - r if axis else i, r + i) for r, i in want_chain]
+    assert numeric._planned_value(chains, plan) == fixed_value(want, laurent)
+
+
+def test_a_verify_sampling_pass_makes_128400_complex_products(g2, monkeypatch):
+    """The G2 4x4, 300-sample, seed-7 run, counted from chain lengths and
+    plan sizes: each chain entry past z^0 is one step and each planned
+    rank-2 term one product, three integer multiplications each, and a
+    term outside the +1 and -1 lists takes two more for its coefficient.
+    The four-multiply kernel took 4 x 128400 + 2 x 99600 = 712800."""
+    steps, terms, others = [], [], []
+    power_chains_of, planned_value = numeric._power_chains, numeric._planned_value
+
+    def counting_chains(axes, extents):
+        chains = power_chains_of(axes, extents)
+        steps.append(sum(len(chain) - 1 for chain in chains))
+        return chains
+
+    def counting_value(chains, plan):
+        terms.append(sum(map(len, plan)))
+        others.append(len(plan[2]))
+        return planned_value(chains, plan)
+
+    monkeypatch.setattr(numeric, "_power_chains", counting_chains)
+    monkeypatch.setattr(numeric, "_planned_value", counting_value)
+    basis = build_basis(g2, Kind.SECOND)
+    run = numeric.sample_numerators(g2, basis, index_box(2, 4, 4), num_samples=300, seed=7)
+    assert sum(len(sampled.values) for sampled in run) == 25 * 300
+    assert (sum(steps), sum(terms)) == (28800, 99600)
+    assert 3 * (sum(steps) + sum(terms)) + 2 * sum(others) == 385800
+
+
+@pytest.mark.parametrize(
+    "algebra, bound", [(AlgebraId.A1, 40), (AlgebraId.C2, 12), (AlgebraId.G2, 12)]
+)
+def test_numerator_plans_hold_only_unit_terms(algebra, bound, monkeypatch):
+    """A_rho and every numerator A_{lambda+rho} of a box have coefficients
+    +1 and -1 only, so no term is multiplied by a coefficient."""
+    made = []
+    plans = numeric._plans
+
+    def recording(laurents):
+        extents, planned = plans(laurents)
+        made.append(planned)
+        return extents, planned
+
+    monkeypatch.setattr(numeric, "_plans", recording)
+    rs = build_root_system(algebra)
+    indices = index_box(rs.rank, bound, bound if rs.rank == 2 else None)
+    basis = build_basis(rs, Kind.SECOND)
+    run = numeric.sample_numerators(rs, basis, indices, num_samples=1, seed=7)
+    assert len(list(run)) == len(indices)
+    (denominator, *_), *blocks = made
+    numerators = [plan for block in blocks for plan in block]
+    assert len(numerators) == len(indices)
+    assert [plan for plan in [denominator, *numerators] if plan[2]] == []
 
 
 _BOX_BOUNDS = {AlgebraId.A1: 9, AlgebraId.C2: 4, AlgebraId.G2: 3}
