@@ -44,15 +44,14 @@ class SparsePoly:
 
     _json_key = "exponent"
 
-    def __init__(self, rank: int, terms: Mapping[Exponent, "int | Fraction"] | None = None):
+    def __init__(self, rank: int, terms: Mapping[Exponent, "int | Fraction"]):
         cleaned: dict[Exponent, int | Fraction] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if len(exp) != rank:
-                    raise ValueError(f"{self._json_key} rank mismatch")
-                self._check_key(exp)
-                if coeff:
-                    cleaned[tuple(exp)] = _norm_coeff(coeff)
+        for exp, coeff in terms.items():
+            if len(exp) != rank:
+                raise ValueError(f"{self._json_key} rank mismatch")
+            self._check_key(exp)
+            if coeff:
+                cleaned[tuple(exp)] = _norm_coeff(coeff)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_terms", cleaned)
 
@@ -77,7 +76,7 @@ class SparsePoly:
 
     @classmethod
     def zero(cls, rank: int):
-        return cls(rank)
+        return cls(rank, {})
 
     # -- inspection --------------------------------------------------------
 

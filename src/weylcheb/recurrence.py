@@ -13,16 +13,16 @@ polynomials, the orbit sums.  Shifted indices fold back into the dominant
 table: by normalize_index for the second kind (rho-shifted, signed, zero on
 walls), by the image of ``rootsystem.fold`` with sign +1 for the first.
 
-A table is filled in three parts.  The seed block, below deg P_i on every
-axis i, is stepped by single variables: with L = X_i = x_i / lead_i, every
-weight of x_i lies at or below lambda_i in dominance, so solving for
-k + lambda_i steps forward, and each entry asks for the lower ones it
-needs (``_fill``).  Both kinds are sums of geometric sequences along
-axis i, with ratios z^nu over the orbit of lambda_i, so P_i(t) =
-prod (1 - t z^nu) annihilates every row or column from deg P_i on: the
-first deg P_1 columns step along n by P_2, every later column along m
-by P_1, on Kronecker-packed entries (``_build``).  The rule with
-L a coefficient of P_i and k = 0 rewrites P_i over the X_i (``_seed``).
+Every entry of a table is one packed step (``_build``).  The seed block,
+below deg P_i on every axis i, steps by single variables: with
+L = X_i = x_i / lead_i, every weight of x_i lies at or below lambda_i in
+dominance, so solving for k + lambda_i steps forward from X_i U_k and
+lower entries, which each entry asks for.  The rule with L a
+coefficient of P_i and k = 0 rewrites P_i over the X_i.  Both kinds are
+sums of geometric sequences along axis i, with ratios z^nu over the
+orbit of lambda_i, so P_i(t) = prod (1 - t z^nu) annihilates every row
+or column from deg P_i on: the first deg P_1 columns step along n by
+P_2, every later column along m by P_1.
 
 The companion matrices realize the one-variable recurrences hidden in the
 closed-form denominators: first column = negated denominator coefficients,
@@ -37,7 +37,7 @@ from itertools import compress
 from math import floor
 from operator import add, mul, sub
 from struct import unpack
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .genfunc import RationalGF, denominator_coeffs
 from .laurent import LaurentPoly
@@ -85,87 +85,16 @@ def _fold(rs: RootSystem, kind: Kind, index: Weight) -> NormalizedIndex:
     return NormalizedIndex(1, fold(rs, index)[1])
 
 
-def _fill(
-    rs: RootSystem, basis: VariableBasis, targets: Iterable[Weight]
-) -> dict[Weight, XYPoly]:
-    """The targets and every index they depend on, over the X_i.  Entry t
-    steps by X_i from t - lambda_i, i the first coordinate with t_i > 0;
-    every other shift folds onto t itself or strictly below it in
-    dominance, so the memoized recursion ``entry`` ends.  Shifts that fold
-    onto t (first kind only, e.g. from 0) add to the coefficient divided
-    out.  A variable that is not invariant raises NotInvariantError."""
-    _check_basis(rs, basis)
-    kind = basis.kind
-    rules = []
-    for i, (name, x, lead) in enumerate(zip(_VAR_NAMES, basis.var_laurents, basis.leads)):
-        check_symmetry(rs, x._terms, 1, NotInvariantError, f"the variable {name}")
-        steps = [(mu, c // lead) for mu, c in x._terms.items()]
-        rules.append((XYPoly(rs.rank, {unit_weight(rs, i): 1}), steps))
-    seed = 1 if kind is Kind.SECOND else len(rs.elements)
-    table = {(0,) * rs.rank: XYPoly.constant(rs.rank, seed)}
-
-    def entry(t: Weight) -> XYPoly:
-        if t in table:
-            return table[t]
-        i = next(j for j, c in enumerate(t) if c > 0)
-        base = tuple(c - 1 if j == i else c for j, c in enumerate(t))
-        multiplier, steps = rules[i]
-        divisor = 0
-        others = []
-        for mu, c in steps:
-            norm = _fold(rs, kind, tuple(b + m for b, m in zip(base, mu)))
-            if norm.index == t:
-                divisor += c * norm.sign
-            elif norm.sign:
-                others += [(norm.sign * c // abs(c), norm.index)] * abs(c)
-        acc = multiplier * entry(base)
-        for sign, index in others:
-            term = entry(index)
-            acc = acc - term if sign > 0 else acc + term
-        if divisor != 1:  # exact: every entry is integral over the X_i
-            acc = XYPoly(rs.rank, {d: c // divisor for d, c in acc._terms.items()})
-        table[t] = acc
-        return acc
-
-    for t in targets:
-        entry(t)
-    del entry  # entry's closure holds entry: without this the cycle keeps the table until a GC
-    return table
+def _sizes(terms: dict[Weight, int], norm) -> tuple[int, int]:
+    """``norm`` of the coefficients' sizes, and the x-degree, of nonzero ``terms``."""
+    return norm(map(abs, terms.values())), max(terms)[0]  # degrees compare x first
 
 
-def _seed(rs: RootSystem, basis: VariableBasis, box: list[Weight]) -> tuple[dict, list[list]]:
-    """The seed block of ``box`` with what it needs, and each P_i over the
-    X_i: a coefficient e = sum c_mu z^mu times the entry at 0 (1, or |W| for
-    the first kind) is sum c_mu sign U_fold(mu), which that entry divides."""
-    one, nil = LaurentPoly.one(rs.rank), LaurentPoly.zero(rs.rank)
-    folded = []
-    for i in range(rs.rank):
-        coeffs = [one]
-        for nu in {act(rs, w, unit_weight(rs, i)) for w in rs.elements}:
-            z = LaurentPoly.monomial(rs.rank, nu)
-            coeffs = [a - b * z for a, b in zip([*coeffs, nil], [nil, *coeffs])]
-        folded.append([[(_fold(rs, basis.kind, mu), c) for mu, c in e.terms()] for e in coeffs])
-    needed = {n.index for coeffs in folded for e in coeffs for n, _ in e if n.sign}
-    seed = [t for t in box if all(c < len(f) - 1 for c, f in zip(t, folded))]
-    table = _fill(rs, basis, seed + sorted(needed))
-    scale, axes = table[(0,) * rs.rank].coeff((0,) * rs.rank), []
-    for coeffs in folded:
-        sums = [sum((table[n.index].scale(n.sign * c) for n, c in e if n.sign), XYPoly(rs.rank))
-                for e in coeffs]
-        axes.append([XYPoly(rs.rank, {d: c // scale for d, c in e._terms.items()}) for e in sums])
-    return table, axes
-
-
-def _sizes(poly: XYPoly, norm) -> tuple[int, int]:
-    """``norm`` of the coefficients' sizes, and the x-degree, of a nonzero ``poly``."""
-    return norm(map(abs, poly._terms.values())), max(poly._terms)[0]  # degrees compare x first
-
-
-def _stride(sizes: list[list[tuple[int, int]]], stats: dict, corner: Weight) -> int:
+def _stride(axes: list[list[dict]], stats: dict, corner: Weight) -> int:
     """One more than a bound on the x-degree of every entry up to ``corner``:
     a step along axis i adds at most r_i = max_k deg_x P_i[k] / k per unit
     of t_i, so no entry t exceeds r . t plus the seed's largest excess."""
-    rates = [max(Fraction(x, k) for k, (_, x) in enumerate(axis) if k) for axis in sizes]
+    rates = [max(Fraction(max(e)[0], k) for k, e in enumerate(axis) if k) for axis in axes]
     excess = max(x - sum(map(mul, rates, t)) for t, (_, x) in stats.items())
     return floor(excess + sum(map(mul, rates, corner))) + 1
 
@@ -196,68 +125,134 @@ def _unpack(value: int, bits: int) -> Sequence[int]:
             for j in range(0, len(raw), width)]
 
 
-def _build(rs: RootSystem, basis: VariableBasis, box: list[Weight]) -> dict[Weight, XYPoly]:
-    """Every entry of ``box`` over the X_i, and what its seed block needs.
+def _build(
+    rs: RootSystem, basis: VariableBasis, box: list[Weight]
+) -> tuple[dict[Weight, XYPoly], list[list[dict[Weight, int]]]]:
+    """Every entry of ``box`` over the X_i, with what its seed block needs,
+    and the terms of each P_i[k] over the X_i.
 
-    Past the seed block, U_t = -sum over k >= 1 of P_i[k] U_(t - k e_i),
-    i the first axis with t_i >= deg P_i.  X^a Y^b packs to a slot of
-    ``bits`` bits at a + stride * b of one int, so a step is one shifted
-    multiply-subtract per term of P_i, and each entry is decoded once, as
-    signed slots whose nonzero ones are its terms.
-    Packing is a ring homomorphism, so U_t decodes exactly if it fits its
-    slots: each step bounds its coefficients and x-degree by its
-    operands', and widens the slots or the stride first if need be.  A
-    packed entry is dropped after the last step that reads it."""
-    table, axes = _seed(rs, basis, box)
-    degrees = [len(coeffs) - 1 for coeffs in axes]
-    sizes = [[_sizes(c, sum) for c in coeffs] for coeffs in axes]
-    stats = {t: _sizes(u, max) for t, u in table.items()}
-    bits, stride, packed, shifts, keys = _SLOT_BITS, _stride(sizes, stats, box[-1]), {}, {}, []
+    Each is one ``step``: sum M U_s over earlier entries s, M the monomial
+    X_i, an integer or -P_i[k], divided exactly by an integer.  X^a Y^b
+    packs to a slot of ``bits`` bits at a + stride * b of one int, so M U_s
+    is one shifted multiply per term of M.  Packing is a ring homomorphism,
+    so an entry decodes exactly if it fits its slots: a step bounds its
+    coefficients and x-degree by its operands', and widens the slots or
+    the stride first if need be (the seed from stride 1, the axis steps
+    from ``_stride``).  An entry keeps its packed sum, is decoded once, as
+    signed slots whose nonzero ones are its terms, and is dropped after
+    the last axis step that reads it: past the seed block,
+    U_t = -sum over k >= 1 of P_i[k] U_(t - k e_i), i the first axis with
+    t_i >= deg P_i."""
+    _check_basis(rs, basis)
+    kind, zero = basis.kind, (0,) * rs.rank
+    rules = []
+    for i, (name, x, lead) in enumerate(zip(_VAR_NAMES, basis.var_laurents, basis.leads)):
+        check_symmetry(rs, x._terms, 1, NotInvariantError, f"the variable {name}")
+        rules.append((unit_weight(rs, i), [(mu, c // lead) for mu, c in x._terms.items()]))
+    one, nil = LaurentPoly.one(rs.rank), LaurentPoly.zero(rs.rank)
+    folded = []
+    for i in range(rs.rank):
+        coeffs = [one]
+        for nu in {act(rs, w, unit_weight(rs, i)) for w in rs.elements}:
+            z = LaurentPoly.monomial(rs.rank, nu)
+            coeffs = [a - b * z for a, b in zip([*coeffs, nil], [nil, *coeffs])]
+        folded.append([[(_fold(rs, kind, mu), c) for mu, c in e._terms.items()] for e in coeffs])
+    seed = 1 if kind is Kind.SECOND else len(rs.elements)
+    table, packed, stats = {zero: XYPoly.constant(rs.rank, seed)}, {zero: seed}, {zero: (seed, 0)}
+    bits, stride, sizes, shifts, keys = _SLOT_BITS, 1, {}, {}, []
 
     def slot(d: Weight) -> int:
         return d[0] + stride * sum(d[1:])
 
+    def multiplier(terms: dict[Weight, int]) -> frozenset:
+        """M as (degree, coefficient) pairs, its sizes filed; a frozenset
+        keeps its hash, so each cache finds it in constant time."""
+        m = frozenset(terms.items())
+        sizes[m] = _sizes(terms, sum)
+        return m
+
+    def step(t: Weight | None, reads: list[tuple[frozenset, Weight]], divisor: int = 1) -> dict:
+        """The terms of sum M U_s over the (M, s) ``reads`` divided by
+        ``divisor``, filed as entry ``t`` unless it is None."""
+        nonlocal bits, stride, packed, shifts, keys
+        bound = sum(sizes[m][0] * stats[s][0] for m, s in reads)
+        x_degree = max(sizes[m][1] + stats[s][1] for m, s in reads)
+        if bound >> (bits - 1):
+            bits, packed, shifts = -(-(bound.bit_length() + 1) // 64) * 64, {}, {}
+        if x_degree >= stride:
+            stride, packed, shifts, keys = max(2 * stride, x_degree + 1), {}, {}, []
+        acc = 0
+        for m, s in reads:
+            if s not in packed:
+                packed[s] = _pack(table[s]._terms, {d: slot(d) for d in table[s]._terms}, bits)
+            if m not in shifts:
+                shifts[m] = [(c, bits * slot(d)) for d, c in m]
+            acc += sum((c * packed[s]) << shift for c, shift in shifts[m])
+        if divisor != 1:  # exact: every entry is integral over the X_i
+            acc //= divisor
+        digits = _unpack(acc, bits)
+        keys += [(j % stride, j // stride)[: rs.rank] for j in range(len(keys), len(digits))]
+        terms = dict(compress(zip(keys, digits), digits))
+        if t is not None:
+            packed[t], table[t], stats[t] = acc, XYPoly._wrap(rs.rank, terms), _sizes(terms, max)
+        return terms
+
+    def entry(t: Weight) -> None:
+        """Step to t by X_i from t - e_i, i the first axis with t_i > 0, after
+        what it reads: every other shift folds onto t, into the divisor, or
+        strictly below it in dominance, so the recursion ends."""
+        if t in table:
+            return
+        i = next(j for j, c in enumerate(t) if c > 0)
+        base = tuple(c - (j == i) for j, c in enumerate(t))
+        unit, steps = rules[i]
+        divisor, others = 0, {}
+        for mu, c in steps:
+            norm = _fold(rs, kind, tuple(map(add, base, mu)))
+            if norm.index == t:
+                divisor += c * norm.sign
+            elif norm.sign:
+                others[norm.index] = others.get(norm.index, 0) - c * norm.sign
+        for s in (base, *others):
+            entry(s)
+        reads = [(multiplier({unit: 1}), base)]
+        step(t, reads + [(multiplier({zero: c}), s) for s, c in others.items()], divisor)
+
+    degrees = [len(coeffs) - 1 for coeffs in folded]
+    needed = {n.index for coeffs in folded for e in coeffs for n, _ in e if n.sign}
+    for t in [t for t in box if all(c < d for c, d in zip(t, degrees))] + sorted(needed):
+        entry(t)
+    del entry  # entry's closure holds entry: without this the cycle keeps the table until a GC
+    axes = [
+        [step(None, [(multiplier({zero: n.sign * c}), n.index) for n, c in e if n.sign], seed)
+         for e in coeffs]
+        for coeffs in folded
+    ]
+    multipliers = [[multiplier({d: -c for d, c in e.items()}) for e in coeffs] for coeffs in axes]
+    stride, packed, shifts, keys = _stride(axes, stats, box[-1]), {}, {}, []
     for t in box:
         i = next((j for j, (c, d) in enumerate(zip(t, degrees)) if c >= d), None)
         if i is not None and t not in table:
-            reads = [(k, tuple(c - k * (j == i) for j, c in enumerate(t)))
-                     for k in range(1, degrees[i] + 1)]
-            bound = sum(sizes[i][k][0] * stats[s][0] for k, s in reads)
-            x_degree = max(sizes[i][k][1] + stats[s][1] for k, s in reads)
-            if bound >> (bits - 1):
-                bits, packed, shifts = -(-(bound.bit_length() + 1) // 64) * 64, {}, {}
-            if x_degree >= stride:
-                stride, packed, shifts, keys = max(2 * stride, x_degree + 1), {}, {}, []
-            if i not in shifts:
-                shifts[i] = [[(c, bits * slot(d)) for d, c in e._terms.items()] for e in axes[i]]
-            acc = 0
-            for k, s in reads:
-                if s not in packed:
-                    packed[s] = _pack(table[s]._terms, {d: slot(d) for d in table[s]._terms}, bits)
-                acc -= sum((c * packed[s]) << shift for c, shift in shifts[i][k])
-            packed[t], digits = acc, _unpack(acc, bits)
-            keys += [(j % stride, j // stride)[: rs.rank] for j in range(len(keys), len(digits))]
-            table[t] = u = XYPoly._wrap(rs.rank, dict(compress(zip(keys, digits), digits)))
-            stats[t] = _sizes(u, max)
+            step(t, [(multipliers[i][k], tuple(c - k * (j == i) for j, c in enumerate(t)))
+                     for k in range(1, degrees[i] + 1)])
         if t[0] >= degrees[0]:
             packed.pop((t[0] - degrees[0], *t[1:]), None)
-    return table
+    return table, axes
 
 
 def poly_via_recurrence(rs: RootSystem, basis: VariableBasis, *index: int) -> XYPoly:
     """The polynomial at a dominant index, the corner of the box it fills."""
     check_index(rs, index)
     box = index_box(rs.rank, index[0], index[1] if rs.rank == 2 else None)
-    return basis.over_x(_build(rs, basis, box)[index])
+    return basis.over_x(_build(rs, basis, box)[0][index])
 
 
 def recurrence_table(
     rs: RootSystem, basis: VariableBasis, max_m: int, max_n: int | None = None
 ) -> dict[tuple[int, ...], XYPoly]:
-    """The full box: its seed block by single steps, the rest by the axis
-    recurrences (``_build``)."""
+    """The full box, every entry one packed step (``_build``)."""
     box = index_box(rs.rank, max_m, max_n)
-    table = _build(rs, basis, box)
+    table, _ = _build(rs, basis, box)
     return {idx: basis.over_x(table[idx]) for idx in box}
 
 

@@ -40,7 +40,7 @@ from weylcheb import (
     signed_orbit_sum,
 )
 from weylcheb.genfunc import denominator_coeffs
-from weylcheb.recurrence import _apply_poly_to_matrix, _build, _seed, _sizes
+from weylcheb.recurrence import _apply_poly_to_matrix, _build, _sizes
 from g2_reference import P1_COEFFS, P2_COEFFS
 
 
@@ -223,7 +223,8 @@ def test_the_table_builds_exactly_its_box(g2, g2_second):
     """The seed block's single steps stay inside a 16 x 16 box, and the
     axis steps fill the rest of it, so nothing outside is built."""
     box = rootsystem.index_box(2, 16, 16)
-    assert sorted(_build(g2, g2_second, box)) == box
+    table, _ = _build(g2, g2_second, box)
+    assert sorted(table) == box
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -233,46 +234,55 @@ def test_axis_polynomials_are_the_closed_form_denominators(algebra, kind):
     the closed form's denominator, which reduce rewrites over the x_i."""
     rs = build_root_system(algebra)
     basis = build_basis(rs, kind)
-    _, axes = _seed(rs, basis, [(0, 0)])
+    _, axes = _build(rs, basis, [(0, 0)])
     for i, coeffs in enumerate(axes):
         expected = [
             XYPoly(2, {d: c * prod(map(pow, basis.leads, d)) for d, c in poly.terms()})
             for poly in denominator_coeffs(rs, basis, i)
         ]
-        assert coeffs == expected, (i, [c.as_text() for c in coeffs])
+        assert coeffs == [p._terms for p in expected], (i, [XYPoly(2, c).as_text() for c in coeffs])
 
 
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("algebra", list(AlgebraId))
 def test_narrow_slots_and_stride_widen_to_the_same_tables(algebra, kind, monkeypatch):
-    """Starting from 8-bit slots and a stride of 1, the steps overflow both
-    and widen them (a width above 8 or a stride above 1 is only ever
-    reached by widening); the tables come out the same."""
+    """Starting from 8-bit slots, with the seed at a stride of 1 and the axis
+    steps set back to 1, the steps overflow both and widen them (a width
+    above 8 or a stride above 1 is only ever reached by widening); the
+    tables come out the same.  On rank 2 the seed's own steps widen the
+    stride before ``_stride`` is read."""
     rs = build_root_system(algebra)
     size = (20,) if rs.rank == 1 else (8, 8)
     wide = recurrence_table(rs, build_basis(rs, kind), *size)
-    widths, strides = set(), set()
+    packs, seed_packs = [], []
     honest_pack = recurrence._pack
 
     def spy(terms, slots, bits):
-        widths.add(bits)
-        strides.update((s - d[0]) // d[1] for d, s in slots.items() if d[1:] and d[1])
+        packs.append((bits, {(s - d[0]) // d[1] for d, s in slots.items() if d[1:] and d[1]}))
         return honest_pack(terms, slots, bits)
 
+    def stride(*args):
+        seed_packs[:] = packs
+        return 1
+
     monkeypatch.setattr(recurrence, "_SLOT_BITS", 8)
-    monkeypatch.setattr(recurrence, "_stride", lambda *args: 1)
+    monkeypatch.setattr(recurrence, "_stride", stride)
     monkeypatch.setattr(recurrence, "_pack", spy)
     assert recurrence_table(rs, build_basis(rs, kind), *size) == wide
+    widths = {bits for bits, _ in packs}
+    strides, seed_strides = ({s for _, got in events for s in got} for events in (packs, seed_packs))
     assert max(widths) > 8, widths
     assert rs.rank == 1 or max(strides) > 1, strides
+    assert rs.rank == 1 or max(seed_strides) > 1, seed_strides
 
 
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("algebra", list(AlgebraId))
 def test_the_first_stride_and_slots_hold_a_16_box(algebra, kind, monkeypatch):
-    """The first stride is one more than the box's largest x-degree, a bound
-    known before any step, and 64-bit slots hold every coefficient up to
-    16 x 16, so no step there widens either.  A zero slot decodes to no term."""
+    """The axis steps' stride is one more than the box's largest x-degree, a
+    bound known before the first axis step, and 64-bit slots hold every
+    coefficient up to 16 x 16, so no axis step widens the stride and no
+    step widens the slots.  A zero slot decodes to no term."""
     rs = build_root_system(algebra)
     widths, strides = set(), []
     honest_unpack, honest_stride = recurrence._unpack, recurrence._stride
@@ -288,9 +298,9 @@ def test_the_first_stride_and_slots_hold_a_16_box(algebra, kind, monkeypatch):
     monkeypatch.setattr(recurrence, "_stride", stride)
     monkeypatch.setattr(recurrence, "_unpack", unpack)
     box = rootsystem.index_box(rs.rank, 16, 16 if rs.rank == 2 else None)
-    table = _build(rs, build_basis(rs, kind), box)
+    table, _ = _build(rs, build_basis(rs, kind), box)
     assert widths == {64}
-    assert strides == [max(_sizes(table[t], max)[1] for t in box) + 1]
+    assert strides == [max(_sizes(table[t]._terms, max)[1] for t in box) + 1]
     assert all(all(u._terms.values()) for u in table.values())
 
 
@@ -332,13 +342,22 @@ def test_unpack_reads_back_every_packed_slot(case):
 @pytest.mark.parametrize(
     "algebra, size", [(AlgebraId.A1, 2), (AlgebraId.A2, 10), (AlgebraId.C2, 18), (AlgebraId.G2, 57)]
 )
-def test_the_seed_fill_builds_the_closure_of_its_block(algebra, size, kind):
+def test_the_seed_fill_builds_the_closure_of_its_block(algebra, size, kind, monkeypatch):
     """At 16 x 16 the seed block, with what it and the P_i need, has a fixed
-    number of entries on each algebra, the same on both kinds."""
+    number of entries on each algebra, the same on both kinds: the entries
+    filed when ``_stride`` reads them, before the first axis step."""
     rs = build_root_system(algebra)
     box = rootsystem.index_box(rs.rank, 16, 16 if rs.rank == 2 else None)
-    table, _ = _seed(rs, build_basis(rs, kind), box)
-    assert len(table) == size
+    seeds = []
+    honest_stride = recurrence._stride
+
+    def stride(axes, stats, corner):
+        seeds.append(len(stats))
+        return honest_stride(axes, stats, corner)
+
+    monkeypatch.setattr(recurrence, "_stride", stride)
+    _build(rs, build_basis(rs, kind), box)
+    assert seeds == [size]
 
 
 def _fill_objects(objects) -> list:
@@ -355,15 +374,16 @@ def _fill_objects(objects) -> list:
 
 @pytest.mark.parametrize("kind", list(Kind))
 def test_the_seed_fill_leaves_no_reference_cycle(g2, kind):
-    """The fill recurses through a closure over itself; a cycle left behind
-    would keep the whole table alive until the next collection.  Only the
-    fill's own objects count: a line tracer leaves cycles of its own."""
+    """The seed fill recurses through a closure over itself; a cycle left
+    behind would keep the whole table alive until the next collection.
+    Only the fill's own objects count: a line tracer leaves cycles of its
+    own."""
     basis = build_basis(g2, kind)
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        _seed(g2, basis, rootsystem.index_box(2, 16, 16))
+        _build(g2, basis, rootsystem.index_box(2, 16, 16))
         gc.collect()
         assert _fill_objects(gc.garbage) == []
     finally:
@@ -453,7 +473,7 @@ def test_over_x_gives_what_the_checked_constructor_makes(algebra, kind):
     rs = build_root_system(algebra)
     basis = build_basis(rs, kind)
     box = rootsystem.index_box(rs.rank, 6, 6 if rs.rank == 2 else None)
-    for t, p in _build(rs, basis, box).items():
+    for t, p in _build(rs, basis, box)[0].items():
         got = basis.over_x(p)._terms
         want = XYPoly(rs.rank, {
             d: Fraction(c, prod(map(pow, basis.leads, d))) for d, c in p._terms.items()
@@ -511,6 +531,24 @@ def test_the_recurrence_route_runs_without_the_gf_route(algebra, kind, monkeypat
         (rootsystem, "dominant_sweep"),
     ):
         monkeypatch.setattr(owner, name, refuse)
+    assert recurrence_table(rs, basis, *size) == expected
+
+
+@pytest.mark.parametrize("algebra, kind", _PAIRS, ids=_PAIR_IDS)
+def test_the_recurrence_route_runs_no_xypoly_arithmetic(algebra, kind, monkeypatch):
+    """Every entry, the seed block's too, is one packed step: with XYPoly's
+    sum, difference, product and scaling made to raise, the recurrence
+    still gives the GF route's table at 8 x 8 (A1: 0..12)."""
+    size = (12,) if algebra is AlgebraId.A1 else (8, 8)
+    expected = _gf_slice(algebra, kind, size)
+    rs = build_root_system(algebra)
+    basis = build_basis(rs, kind)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recurrence route ran XYPoly arithmetic")
+
+    for name in ("__add__", "__sub__", "__mul__", "scale"):
+        monkeypatch.setattr(XYPoly, name, refuse)
     assert recurrence_table(rs, basis, *size) == expected
 
 
