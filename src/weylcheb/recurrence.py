@@ -13,7 +13,13 @@ polynomials, the orbit sums.  Shifted indices fold back into the dominant
 table: by normalize_index for the second kind (rho-shifted, signed, zero on
 walls), by the image of ``rootsystem.fold`` with sign +1 for the first.
 
-Every entry of a table is one packed step (``_build``).  The seed block,
+Every entry of a table is one packed step (``_build``), all at one stride
+fixed up front: X^a Y^b in U_t leads at a lambda_1 + b lambda_2, at or
+below t in dominance, and the inverse Cartan matrix is positive
+(Humphreys, section 13), so a <= min_j tau_j(t) / tau_j(lambda_1) over
+the simple-root coordinates tau_j (``_reach``).  That bound is
+superadditive and monotone in dominance, so it bounds every product
+M U_s a step sums, M leading at or below t - s.  The seed block,
 below deg P_i on every axis i, steps by single variables: with
 L = X_i = x_i / lead_i, every weight of x_i lies at or below lambda_i in
 dominance, so solving for k + lambda_i steps forward from X_i U_k and
@@ -32,10 +38,8 @@ identity shift on the superdiagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import compress
-from math import floor
-from operator import add, mul, sub
+from itertools import compress, repeat
+from operator import add, and_, lshift, mul, sub
 from struct import unpack
 from typing import Sequence
 
@@ -45,11 +49,11 @@ from .orbit import Kind, unit_weight
 from .polynomialize import _VAR_NAMES, NotInvariantError, VariableBasis, XYPoly, _check_basis
 from .polynomialize import reduce  # noqa: F401  bench/tracing.py wraps it; the fill never calls it
 from .rootsystem import (
-    _COORD_LIMIT, RootSystem, Weight, act, check_index, check_symmetry, check_weight, fold,
-    index_box,
+    _COORD_LIMIT, RootSystem, Weight, _adjugate, act, check_index, check_symmetry, check_weight,
+    fold, index_box,
 )
 
-# Bits per slot of the packed axis steps, widened for a step that could overflow them.
+# Bits per slot of the packed steps, widened for a step that could overflow them.
 _SLOT_BITS = 64
 
 
@@ -85,18 +89,10 @@ def _fold(rs: RootSystem, kind: Kind, index: Weight) -> NormalizedIndex:
     return NormalizedIndex(1, fold(rs, index)[1])
 
 
-def _sizes(terms: dict[Weight, int], norm) -> tuple[int, int]:
-    """``norm`` of the coefficients' sizes, and the x-degree, of nonzero ``terms``."""
-    return norm(map(abs, terms.values())), max(terms)[0]  # degrees compare x first
-
-
-def _stride(axes: list[list[dict]], stats: dict, corner: Weight) -> int:
-    """One more than a bound on the x-degree of every entry up to ``corner``:
-    a step along axis i adds at most r_i = max_k deg_x P_i[k] / k per unit
-    of t_i, so no entry t exceeds r . t plus the seed's largest excess."""
-    rates = [max(Fraction(max(e)[0], k) for k, e in enumerate(axis) if k) for axis in axes]
-    excess = max(x - sum(map(mul, rates, t)) for t, (_, x) in stats.items())
-    return floor(excess + sum(map(mul, rates, corner))) + 1
+def _reach(rs: RootSystem, t: Weight) -> int:
+    """The largest a of any X^a Y^b at or below t in dominance: the least
+    t . col // col[0] over the columns col of adj C, row 0 being lambda_1's."""
+    return min(sum(map(mul, t, col)) // col[0] for col in zip(*_adjugate(rs)))
 
 
 def _pack(coeffs: dict[Weight, int], slots: dict[Weight, int], bits: int) -> int:
@@ -114,15 +110,17 @@ def _pack(coeffs: dict[Weight, int], slots: dict[Weight, int], bits: int) -> int
 def _unpack(value: int, bits: int) -> Sequence[int]:
     """The slots of ``value``, each below 2^(bits-1) in size, as signed ints.
     Biased by 2^(bits-1), every slot is a nonnegative digit, so one
-    ``to_bytes`` reads them all; XOR with the bias leaves each value mod 2^bits."""
-    width = bits // 8
-    count = abs(value).bit_length() // bits + 1
+    ``to_bytes`` reads them all; XOR with the bias leaves each value mod 2^bits.
+    One ``unpack`` reads its limbs signed; lower limbs are masked, joined in C."""
+    width, limb = bits // 8, min(bits, 64)
+    count, per = abs(value).bit_length() // bits + 1, bits // limb
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
     raw = ((value + bias) ^ bias).to_bytes(count * width, "little")
-    if bits == 64:
-        return unpack(f"<{count}q", raw)
-    return [int.from_bytes(raw[j : j + width], "little", signed=True)
-            for j in range(0, len(raw), width)]
+    limbs = unpack(f"<{count * per}" + {8: "b", 16: "h", 32: "i", 64: "q"}[limb], raw)
+    slots, mask = limbs[per - 1 :: per], repeat((1 << limb) - 1)
+    for j in reversed(range(per - 1)):
+        slots = map(add, map(lshift, slots, repeat(limb)), map(and_, limbs[j::per], mask))
+    return tuple(slots)
 
 
 def _build(
@@ -135,14 +133,15 @@ def _build(
     X_i, an integer or -P_i[k], divided exactly by an integer.  X^a Y^b
     packs to a slot of ``bits`` bits at a + stride * b of one int, so M U_s
     is one shifted multiply per term of M.  Packing is a ring homomorphism,
-    so an entry decodes exactly if it fits its slots: a step bounds its
-    coefficients and x-degree by its operands', and widens the slots or
-    the stride first if need be (the seed from stride 1, the axis steps
-    from ``_stride``).  An entry keeps its packed sum, is decoded once, as
-    signed slots whose nonzero ones are its terms, and is dropped after
-    the last axis step that reads it: past the seed block,
-    U_t = -sum over k >= 1 of P_i[k] U_(t - k e_i), i the first axis with
-    t_i >= deg P_i."""
+    so an entry decodes exactly if it fits its slots.  The stride is one
+    more than the largest ``_reach`` of the box's corner and the seed's
+    requests, which bounds every entry and every product M U_s (monotone
+    and superadditive), fixed before the first step.  A step widens the
+    slots first if its operands' sizes need it.  An entry keeps its packed
+    sum until a widening, is decoded once, as signed slots whose nonzero
+    ones are its terms, and is dropped after the last axis step that reads
+    it: past the seed block, U_t = -sum over k >= 1 of P_i[k] U_(t - k e_i),
+    i the first axis with t_i >= deg P_i."""
     _check_basis(rs, basis)
     kind, zero = basis.kind, (0,) * rs.rank
     rules = []
@@ -157,9 +156,13 @@ def _build(
             z = LaurentPoly.monomial(rs.rank, nu)
             coeffs = [a - b * z for a, b in zip([*coeffs, nil], [nil, *coeffs])]
         folded.append([[(_fold(rs, kind, mu), c) for mu, c in e._terms.items()] for e in coeffs])
+    degrees = [len(coeffs) - 1 for coeffs in folded]
+    needed = {n.index for coeffs in folded for e in coeffs for n, _ in e if n.sign}
+    requests = [t for t in box if all(c < d for c, d in zip(t, degrees))] + sorted(needed)
+    stride = 1 + max(_reach(rs, t) for t in [box[-1], *requests])
     seed = 1 if kind is Kind.SECOND else len(rs.elements)
-    table, packed, stats = {zero: XYPoly.constant(rs.rank, seed)}, {zero: seed}, {zero: (seed, 0)}
-    bits, stride, sizes, shifts, keys = _SLOT_BITS, 1, {}, {}, []
+    table, packed, stats = {zero: XYPoly.constant(rs.rank, seed)}, {zero: seed}, {zero: seed}
+    bits, sizes, shifts, keys = _SLOT_BITS, {}, {}, []
 
     def slot(d: Weight) -> int:
         return d[0] + stride * sum(d[1:])
@@ -168,19 +171,16 @@ def _build(
         """M as (degree, coefficient) pairs, its sizes filed; a frozenset
         keeps its hash, so each cache finds it in constant time."""
         m = frozenset(terms.items())
-        sizes[m] = _sizes(terms, sum)
+        sizes[m] = sum(map(abs, terms.values()))
         return m
 
     def step(t: Weight | None, reads: list[tuple[frozenset, Weight]], divisor: int = 1) -> dict:
         """The terms of sum M U_s over the (M, s) ``reads`` divided by
         ``divisor``, filed as entry ``t`` unless it is None."""
-        nonlocal bits, stride, packed, shifts, keys
-        bound = sum(sizes[m][0] * stats[s][0] for m, s in reads)
-        x_degree = max(sizes[m][1] + stats[s][1] for m, s in reads)
+        nonlocal bits, packed, shifts
+        bound = sum(sizes[m] * stats[s] for m, s in reads)
         if bound >> (bits - 1):
             bits, packed, shifts = -(-(bound.bit_length() + 1) // 64) * 64, {}, {}
-        if x_degree >= stride:
-            stride, packed, shifts, keys = max(2 * stride, x_degree + 1), {}, {}, []
         acc = 0
         for m, s in reads:
             if s not in packed:
@@ -191,10 +191,10 @@ def _build(
         if divisor != 1:  # exact: every entry is integral over the X_i
             acc //= divisor
         digits = _unpack(acc, bits)
-        keys += [(j % stride, j // stride)[: rs.rank] for j in range(len(keys), len(digits))]
+        keys.extend((j % stride, j // stride)[: rs.rank] for j in range(len(keys), len(digits)))
         terms = dict(compress(zip(keys, digits), digits))
         if t is not None:
-            packed[t], table[t], stats[t] = acc, XYPoly._wrap(rs.rank, terms), _sizes(terms, max)
+            packed[t], table[t], stats[t] = acc, XYPoly._wrap(rs.rank, terms), max(map(abs, digits))
         return terms
 
     def entry(t: Weight) -> None:
@@ -218,9 +218,7 @@ def _build(
         reads = [(multiplier({unit: 1}), base)]
         step(t, reads + [(multiplier({zero: c}), s) for s, c in others.items()], divisor)
 
-    degrees = [len(coeffs) - 1 for coeffs in folded]
-    needed = {n.index for coeffs in folded for e in coeffs for n, _ in e if n.sign}
-    for t in [t for t in box if all(c < d for c, d in zip(t, degrees))] + sorted(needed):
+    for t in requests:
         entry(t)
     del entry  # entry's closure holds entry: without this the cycle keeps the table until a GC
     axes = [
@@ -229,7 +227,6 @@ def _build(
         for coeffs in folded
     ]
     multipliers = [[multiplier({d: -c for d, c in e.items()}) for e in coeffs] for coeffs in axes]
-    stride, packed, shifts, keys = _stride(axes, stats, box[-1]), {}, {}, []
     for t in box:
         i = next((j for j, (c, d) in enumerate(zip(t, degrees)) if c >= d), None)
         if i is not None and t not in table:

@@ -226,14 +226,17 @@ def stabilizer_order(rs: RootSystem, mu: Weight) -> int:
     return rs.stabilizers[sum(1 << j for j, c in enumerate(mu) if not c) if 0 in mu else 0]
 
 
+def _adjugate(rs: RootSystem) -> IntMatrix:
+    """adj C = det(C) C^-1, all positive: mu . adj(C) / det C are mu's simple-root coordinates."""
+    c = rs.cartan
+    return ((1,),) if rs.rank == 1 else ((c[1][1], -c[0][1]), (-c[1][0], c[0][0]))
+
+
 def coset(rs: RootSystem, mu: Weight) -> Weight:
     """``mu`` modulo the root lattice, which the rows of the Cartan matrix
     span: mu . adj(C) modulo det C, zero exactly on the root lattice.  A
     monomial in the variables, or a character, lies in one coset."""
-    c = rs.cartan
-    adj = ((1,),) if rs.rank == 1 else ((c[1][1], -c[0][1]), (-c[1][0], c[0][0]))
-    det = _det(c)
-    return tuple(sum(map(mul, mu, col)) % det for col in zip(*adj))
+    return tuple(sum(map(mul, mu, col)) % _det(rs.cartan) for col in zip(*_adjugate(rs)))
 
 
 def height(rs: RootSystem, mu: Weight) -> int:

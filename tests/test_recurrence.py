@@ -7,7 +7,7 @@ import gc
 from fractions import Fraction
 from itertools import product
 from math import prod
-from operator import add, le
+from operator import add, le, lt
 from pathlib import Path
 
 import hypothesis
@@ -40,7 +40,7 @@ from weylcheb import (
     signed_orbit_sum,
 )
 from weylcheb.genfunc import denominator_coeffs
-from weylcheb.recurrence import _apply_poly_to_matrix, _build, _sizes
+from weylcheb.recurrence import _apply_poly_to_matrix, _build, _reach
 from g2_reference import P1_COEFFS, P2_COEFFS
 
 
@@ -243,68 +243,73 @@ def test_axis_polynomials_are_the_closed_form_denominators(algebra, kind):
         assert coeffs == [p._terms for p in expected], (i, [XYPoly(2, c).as_text() for c in coeffs])
 
 
+def _spy_packs(monkeypatch) -> list:
+    """Record every ``_pack`` call as its bits, its strides (read off the
+    slots of the terms with a y-degree) and the terms it packs."""
+    packs, honest_pack = [], recurrence._pack
+
+    def spy(terms, slots, bits):
+        strides = {(s - d[0]) // d[1] for d, s in slots.items() if d[1:] and d[1]}
+        packs.append((bits, strides, frozenset(terms.items())))
+        return honest_pack(terms, slots, bits)
+
+    monkeypatch.setattr(recurrence, "_pack", spy)
+    return packs
+
+
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("algebra", list(AlgebraId))
-def test_narrow_slots_and_stride_widen_to_the_same_tables(algebra, kind, monkeypatch):
-    """Starting from 8-bit slots, with the seed at a stride of 1 and the axis
-    steps set back to 1, the steps overflow both and widen them (a width
-    above 8 or a stride above 1 is only ever reached by widening); the
-    tables come out the same.  On rank 2 the seed's own steps widen the
-    stride before ``_stride`` is read."""
+def test_narrow_slots_widen_to_the_same_tables(algebra, kind, monkeypatch):
+    """Starting from 8-bit slots, the steps overflow them and widen them (a
+    width above 8 is only ever reached by widening); the tables come out
+    the same.  An entry is packed only after a widening dropped its packed
+    sum, at most once per width, and every pack uses the one stride."""
     rs = build_root_system(algebra)
     size = (20,) if rs.rank == 1 else (8, 8)
     wide = recurrence_table(rs, build_basis(rs, kind), *size)
-    packs, seed_packs = [], []
-    honest_pack = recurrence._pack
-
-    def spy(terms, slots, bits):
-        packs.append((bits, {(s - d[0]) // d[1] for d, s in slots.items() if d[1:] and d[1]}))
-        return honest_pack(terms, slots, bits)
-
-    def stride(*args):
-        seed_packs[:] = packs
-        return 1
-
     monkeypatch.setattr(recurrence, "_SLOT_BITS", 8)
-    monkeypatch.setattr(recurrence, "_stride", stride)
-    monkeypatch.setattr(recurrence, "_pack", spy)
+    packs = _spy_packs(monkeypatch)
     assert recurrence_table(rs, build_basis(rs, kind), *size) == wide
-    widths = {bits for bits, _ in packs}
-    strides, seed_strides = ({s for _, got in events for s in got} for events in (packs, seed_packs))
-    assert max(widths) > 8, widths
-    assert rs.rank == 1 or max(strides) > 1, strides
-    assert rs.rank == 1 or max(seed_strides) > 1, seed_strides
+    widths = [bits for bits, _, _ in packs]
+    assert min(widths) > 8, widths
+    packed = [(bits, terms) for bits, _, terms in packs]
+    assert len(set(packed)) == len(packed)
+    assert rs.rank == 1 or len(set().union(*(got for _, got, _ in packs))) == 1, packs
 
 
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("algebra", list(AlgebraId))
 def test_the_first_stride_and_slots_hold_a_16_box(algebra, kind, monkeypatch):
-    """The axis steps' stride is one more than the box's largest x-degree, a
-    bound known before the first axis step, and 64-bit slots hold every
-    coefficient up to 16 x 16, so no axis step widens the stride and no
-    step widens the slots.  A zero slot decodes to no term."""
+    """The stride is one more than the box's largest x-degree, a bound
+    known before the first step, and 64-bit slots hold every coefficient
+    up to 16 x 16, so no step widens the slots and no entry is ever
+    repacked: every step reads its operands' own packed sums.  A zero slot
+    decodes to no term."""
     rs = build_root_system(algebra)
-    widths, strides = set(), []
-    honest_unpack, honest_stride = recurrence._unpack, recurrence._stride
+    widths, reaches = set(), []
+    honest_unpack = recurrence._unpack
 
-    def stride(*args):
-        strides.append(honest_stride(*args))
-        return strides[-1]
+    def reach(rs, t):
+        reaches.append(_reach(rs, t))
+        return reaches[-1]
 
     def unpack(value, bits):
         widths.add(bits)
         return honest_unpack(value, bits)
 
-    monkeypatch.setattr(recurrence, "_stride", stride)
+    monkeypatch.setattr(recurrence, "_reach", reach)
     monkeypatch.setattr(recurrence, "_unpack", unpack)
+    packs = _spy_packs(monkeypatch)
     box = rootsystem.index_box(rs.rank, 16, 16 if rs.rank == 2 else None)
     table, _ = _build(rs, build_basis(rs, kind), box)
     assert widths == {64}
-    assert strides == [max(_sizes(table[t]._terms, max)[1] for t in box) + 1]
+    stride = 1 + max(reaches)
+    assert stride == 1 + max(max(table[t]._terms)[0] for t in box)
+    assert packs == []
     assert all(all(u._terms.values()) for u in table.values())
 
 
-_SLOT_WIDTHS = (8, 16, 64, 128, 192)
+_SLOT_WIDTHS = (8, 16, 64, 128, 192, 256, 320)
 
 
 def _widest(bits: int) -> int:
@@ -328,6 +333,8 @@ def _extremes(bits: int) -> tuple[int, dict[int, int]]:
 @hypothesis.example(case=_extremes(64))
 @hypothesis.example(case=_extremes(128))
 @hypothesis.example(case=_extremes(192))
+@hypothesis.example(case=_extremes(256))
+@hypothesis.example(case=_extremes(320))
 @hypothesis.given(case=st.sampled_from(_SLOT_WIDTHS).flatmap(_slot_values))
 def test_unpack_reads_back_every_packed_slot(case):
     """_unpack inverts _pack: each slot's signed value, and 0 in every slot
@@ -338,26 +345,56 @@ def test_unpack_reads_back_every_packed_slot(case):
     assert list(digits) == [values.get(j, 0) for j in range(len(digits))]
 
 
+class _CountingInt(int):
+    """``int`` whose ``from_bytes`` counts its calls in ``calls``."""
+
+    calls = 0
+
+    @classmethod
+    def from_bytes(cls, *args, **kwargs):
+        _CountingInt.calls += 1
+        return int.from_bytes(*args, **kwargs)
+
+
+@pytest.mark.parametrize("bits", [128, 192, 256])
+@pytest.mark.parametrize("kind", list(Kind))
+def test_wide_slots_decode_through_limbs(g2, kind, bits, monkeypatch):
+    """Started at 128, 192 or 256 bits, a G2 10 x 10 build gives the
+    default tables, and each decode reads its slots through one limb
+    ``unpack``: its only ``from_bytes`` builds the bias, none reads a slot."""
+    wide = recurrence_table(g2, build_basis(g2, kind), 10, 10)
+    per_call, honest_unpack = [], recurrence._unpack
+
+    def unpack(value, width):
+        before = _CountingInt.calls
+        digits = honest_unpack(value, width)
+        per_call.append(_CountingInt.calls - before)
+        return digits
+
+    monkeypatch.setattr(recurrence, "_SLOT_BITS", bits)
+    monkeypatch.setattr(recurrence, "int", _CountingInt, raising=False)
+    monkeypatch.setattr(recurrence, "_unpack", unpack)
+    assert recurrence_table(g2, build_basis(g2, kind), 10, 10) == wide
+    assert per_call and max(per_call) <= 1, max(per_call)
+
+
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize(
     "algebra, size", [(AlgebraId.A1, 2), (AlgebraId.A2, 10), (AlgebraId.C2, 18), (AlgebraId.G2, 57)]
 )
-def test_the_seed_fill_builds_the_closure_of_its_block(algebra, size, kind, monkeypatch):
-    """At 16 x 16 the seed block, with what it and the P_i need, has a fixed
-    number of entries on each algebra, the same on both kinds: the entries
-    filed when ``_stride`` reads them, before the first axis step."""
+def test_the_seed_fill_builds_the_closure_of_its_block(algebra, size, kind):
+    """The seed block of a 16 x 16 box, below deg P_i on every axis i,
+    with what it and the P_i need, has a fixed number of entries on each
+    algebra, the same on both kinds: a build of the block alone makes no
+    axis step, so its table is that closure."""
     rs = build_root_system(algebra)
+    basis = build_basis(rs, kind)
+    degrees = [len(coeffs) - 1 for coeffs in _build(rs, basis, [(0,) * rs.rank])[1]]
     box = rootsystem.index_box(rs.rank, 16, 16 if rs.rank == 2 else None)
-    seeds = []
-    honest_stride = recurrence._stride
-
-    def stride(axes, stats, corner):
-        seeds.append(len(stats))
-        return honest_stride(axes, stats, corner)
-
-    monkeypatch.setattr(recurrence, "_stride", stride)
-    _build(rs, build_basis(rs, kind), box)
-    assert seeds == [size]
+    block = [t for t in box if all(map(lt, t, degrees))]
+    table, _ = _build(rs, basis, block)
+    assert set(block) <= set(table)
+    assert len(table) == size
 
 
 def _fill_objects(objects) -> list:
@@ -463,6 +500,43 @@ def test_boxes_thinner_than_the_seed_block_match_the_gf_table(algebra, kind):
     for size in sizes:
         table = recurrence_table(rs, build_basis(rs, kind), *size)
         assert table == _gf_slice(algebra, kind, size), size
+
+
+def _reach_boxes(pair):
+    """The pair with a random box: A1 up to 40, a rank-2 side up to 10."""
+    sides = [st.integers(0, 40)] if pair[0] is AlgebraId.A1 else [st.integers(0, 10)] * 2
+    return st.tuples(st.just(pair), st.tuples(*sides))
+
+
+@hypothesis.example(case=((AlgebraId.G2, Kind.FIRST), (2, 9)))
+@hypothesis.example(case=((AlgebraId.C2, Kind.SECOND), (9, 2)))
+@hypothesis.example(case=((AlgebraId.A1, Kind.SECOND), (40,)))
+@hypothesis.given(case=st.sampled_from(_PAIRS).flatmap(_reach_boxes))
+def test_every_entry_stays_within_its_reach(case):
+    """The stride bound is sound: every entry a build makes, the seed's
+    requests outside the box too, has x-degree at most ``_reach`` of its
+    index, and each P_i[k] at most ``_reach`` of k lambda_i."""
+    (algebra, kind), size = case
+    rs = build_root_system(algebra)
+    box = rootsystem.index_box(rs.rank, size[0], size[1] if rs.rank == 2 else None)
+    table, axes = _build(rs, build_basis(rs, kind), box)
+    for t, u in table.items():
+        assert max(u._terms)[0] <= _reach(rs, t), t
+    for i, coeffs in enumerate(axes):
+        for k, terms in enumerate(coeffs):
+            lam = tuple(k * (j == i) for j in range(rs.rank))
+            assert max(terms)[0] <= _reach(rs, lam), (i, k)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("algebra", [AlgebraId.A2, AlgebraId.C2, AlgebraId.G2])
+def test_a_reach_one_short_breaks_the_tables(algebra, kind, monkeypatch):
+    """The stride bound is tight: one lower, some entry's top x-degree
+    aliases the next y-degree, and the 8 x 8 table is wrong."""
+    honest = recurrence._reach
+    monkeypatch.setattr(recurrence, "_reach", lambda rs, t: honest(rs, t) - 1)
+    rs = build_root_system(algebra)
+    assert recurrence_table(rs, build_basis(rs, kind), 8, 8) != _gf_slice(algebra, kind, (8, 8))
 
 
 @pytest.mark.parametrize("algebra, kind", _PAIRS, ids=_PAIR_IDS)
