@@ -33,8 +33,8 @@ from .recurrence import recurrence_table
 from .rootsystem import AlgebraId, build_root_system, index_box
 
 _MAX_INDEX = 64
-# A verify run holds about 0.3 KB per sample (about 30 MB at this bound),
-# plus one block of numerator values, which numeric caps at about 42 MB.
+# A verify run holds about 0.37 KB per used sample (about 37 MB at this
+# bound), plus one block of numerator values, which numeric caps at about 42 MB.
 _MAX_SAMPLES = 100_000
 
 

@@ -167,32 +167,32 @@ def _planned_value(chains: list[list[tuple[int, int, int]]], plan: tuple) -> tup
 
 
 class _Sample(NamedTuple):
-    """A torus point off the singular set, with its index-free values."""
+    """A torus point off the singular set, with its index-free values; its
+    fixed-point axes are recomputed from the point when they are needed."""
 
     point: AnglePoint
-    axes: tuple[tuple[int, int], ...]
     denominator: complex
     variables: tuple[int, ...]  # real parts, fixed point
-
-
-class _TorusSamples(NamedTuple):
-    used: tuple[_Sample, ...]
-    skipped: int
 
 
 class Sampled(NamedTuple):
     """One index's numerator values at the used samples of a
     ``sample_numerators`` run, with the run's key (basis, seed, sample
-    count, index) and its samples."""
+    count, index), its used samples and the count of singular ones it
+    skipped."""
 
     key: tuple[VariableBasis, int, int, tuple[int, ...]]
-    samples: _TorusSamples
+    used: tuple[_Sample, ...]
+    skipped: int
     values: tuple[complex, ...]
 
 
-def _draw_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusSamples:
+def _draw_samples(
+    basis: VariableBasis, seed: int, num_samples: int
+) -> tuple[tuple[_Sample, ...], int]:
     """Draw the seeded points and evaluate the Weyl denominator and the
-    variables there; raises before returning if a variable is not real."""
+    variables there: the used samples and the count skipped.  Raises
+    before returning if a variable is not real."""
     rs = basis.rs
     denominator = signed_orbit_sum(rs, rs.rho)
     extents, (den_plan, *var_plans) = _plans((denominator, *basis.var_laurents))
@@ -202,8 +202,7 @@ def _draw_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusSa
     skipped = 0
     for _ in range(num_samples):
         pt = AnglePoint(rng.random(), rng.random() if rs.rank == 2 else 0.0)
-        axes = _fixed_axes(pt, rs.rank)
-        chains = _power_chains(axes, extents)
+        chains = _power_chains(_fixed_axes(pt, rs.rank), extents)
         den_val = _fixed_complex(_planned_value(chains, den_plan))
         if abs(den_val) < _SINGULAR_CUTOFF:
             skipped += 1
@@ -211,21 +210,21 @@ def _draw_samples(basis: VariableBasis, seed: int, num_samples: int) -> _TorusSa
         variables = [_planned_value(chains, plan) for plan in var_plans]
         if any(abs(v_im) >= imag_limit for _, v_im in variables):
             raise ArithmeticError(f"variable value is not real at {pt}")
-        used.append(_Sample(pt, axes, den_val, tuple(re for re, _ in variables)))
-    return _TorusSamples(tuple(used), skipped)
+        used.append(_Sample(pt, den_val, tuple(re for re, _ in variables)))
+    return tuple(used), skipped
 
 
 def _numerator_values(
-    rs: RootSystem, samples: _TorusSamples, indices: Sequence[tuple[int, ...]]
+    rs: RootSystem, used: Sequence[_Sample], indices: Sequence[tuple[int, ...]]
 ) -> list[tuple[complex, ...]]:
     """Each index's numerator A_{lambda+rho} at every used sample,
-    sample-major: one power chain per axis and sample reaches every
-    numerator's exponents, and no chain outlives its sample."""
+    sample-major: one power chain per axis of the sample's point reaches
+    every numerator's exponents, and no chain outlives its sample."""
     numerators = [signed_orbit_sum(rs, tuple(map(add, index, rs.rho))) for index in indices]
     extents, plans = _plans(numerators)
     columns: list[list[complex]] = [[] for _ in numerators]
-    for sample in samples.used:
-        chains = _power_chains(sample.axes, extents)
+    for sample in used:
+        chains = _power_chains(_fixed_axes(sample.point, rs.rank), extents)
         for plan, column in zip(plans, columns):
             column.append(_fixed_complex(_planned_value(chains, plan)))
     return [tuple(column) for column in columns]
@@ -301,17 +300,17 @@ def sample_numerators(
     is yielded, when every sample is singular.
     """
     _check_request(rs, basis, num_samples, seed, indices)
-    samples = _draw_samples(basis, seed, num_samples)
-    if not samples.used:
+    used, skipped = _draw_samples(basis, seed, num_samples)
+    if not used:
         raise AllPointsSingularError(
             f"all {num_samples} samples were within {_SINGULAR_CUTOFF} of a wall"
         )
-    step = max(1, _MAX_HELD_VALUES // len(samples.used))
+    step = max(1, _MAX_HELD_VALUES // len(used))
     blocks = (indices[start : start + step] for start in range(0, len(indices), step))
     return (
-        Sampled((basis, seed, num_samples, index), samples, values)
+        Sampled((basis, seed, num_samples, index), used, skipped, values)
         for block in blocks
-        for index, values in zip(block, _numerator_values(rs, samples, block))
+        for index, values in zip(block, _numerator_values(rs, used, block))
     )
 
 
@@ -351,7 +350,7 @@ def verify_ratio(
     evaluate, scaled_denominator = _scaled_evaluator(poly, _FIXED_BITS)
     max_err = 0.0
     worst: AnglePoint | None = None
-    for sample, num_val in zip(sampled.samples.used, sampled.values):
+    for sample, num_val in zip(sampled.used, sampled.values):
         err = abs(evaluate(sample.variables) / scaled_denominator - num_val / sample.denominator)
         if err > max_err or worst is None:
             max_err = err
@@ -360,7 +359,7 @@ def verify_ratio(
         samples=num_samples,
         max_abs_error=max_err,
         worst_point=worst,
-        skipped=sampled.samples.skipped,
+        skipped=sampled.skipped,
         tol=tol,
     )
 

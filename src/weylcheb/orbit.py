@@ -68,8 +68,7 @@ class RacahTable:
     neighbours once, and no row is ever rebuilt."""
 
     def __init__(self, index: DominantIndex) -> None:
-        rs = self.rs = index.rs
-        self.index, self.rows = index, {}
+        rs, self.index, self.rows = index.rs, index, {}
         self.offsets = [(tuple(map(sub, rs.rho, act(rs, w, rs.rho))), w.det)
                         for w in rs.elements if w.word]
         # dom(mu + nu) <= mu + dom(nu) for dominant mu, so nothing folds higher
@@ -77,7 +76,7 @@ class RacahTable:
 
     def grow(self, cos: Weight, rank: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The rows of the coset ``cos`` up to ``rank``, a filed one, each folded once."""
-        rs, index, rows = self.rs, self.index, self.rows.setdefault(cos, [])
+        rs, index, rows = self.index.rs, self.index, self.rows.setdefault(cos, [])
         weights = index.cosets[cos]
         if len(rows) <= rank:
             index.grow(height(rs, weights[rank]) + self.reach)
@@ -103,7 +102,7 @@ def exact_divide(table: RacahTable, numerator: LaurentPoly) -> dict[Weight, int]
     Every anti-invariant is A_rho times an invariant, so the division is exact
     when the numerator is anti-invariant, checked before the table is touched
     (NonDivisibleError).  ``place`` grows the index only for unfiled terms."""
-    rs, index = table.rs, table.index
+    rs, index = table.index.rs, table.index
     check_symmetry(rs, numerator._terms, -1, NonDivisibleError, "the numerator")
     lead = {tuple(map(sub, nu, rs.rho)): c for nu, c in numerator._terms.items() if min(nu) > 0}
     parts: dict[Weight, dict[int, int]] = {}

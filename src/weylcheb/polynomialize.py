@@ -145,15 +145,16 @@ class VariableBasis:
     X-monomial lies in its leader's coset, so ``_power_cache`` maps a
     degree vector to its dominant coefficients as a list by rank.
     ``_rules`` holds, per (coset, axis) and by rank, the product rules
-    that build them, as (target rank, coefficient) pairs; ``_packed``,
-    per (coset, slot width) and by slot, the monomials ``reduce`` packed
-    there; and ``_widths`` the widest slots each coset has needed.
+    that build them, as (target rank, coefficient) pairs; and ``_packed``,
+    per coset, the widest slots ``reduce`` has needed there and, by slot,
+    the monomials it packed at that width.
     ``_polys`` maps an index tuple to the polynomial ``genfunc`` computed
     there, kept, like every monomial, as long as the basis.
     ``racah``, the table ``orbit.exact_divide`` reads, shares the index.
-    The caches are only ever added to, but the index, the rule lists and
-    ``racah`` grow in place, so one basis must not reduce or divide in two
-    threads at once.  No cache is a constructor argument, so
+    Only a widened coset's ``_packed`` record is ever replaced; the caches
+    are otherwise only added to, but the index, the rule lists, the packs
+    and ``racah`` grow in place, so one basis must not reduce or divide in
+    two threads at once.  No cache is a constructor argument, so
     ``dataclasses.replace`` gives the new basis empty ones.
     """
 
@@ -162,9 +163,8 @@ class VariableBasis:
     var_laurents: tuple[LaurentPoly, ...]
     _power_cache: dict[Degree, Ranked] = _cache()
     _rules: dict[tuple[Weight, int], list] = _cache()
-    _packed: dict[tuple[Weight, int], dict[int, tuple[int, int]]] = _cache()
+    _packed: dict[Weight, tuple[int, dict[int, tuple[int, int]]]] = _cache()
     _polys: dict[Weight, XYPoly] = _cache()
-    _widths: dict[Weight, int] = _cache()
 
     @cached_property
     def index(self) -> DominantIndex:
@@ -310,10 +310,12 @@ def _pack_ranks(coeffs: Ranked, bits: int) -> int:
 
 
 def _eliminate(
-    basis: VariableBasis, cos: Weight, f: Ranked, bits: int
+    basis: VariableBasis, cos: Weight, f: Ranked, bits: int, packed: dict[int, tuple[int, int]]
 ) -> dict[Weight, int] | None:
     """The leaders of ``f``, integer dominant coefficients by rank in the
-    coset ``cos``; None if a slot of ``bits`` could overflow.
+    coset ``cos``; None if a slot of ``bits`` could overflow.  ``packed``
+    holds, by slot, the coset's monomials packed at ``bits``, each with its
+    largest coefficient, and gains those this call packs.
 
     Rank r has slot k = r + 1, bits k*B to k*B + B - 1 of one integer
     W = f - sum of c_d M_d.  The slots are read from the top down, each as
@@ -326,7 +328,6 @@ def _eliminate(
     if max(map(abs, f)) >= limit:
         return None
     weights = basis.index.cosets[cos]
-    packed = basis._packed.setdefault((cos, bits), {})
     work = _pack_ranks(f, bits)
     half, mask = 1 << (bits - 1), (1 << bits) - 1
 
@@ -374,8 +375,9 @@ def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
     the lcm of its denominators and divided back at the end, and otherwise
     only ``basis.over_x``, rewriting the result over the x_i, makes a
     ``Fraction``.  A coset's slots start at the widest it has needed on
-    this basis (``_widths``), at first ``_SLOT_BITS`` bits, and a coset
-    whose slots could overflow them is redone at twice the width.  A term
+    this basis, its record in ``_packed``, at first ``_SLOT_BITS`` bits;
+    a coset whose slots could overflow them is redone at twice the width,
+    in a new record, as no later call reads the narrower packs.  A term
     the index has not filed, or a residue left, raises
     NonDominantLeaderError; a coefficient not an ``int`` or ``Fraction``,
     or a dict key not dominant (checked over all keys at once, then the
@@ -407,10 +409,9 @@ def reduce(basis: VariableBasis, f: LaurentPoly | DominantCoeffs) -> XYPoly:
 
     out: dict[Degree, int | Fraction] = {}
     for cos, part in parts.items():
-        bits = basis._widths.get(cos, _SLOT_BITS)
-        while (leaders := _eliminate(basis, cos, part, bits)) is None:
-            bits *= 2
-        basis._widths[cos] = bits
+        bits, packed = basis._packed.setdefault(cos, (_SLOT_BITS, {}))
+        while (leaders := _eliminate(basis, cos, part, bits, packed)) is None:
+            bits, packed = basis._packed[cos] = 2 * bits, {}
         out.update(leaders)
     if scale != 1:
         out = {exp: c // scale if c % scale == 0 else Fraction(c, scale) for exp, c in out.items()}

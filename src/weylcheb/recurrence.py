@@ -247,10 +247,11 @@ def poly_via_recurrence(rs: RootSystem, basis: VariableBasis, *index: int) -> XY
 def recurrence_table(
     rs: RootSystem, basis: VariableBasis, max_m: int, max_n: int | None = None
 ) -> dict[tuple[int, ...], XYPoly]:
-    """The full box, every entry one packed step (``_build``)."""
+    """The full box, every entry one packed step (``_build``); each entry
+    over the X_i is dropped as soon as it is rewritten over the x_i."""
     box = index_box(rs.rank, max_m, max_n)
     table, _ = _build(rs, basis, box)
-    return {idx: basis.over_x(table[idx]) for idx in box}
+    return {idx: basis.over_x(table.pop(idx)) for idx in box}
 
 
 # -- companion matrices -------------------------------------------------------

@@ -164,9 +164,9 @@ def test_verify_holds_at_most_the_cap_and_reports_the_same(cap, monkeypatch, cap
     blocks, verified = [], []
     numerator_values, verify_ratio = numeric._numerator_values, cli.verify_ratio
 
-    def recording_block(rs, samples, block):
-        blocks.append(len(block) * len(samples.used))
-        return numerator_values(rs, samples, block)
+    def recording_block(rs, used, block):
+        blocks.append(len(block) * len(used))
+        return numerator_values(rs, used, block)
 
     def recording_verify(*args, **kwargs):
         verified.append(args[2:])

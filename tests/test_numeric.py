@@ -221,7 +221,7 @@ def test_sample_keys_do_not_collide(g2, a1):
     ]
     assert by_seed[0].worst_point != by_seed[1].worst_point
     by_count = [
-        next(numeric.sample_numerators(g2, basis, [(2, 1)], num_samples=count, seed=7)).samples
+        next(numeric.sample_numerators(g2, basis, [(2, 1)], num_samples=count, seed=7))
         for count in (30, 40, 30)
     ]
     assert [len(s.used) + s.skipped for s in by_count] == [30, 40, 30]
@@ -243,9 +243,9 @@ def verify_in_blocks(rs, basis, indices, num_samples, seed, cap):
     blocks = []
     numerator_values = numeric._numerator_values
 
-    def recording(rs, samples, block):
-        blocks.append(len(block) * len(samples.used))
-        return numerator_values(rs, samples, block)
+    def recording(rs, used, block):
+        blocks.append(len(block) * len(used))
+        return numerator_values(rs, used, block)
 
     with mock.patch.object(numeric, "_MAX_HELD_VALUES", cap), mock.patch.object(
         numeric, "_numerator_values", recording

@@ -294,7 +294,7 @@ def test_monomials_built_in_any_order_are_the_laurent_products(algebra, kind, da
         for deg in order:
             laurent = unfold(rs, expected[deg]).scale(prod(map(pow, narrow.leads, deg)))
             assert reduce(narrow, laurent) == XYPoly(rs.rank, {deg: 1}), deg
-    assert max(bits for _, bits in narrow._packed) > 8
+    assert max(bits for bits, _ in narrow._packed.values()) > 8
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -608,10 +608,49 @@ def test_narrow_slots_widen_to_the_same_tables(algebra, kind, monkeypatch):
     table = second_kind_table if kind is Kind.SECOND else first_kind_table
     wide = table(rs, build_basis(rs, kind), *size)
     monkeypatch.setattr(polynomialize, "_SLOT_BITS", 8)
-    basis = build_basis(rs, kind)
-    assert table(rs, basis, *size) == wide
-    widths = {bits for _, bits in basis._packed}
+    eliminations = _spy_eliminations(monkeypatch)
+    assert table(rs, build_basis(rs, kind), *size) == wide
+    widths = {bits for _, bits in eliminations}
     assert min(widths) == 8 and max(widths) > 8, widths
+
+
+def _spy_eliminations(monkeypatch) -> list:
+    """Patch ``polynomialize._eliminate`` to record each call's (coset, width)."""
+    eliminate, calls = polynomialize._eliminate, []
+
+    def spy(basis, cos, f, bits, packed):
+        calls.append((cos, bits))
+        return eliminate(basis, cos, f, bits, packed)
+
+    monkeypatch.setattr(polynomialize, "_eliminate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("algebra", [AlgebraId.A2, AlgebraId.G2])
+def test_a_widened_coset_keeps_one_record_at_its_widest_slots(algebra, kind, monkeypatch):
+    """With 8-bit slots, a 6x6 table leaves one packed record per coset it
+    eliminated, keyed by the coset alone: the widest slots that coset
+    needed, and only monomials packed at that width.  The narrower packs
+    are gone, and the table equals the one at 64-bit slots."""
+    rs = build_root_system(algebra)
+    table = second_kind_table if kind is Kind.SECOND else first_kind_table
+    wide = table(rs, build_basis(rs, kind), 6, 6)
+    monkeypatch.setattr(polynomialize, "_SLOT_BITS", 8)
+    eliminations = _spy_eliminations(monkeypatch)
+    basis = build_basis(rs, kind)
+    assert table(rs, basis, 6, 6) == wide
+    widest = {}
+    for cos, bits in eliminations:
+        widest[cos] = max(bits, widest.get(cos, bits))
+    assert max(widest.values()) > 8, widest
+    assert {cos: bits for cos, (bits, _) in basis._packed.items()} == widest
+    for cos, (bits, packed) in basis._packed.items():
+        weights = basis.index.cosets[cos]
+        for k, (largest, pack) in packed.items():
+            monomial = basis._power_cache[weights[k - 1]]
+            shifted = sum(c << ((r + 1) * bits) for r, c in enumerate(monomial))
+            assert (largest, pack) == (max(map(abs, monomial)), shifted)
 
 
 _WRONG_SWEEPS = {
@@ -671,7 +710,7 @@ def test_reduce_packs_each_coset_over_its_own_weights(algebra):
     basis = build_basis(rs, Kind.SECOND)
     p = XYPoly(2, {(2, 1): 3, (1, 0): -2, (0, 0): 1})
     assert reduce(basis, expand(basis, p)) == p
-    assert len({cos for cos, _ in basis._packed}) == 2
+    assert len(basis._packed) == 2
     for cos, weights in basis.index.cosets.items():
         assert {coset(rs, mu) for mu in weights} == {cos}
 
@@ -688,10 +727,10 @@ def test_a_sweep_out_of_order_ends_in_a_residue_at_a_bounded_width(g2, monkeypat
         sweep[i], sweep[j] = sweep[j], sweep[i]
         return sweep
 
-    def bounded(basis, cos, f, bits):
+    def bounded(basis, cos, f, bits, packed):
         widths.append(bits)
         assert bits <= 4096, "the slots kept widening"
-        return eliminate(basis, cos, f, bits)
+        return eliminate(basis, cos, f, bits, packed)
 
     basis = build_basis(g2, Kind.SECOND)
     _wrong_shells(monkeypatch, swapped)
