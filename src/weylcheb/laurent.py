@@ -112,29 +112,24 @@ class SparsePoly:
             raise ValueError("rank mismatch")
         return True
 
-    def __add__(self, other):
+    def _merge(self, other, sign: int):
+        """self + sign * other, or NotImplemented for a foreign operand."""
         if not self._same_kind(other):
             return NotImplemented
         acc = dict(self._terms)
         for exp, coeff in other._terms.items():
-            new = acc.get(exp, 0) + coeff
+            new = acc.get(exp, 0) + sign * coeff
             if new:
                 acc[exp] = new
             else:
                 acc.pop(exp, None)
         return self._wrap(self.rank, acc)
 
+    def __add__(self, other):
+        return self._merge(other, 1)
+
     def __sub__(self, other):
-        if not self._same_kind(other):
-            return NotImplemented
-        acc = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            new = acc.get(exp, 0) - coeff
-            if new:
-                acc[exp] = new
-            else:
-                acc.pop(exp, None)
-        return self._wrap(self.rank, acc)
+        return self._merge(other, -1)
 
     def __neg__(self):
         return self._wrap(self.rank, {e: -c for e, c in self._terms.items()})

@@ -162,32 +162,27 @@ def _build(
     stride = 1 + max(_reach(rs, t) for t in [box[-1], *requests])
     seed = 1 if kind is Kind.SECOND else len(rs.elements)
     table, packed, stats = {zero: XYPoly.constant(rs.rank, seed)}, {zero: seed}, {zero: seed}
-    bits, sizes, shifts, keys = _SLOT_BITS, {}, {}, []
+    bits, keys = _SLOT_BITS, []
 
     def slot(d: Weight) -> int:
         return d[0] + stride * sum(d[1:])
 
-    def multiplier(terms: dict[Weight, int]) -> frozenset:
-        """M as (degree, coefficient) pairs, its sizes filed; a frozenset
-        keeps its hash, so each cache finds it in constant time."""
-        m = frozenset(terms.items())
-        sizes[m] = sum(map(abs, terms.values()))
-        return m
+    def multiplier(terms: dict[Weight, int]) -> tuple[int, list[tuple[int, int]]]:
+        """M as its size (the sum of its |coefficients|) and (coefficient, slot) pairs."""
+        return sum(map(abs, terms.values())), [(c, slot(d)) for d, c in terms.items()]
 
-    def step(t: Weight | None, reads: list[tuple[frozenset, Weight]], divisor: int = 1) -> dict:
+    def step(t: Weight | None, reads: list[tuple[tuple, Weight]], divisor: int = 1) -> dict:
         """The terms of sum M U_s over the (M, s) ``reads`` divided by
         ``divisor``, filed as entry ``t`` unless it is None."""
-        nonlocal bits, packed, shifts
-        bound = sum(sizes[m] * stats[s] for m, s in reads)
+        nonlocal bits, packed
+        bound = sum(size * stats[s] for (size, _), s in reads)
         if bound >> (bits - 1):
-            bits, packed, shifts = -(-(bound.bit_length() + 1) // 64) * 64, {}, {}
+            bits, packed = -(-(bound.bit_length() + 1) // 64) * 64, {}
         acc = 0
-        for m, s in reads:
+        for (_, m), s in reads:
             if s not in packed:
                 packed[s] = _pack(table[s]._terms, {d: slot(d) for d in table[s]._terms}, bits)
-            if m not in shifts:
-                shifts[m] = [(c, bits * slot(d)) for d, c in m]
-            acc += sum((c * packed[s]) << shift for c, shift in shifts[m])
+            acc += sum((c * packed[s]) << (bits * at) for c, at in m)
         if divisor != 1:  # exact: every entry is integral over the X_i
             acc //= divisor
         digits = _unpack(acc, bits)

@@ -167,16 +167,12 @@ def build_root_system(algebra: AlgebraId) -> RootSystem:
 
 def act(rs: RootSystem, w: WeylElement, mu: Weight) -> Weight:
     """Image of the weight ``mu`` under the group element ``w``."""
-    if len(mu) != rs.rank:
-        raise ValueError("weight rank mismatch")
-    if any(abs(c) >= _COORD_LIMIT for c in mu):
-        raise ValueError("weight coordinate out of supported range")
-    return tuple(sum(row[k] * mu[k] for k in range(rs.rank)) for row in w.matrix)
+    return act_all(rs, w, [mu])[0]
 
 
 def act_all(rs: RootSystem, w: WeylElement, weights: list[Weight]) -> list[Weight]:
-    """Images of many weights under ``w``: ``act`` with its checks made once
-    over the batch."""
+    """Images of many weights under ``w``, with the rank and range checks
+    made once over the batch."""
     d = rs.rank
     if set(map(len, weights)) - {d}:
         raise ValueError("weight rank mismatch")
@@ -185,7 +181,7 @@ def act_all(rs: RootSystem, w: WeylElement, weights: list[Weight]) -> list[Weigh
     ):
         raise ValueError("weight coordinate out of supported range")
     if d != 2:
-        return [act(rs, w, mu) for mu in weights]
+        return [tuple(sum(map(mul, row, mu)) for row in w.matrix) for mu in weights]
     (a, b), (c, e) = w.matrix
     return [(a * x + b * y, c * x + e * y) for x, y in weights]
 

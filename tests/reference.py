@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from weylcheb import LaurentPoly, NonDivisibleError, RationalGF, XYPoly, act, second_kind_table
+from weylcheb import LaurentPoly, NonDivisibleError, RationalGF, XYPoly, second_kind_table
 from weylcheb.genfunc import denominator_coeffs
 from weylcheb.orbit import unfold
 from weylcheb.laurent import _norm_coeff
@@ -36,9 +36,15 @@ def dominant_monomial(basis, deg):
     return {mu: c for mu, c in zip(weights, ranked) if c}
 
 
+def weyl_image(w, mu):
+    """The image of the weight ``mu`` under ``w``: the plain product of
+    ``w.matrix`` with ``mu``, the reference for ``act`` and ``act_all``."""
+    return tuple(sum(a * b for a, b in zip(row, mu)) for row in w.matrix)
+
+
 def orbit_points(rs, lam):
     """Distinct orbit points of ``lam``, in group-element order."""
-    return tuple(dict.fromkeys(act(rs, w, lam) for w in rs.elements))
+    return tuple(dict.fromkeys(weyl_image(w, lam) for w in rs.elements))
 
 
 def product_rule(basis, lam, i):
@@ -117,7 +123,7 @@ def fixed_value(chains, laurent):
 def apply_weyl(poly, rs, w):
     """Move the exponents of a Laurent polynomial through the group element
     ``w``.  Exponent maps are bijective, so no two terms collide."""
-    return LaurentPoly(poly.rank, {act(rs, w, e): c for e, c in poly._terms.items()})
+    return LaurentPoly(poly.rank, {weyl_image(w, e): c for e, c in poly._terms.items()})
 
 
 def from_json_obj(cls, rank, obj):
@@ -134,7 +140,7 @@ def dominant_representative(rs, mu):
     is canonical even though the witnessing element need not be.
     """
     for w in rs.elements:
-        image = act(rs, w, mu)
+        image = weyl_image(w, mu)
         if is_dominant(image):
             return w, image
     raise RuntimeError("orbit failed to meet the dominant chamber")

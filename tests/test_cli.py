@@ -1,4 +1,5 @@
-"""End-to-end checks of the command-line interface via subprocesses."""
+"""End-to-end checks of the command-line interface, in subprocesses through
+``python -m weylcheb.cli`` and in this process through ``cli.main``."""
 
 from __future__ import annotations
 
@@ -45,6 +46,16 @@ def run_cli(*argv: str, env_extra: dict | None = None) -> subprocess.CompletedPr
         text=True,
         env=env,
     )
+
+
+def main_in_process(capsys, *argv: str) -> tuple[int, str, str]:
+    """``cli.main`` run in this process: its exit code, stdout and stderr."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def test_table_latex_contains_known_line():
@@ -131,29 +142,25 @@ def test_verify_json_structure_and_default_seed():
     assert body["results"][1]["dimension"] == 7
 
 
-def test_verify_unreachable_tolerance_fails():
-    proc = run_cli(
-        "verify",
-        "--max-m", "1",
-        "--max-n", "0",
-        "--samples", "25",
-        "--tol", "1e-30",
-        "--format", "plain",
-    )
+def test_verify_unreachable_tolerance_fails(monkeypatch, capsys):
+    argv = ("verify", "--max-m", "1", "--max-n", "0", "--samples", "25", "--tol", "1e-30")
+    proc = run_cli(*argv, "--format", "plain")
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[-1] == "FAILED"
+    monkeypatch.delenv("WEYLCHEB_SEED", raising=False)
+    assert main_in_process(capsys, *argv, "--format", "plain") == (1, proc.stdout, "")
 
 
-def test_verify_with_every_sample_singular_is_a_usage_error():
+def test_verify_with_every_sample_singular_is_a_usage_error(capsys):
     # this seed's one A1 sample lies on a wall
-    proc = run_cli(
-        "verify", "--algebra", "a1", "--max-m", "3", "--samples", "1", "--seed", "585832"
-    )
+    argv = ("verify", "--algebra", "a1", "--samples", "1", "--seed", "585832")
+    proc = run_cli(*argv, "--max-m", "3")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     for part in ("seed 585832", "1 samples", "within 1e-06 of a wall"):
         assert part in proc.stderr
+    assert main_in_process(capsys, *argv, "--max-m", "0") == (2, "", proc.stderr)
 
 
 @pytest.mark.parametrize("cap", [1, 29, 30, 100, 271, 10**6])
@@ -247,15 +254,15 @@ def test_table_artifact_is_pinned(artifact, argv, capsys):
     assert capsys.readouterr().out == want
 
 
-def test_seed_env_variable_matches_flag():
-    via_env = run_cli(
-        "verify", "--max-m", "0", "--max-n", "1", "--samples", "20",
-        env_extra={"WEYLCHEB_SEED": "5"},
-    )
-    via_flag = run_cli("verify", "--max-m", "0", "--max-n", "1", "--samples", "20", "--seed", "5")
+def test_seed_env_variable_matches_flag(monkeypatch, capsys):
+    argv = ("verify", "--max-m", "0", "--max-n", "1", "--samples", "20")
+    via_env = run_cli(*argv, env_extra={"WEYLCHEB_SEED": "5"})
+    via_flag = run_cli(*argv, "--seed", "5")
     assert via_env.returncode == via_flag.returncode == 0
     assert via_env.stdout == via_flag.stdout
     assert json.loads(via_env.stdout)["seed"] == 5
+    monkeypatch.setenv("WEYLCHEB_SEED", "5")
+    assert main_in_process(capsys, *argv) == (0, via_flag.stdout, "")
 
 
 def test_seed_flag_overrides_env_variable():
@@ -268,13 +275,13 @@ def test_seed_flag_overrides_env_variable():
     assert json.loads(overridden.stdout)["seed"] == 9
 
 
-def test_bad_seed_env_variable_is_a_usage_error():
-    proc = run_cli(
-        "verify", "--max-m", "0", "--max-n", "0",
-        env_extra={"WEYLCHEB_SEED": "not-a-number"},
-    )
+def test_bad_seed_env_variable_is_a_usage_error(monkeypatch, capsys):
+    argv = ("verify", "--max-m", "0", "--max-n", "0")
+    proc = run_cli(*argv, env_extra={"WEYLCHEB_SEED": "not-a-number"})
     assert proc.returncode == 2
     assert "WEYLCHEB_SEED" in proc.stderr
+    monkeypatch.setenv("WEYLCHEB_SEED", "not-a-number")
+    assert main_in_process(capsys, *argv) == (2, "", proc.stderr)
 
 
 def test_both_table_routes_are_byte_identical():
@@ -370,10 +377,11 @@ def test_crosscheck_compares_the_polynomials_without_rendering_them(monkeypatch,
         ("table", "--max-m", "1", "--max-n", "1", "--output", "."),
     ],
 )
-def test_usage_errors_exit_with_code_two(argv):
+def test_usage_errors_exit_with_code_two(argv, capsys):
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert proc.stderr
+    assert main_in_process(capsys, *argv) == (2, "", proc.stderr)
 
 
 def test_sample_limit_is_named(capsys):

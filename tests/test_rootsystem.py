@@ -29,7 +29,7 @@ from weylcheb.rootsystem import (
     act_all, check_index, check_weight, coset, dominant_sweep, fold, height, stabilizer_order,
 )
 from g2_reference import NEGATIVE_DET_WORDS
-from reference import dominant_representative, is_dominant, orbit_points
+from reference import dominant_representative, is_dominant, orbit_points, weyl_image
 
 ALL_ALGEBRAS = [AlgebraId.A1, AlgebraId.A2, AlgebraId.C2, AlgebraId.G2]
 ORDERS = {AlgebraId.A1: 2, AlgebraId.A2: 6, AlgebraId.C2: 8, AlgebraId.G2: 12}
@@ -172,11 +172,14 @@ def test_fold_random(mu):
 
 @pytest.mark.parametrize("algebra", ALL_ALGEBRAS)
 def test_act_all_matches_act(algebra):
+    """Both actions agree with the plain matrix product, weight by weight."""
     rs = build_root_system(algebra)
     span = range(-3, 4)
     weights = [(a,) for a in span] if rs.rank == 1 else [(a, b) for a in span for b in span]
     for w in rs.elements:
-        assert act_all(rs, w, weights) == [act(rs, w, mu) for mu in weights]
+        expected = [weyl_image(w, mu) for mu in weights]
+        assert act_all(rs, w, weights) == expected, w.word
+        assert [act(rs, w, mu) for mu in weights] == expected, w.word
     w = rs.elements[1]
     with pytest.raises(ValueError, match="out of supported range"):
         act_all(rs, w, [(2**31,) + (0,) * (rs.rank - 1)])
