@@ -13,10 +13,10 @@ coefficients of the quotient go straight to ``reduce``.  A basis computes
 each polynomial once and keeps it (``VariableBasis._polys``).
 
 For the second kind the full generating function is rational; this module
-also computes its closed form: per-axis denominators P_k (products over the
-det = +1 diagonal entries) and the finite numerator table K obtained by
-convolving the polynomial table against the denominator coefficients, one
-axis at a time.
+also computes its closed form: per-axis denominators P_k
+(``orbit.axis_denominator`` over the variables) and the numerator table K,
+the polynomial table convolved with them one axis at a time.  The tables
+never read P_k, so they check the recurrence, which steps by P_k.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from operator import add, mul
 
 from .laurent import LaurentPoly, NonDivisibleError
 # bench/tracing.py wraps genfunc.exact_divide (called here) and genfunc.orbit_sum (unused).
-from .orbit import Kind, exact_divide, orbit_sum, unit_weight
+from .orbit import Kind, axis_denominator, exact_divide, orbit_sum, unit_weight
 from .polynomialize import NonDominantLeaderError, NotInvariantError, VariableBasis, XYPoly
 from .polynomialize import _check_basis, reduce
 from .rootsystem import RootSystem, Weight, act, check_index, index_box, stabilizer_order
@@ -41,7 +41,6 @@ class ConvolutionNotTerminatingError(ArithmeticError):
     """Numerator entries persist beyond the denominator degree bound."""
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: the axis True is rejected, not read as 1
 def diagonal_exp_matrix(rs: RootSystem, i: int) -> tuple[Weight, ...]:
     """Diagonal of the exponential matrix for the fundamental weight
     lambda_i: entry j is w_j . lambda_i, with j running over the group
@@ -147,32 +146,18 @@ class RationalGF:
 
 
 def denominator_coeffs(rs: RootSystem, basis: VariableBasis, i: int) -> tuple[XYPoly, ...]:
-    """Coefficients of P_{i+1}(t) = prod over det = +1 positions of
-    (1 - t z^{w lambda_i}), each coefficient rewritten over the variables.
-
-    Each coefficient is an elementary symmetric function of a full Weyl
-    orbit (the det classes hit every orbit point exactly once at rank 2),
-    hence W-invariant and reducible.
-    """
+    """The coefficients of P_{i+1}, ``orbit.axis_denominator``, each rewritten
+    over the variables: elementary symmetric functions of the orbit of
+    lambda_i, hence W-invariant and reducible."""
     _check_basis(rs, basis)
-    coeffs: list[LaurentPoly] = [LaurentPoly.one(rs.rank)]
-    for mu, w in zip(diagonal_exp_matrix(rs, i), rs.elements):
-        if w.det != 1:
-            continue
-        factor = LaurentPoly.monomial(rs.rank, mu)
-        nxt = [coeffs[0]]
-        for k in range(1, len(coeffs) + 1):
-            prev = coeffs[k] if k < len(coeffs) else LaurentPoly.zero(rs.rank)
-            nxt.append(prev - coeffs[k - 1] * factor)
-        coeffs = nxt
-    reduced = tuple(reduce(basis, c) for c in coeffs)
+    reduced = tuple(reduce(basis, c) for c in axis_denominator(rs, i))
     if reduced[0] != XYPoly.constant(rs.rank, 1):
         raise RuntimeError("denominator constant term is not 1")
     return reduced
 
 
 def closed_form_gf(rs: RootSystem, basis: VariableBasis) -> RationalGF:
-    """Denominators from the diagonal-matrix products, numerator by finite
+    """Denominators from the orbit products, numerator by finite
     convolution of the polynomial table T against them, one axis at a time:
     H[a, j] = sum_b T[a, b] P2[j - b], then K[i, j] = sum_a P1[i - a] H[a, j]."""
     if rs.rank != 2:

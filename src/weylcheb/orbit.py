@@ -10,12 +10,13 @@ chamber and returns the dominant coefficients of the invariant quotient;
 it reads a ``RacahTable``, which folds each weight's terms of A_rho once.
 ``unfold`` spreads dominant coefficients back over their orbits.  Both
 kinds of variable, and every second-kind polynomial on the
-generating-function route, come from them.
+generating-function route, come from them.  ``axis_denominator`` gives P_i.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from operator import add, mul, sub
 
 from .laurent import LaurentPoly, NonDivisibleError
@@ -31,19 +32,20 @@ class Kind(Enum):
 
 def orbit_sum(rs: RootSystem, n: Weight) -> LaurentPoly:
     """Sum of z^(w.n) over every group element w."""
-    acc: dict[Weight, int] = {}
-    for w in rs.elements:
-        exp = act(rs, w, n)
-        acc[exp] = acc.get(exp, 0) + 1
-    return LaurentPoly(rs.rank, acc)
+    return _group_sum(rs, n, False)
 
 
 def signed_orbit_sum(rs: RootSystem, k: Weight) -> LaurentPoly:
     """Sum of det(w) * z^(w.k) over every group element w."""
+    return _group_sum(rs, k, True)
+
+
+def _group_sum(rs: RootSystem, n: Weight, signed: bool) -> LaurentPoly:
+    """Sum of z^(w.n) over every group element w, weighted by det(w) if ``signed``."""
     acc: dict[Weight, int] = {}
     for w in rs.elements:
-        exp = act(rs, w, k)
-        acc[exp] = acc.get(exp, 0) + w.det
+        exp = act(rs, w, n)
+        acc[exp] = acc.get(exp, 0) + (w.det if signed else 1)
     return LaurentPoly(rs.rank, acc)
 
 
@@ -53,6 +55,18 @@ def unit_weight(rs: RootSystem, i: int) -> Weight:
     if type(i) is not int or not 0 <= i < rs.rank:
         raise ValueError(f"a rank-{rs.rank} root system has axes 0 to {rs.rank - 1}, got {i!r}")
     return tuple(1 if j == i else 0 for j in range(rs.rank))
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: the axis True is rejected, not read as 1
+def axis_denominator(rs: RootSystem, i: int) -> tuple[LaurentPoly, ...]:
+    """Laurent coefficients of P_i(t) = prod (1 - t z^nu), ascending in t, nu
+    over the distinct orbit points of lambda_i in group-element order: the
+    closed form's denominator of axis ``i``, and what the recurrence steps by."""
+    lam, nil, coeffs = unit_weight(rs, i), LaurentPoly.zero(rs.rank), [LaurentPoly.one(rs.rank)]
+    for nu in dict.fromkeys(act(rs, w, lam) for w in rs.elements):
+        z = LaurentPoly.monomial(rs.rank, nu)
+        coeffs = [a - b * z for a, b in zip([*coeffs, nil], [nil, *coeffs])]
+    return tuple(coeffs)
 
 
 class RacahTable:

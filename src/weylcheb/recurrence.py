@@ -28,7 +28,8 @@ coefficient of P_i and k = 0 rewrites P_i over the X_i.  Both kinds are
 sums of geometric sequences along axis i, with ratios z^nu over the
 orbit of lambda_i, so P_i(t) = prod (1 - t z^nu) annihilates every row
 or column from deg P_i on: the first deg P_1 columns step along n by
-P_2, every later column along m by P_1.
+P_2, every later column along m by P_1.  The closed form's denominators
+are these P_i, ``orbit.axis_denominator``; the GF route's tables never read them.
 
 The companion matrices realize the one-variable recurrences hidden in the
 closed-form denominators: first column = negated denominator coefficients,
@@ -44,13 +45,12 @@ from struct import unpack
 from typing import Sequence
 
 from .genfunc import RationalGF, denominator_coeffs
-from .laurent import LaurentPoly
-from .orbit import Kind, unit_weight
+from .orbit import Kind, axis_denominator, unit_weight
 from .polynomialize import _VAR_NAMES, NotInvariantError, VariableBasis, XYPoly, _check_basis
 from .polynomialize import reduce  # noqa: F401  bench/tracing.py wraps it; the fill never calls it
 from .rootsystem import (
-    _COORD_LIMIT, RootSystem, Weight, _adjugate, act, check_index, check_symmetry, check_weight,
-    fold, index_box,
+    _COORD_LIMIT, RootSystem, Weight, _adjugate, check_index, check_symmetry, check_weight, fold,
+    index_box,
 )
 
 # Bits per slot of the packed steps, widened for a step that could overflow them.
@@ -148,14 +148,8 @@ def _build(
     for i, (name, x, lead) in enumerate(zip(_VAR_NAMES, basis.var_laurents, basis.leads)):
         check_symmetry(rs, x._terms, 1, NotInvariantError, f"the variable {name}")
         rules.append((unit_weight(rs, i), [(mu, c // lead) for mu, c in x._terms.items()]))
-    one, nil = LaurentPoly.one(rs.rank), LaurentPoly.zero(rs.rank)
-    folded = []
-    for i in range(rs.rank):
-        coeffs = [one]
-        for nu in {act(rs, w, unit_weight(rs, i)) for w in rs.elements}:
-            z = LaurentPoly.monomial(rs.rank, nu)
-            coeffs = [a - b * z for a, b in zip([*coeffs, nil], [nil, *coeffs])]
-        folded.append([[(_fold(rs, kind, mu), c) for mu, c in e._terms.items()] for e in coeffs])
+    folded = [[[(_fold(rs, kind, mu), c) for mu, c in e._terms.items()]
+               for e in axis_denominator(rs, i)] for i in range(rs.rank)]
     degrees = [len(coeffs) - 1 for coeffs in folded]
     needed = {n.index for coeffs in folded for e in coeffs for n, _ in e if n.sign}
     requests = [t for t in box if all(c < d for c, d in zip(t, degrees))] + sorted(needed)

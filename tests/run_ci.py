@@ -2,7 +2,8 @@
 
 Reads ``.github/workflows/tests.yml`` and runs every ``run:`` step except
 "Install", in order, with ``bash -e``, in a temporary copy of the
-repository.  Each step sees ``PYTHONPATH=src`` and a temporary ``bin/`` at
+repository.  A step whose ``if:`` is ``matrix.python-version == 'X.Y'``
+runs only on Python X.Y, and is reported as skipped on the others.  Each step sees ``PYTHONPATH=src`` and a temporary ``bin/`` at
 the front of ``PATH``, in which ``python`` and ``python3`` are the chosen
 interpreter and ``weylcheb`` runs ``python -m weylcheb.cli``: what
 ``pip install -e .`` gives the workflow.
@@ -40,6 +41,7 @@ WORKFLOW = Path(".github/workflows/tests.yml")
 SKIPPED_STEPS = {"Install"}
 # What a copy of the repository does not need: history and caches.
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+_ONLY_ON = re.compile(r"matrix\.python-version == '(\d+\.\d+)'")
 _MODULE_RUN = re.compile(r"\bpython3?\s+-m\s+([\w.]+)")
 _SCRIPT_RUN = re.compile(r"\bpython3?\s+([\w./-]+\.py)\b")
 _FIND_SPECS = (
@@ -48,14 +50,21 @@ _FIND_SPECS = (
 )
 
 
-def workflow_steps(root: Path) -> list[tuple[str, str]]:
-    """(name, script) of every ``run:`` step to run, in workflow order."""
+def workflow_steps(root: Path) -> list[tuple[str, str, str | None]]:
+    """(name, script, the one Python version it runs on or None) of every
+    ``run:`` step to run, in workflow order."""
     workflow = yaml.safe_load((root / WORKFLOW).read_text(encoding="utf-8"))
     steps = []
     for job in workflow["jobs"].values():
         for step in job["steps"]:
             if "run" in step and step.get("name") not in SKIPPED_STEPS:
-                steps.append((step.get("name") or step["run"].splitlines()[0], step["run"]))
+                name = step.get("name") or step["run"].splitlines()[0]
+                only = None
+                if "if" in step:
+                    if not (match := _ONLY_ON.fullmatch(step["if"].strip())):
+                        raise SystemExit(f"step {name!r}: unsupported condition {step['if']!r}")
+                    only = match[1]
+                steps.append((name, step["run"], only))
     return steps
 
 
@@ -102,7 +111,9 @@ def make_bin(bin_dir: Path, python: str) -> None:
         path.chmod(0o755)
 
 
-def run_interpreter(python: str, steps: list[tuple[str, str]]) -> list[tuple[str, str, str]]:
+def run_interpreter(
+    python: str, steps: list[tuple[str, str, str | None]]
+) -> list[tuple[str, str, str]]:
     """Run every step under ``python`` in a fresh copy; one (name, status,
     detail) per step."""
     results = []
@@ -123,8 +134,12 @@ def run_interpreter(python: str, steps: list[tuple[str, str]]) -> list[tuple[str
             ["python", "-c", "import platform; print(platform.python_version())"],
             env=env, capture_output=True, text=True, check=True,
         ).stdout.strip()
-        for name, script in steps:
+        for name, script, only in steps:
             label = f"{version:<8} {name}"
+            if only and version.split(".")[:2] != only.split("."):
+                results.append((name, "skipped", f"runs on {only} only"))
+                print(f"skipped  {label}: runs on {only} only", flush=True)
+                continue
             missing = missing_modules(script, copy, env)
             if missing:
                 results.append((name, "skipped", f"no module {', '.join(missing)}"))
@@ -153,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     steps = workflow_steps(ROOT)
-    outcomes: dict[str, list[tuple[str, str]]] = {name: [] for name, _ in steps}
+    outcomes: dict[str, list[tuple[str, str]]] = {name: [] for name, _, _ in steps}
     for python in args.python or [sys.executable]:
         for name, status, detail in run_interpreter(python, steps):
             outcomes[name].append((status, detail))

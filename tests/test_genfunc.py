@@ -35,7 +35,7 @@ from weylcheb import (
     weyl_dimension,
 )
 from weylcheb.genfunc import denominator_coeffs, diagonal_exp_matrix
-from weylcheb.orbit import RacahTable
+from weylcheb.orbit import RacahTable, axis_denominator
 from weylcheb.rootsystem import DominantIndex, height, index_box
 from g2_reference import K_TABLE, P1_COEFFS, P2_COEFFS, SECOND_KIND, SINGULAR_ELEMENT
 from reference import closed_form_both_axes, exact_divide, expand, orbit_points
@@ -63,14 +63,16 @@ def test_trace_equals_orbit_sums(g2):
 )
 def test_an_axis_outside_the_rank_is_rejected(algebra, axis):
     """An axis is an int in range(rank); before, an axis past the rank gave
-    the zero weight and True read as axis 1, even from the diagonal cache."""
+    the zero weight and True read as axis 1, even from the axis_denominator
+    cache."""
     rs = build_root_system(algebra)
     basis = build_basis(rs, Kind.SECOND)
-    diagonal_exp_matrix(rs, rs.rank - 1)
+    axis_denominator(rs, rs.rank - 1)
     message = re.escape(f"a rank-{rs.rank} root system has axes 0 to {rs.rank - 1}, got {axis!r}")
     calls = {
         "unit_weight": lambda: unit_weight(rs, axis),
         "diagonal_exp_matrix": lambda: diagonal_exp_matrix(rs, axis),
+        "axis_denominator": lambda: axis_denominator(rs, axis),
         "denominator_coeffs": lambda: denominator_coeffs(rs, basis, axis),
     }
     for name, call in calls.items():
@@ -432,3 +434,11 @@ def test_a_denominator_whose_constant_term_is_not_one_is_refused(g2, monkeypatch
     monkeypatch.setattr(genfunc_module, "reduce", lambda basis, f: XYPoly.constant(2, 2))
     with pytest.raises(RuntimeError, match="denominator constant term is not 1"):
         denominator_coeffs(g2, basis, 0)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_the_a1_denominator_is_the_chebyshev_recurrence(a1, kind):
+    """On A1 the orbit of lambda is {1, -1}, so P(t) = 1 - x t + t^2 in both
+    kinds: U_{n+1} = x U_n - U_{n-1}."""
+    coeffs = denominator_coeffs(a1, build_basis(a1, kind), 0)
+    assert [p.as_text() for p in coeffs] == ["1", "-x", "1"]

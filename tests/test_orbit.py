@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
+from itertools import combinations
 from operator import add
 
 import pytest
@@ -22,10 +23,10 @@ from weylcheb import (
     unit_weight,
     variable_laurents,
 )
-from weylcheb.orbit import RacahTable, exact_divide as dominant_divide
+from weylcheb.orbit import RacahTable, axis_denominator, exact_divide as dominant_divide
 from weylcheb.rootsystem import DominantIndex, coset, dominant_sweep, fold, height, index_box
 from g2_reference import SINGULAR_ELEMENT, X_LAURENT, Y_LAURENT
-from reference import apply_weyl, exact_divide
+from reference import apply_weyl, exact_divide, orbit_points
 
 small_weights = st.tuples(
     st.integers(min_value=-6, max_value=6), st.integers(min_value=-6, max_value=6)
@@ -103,6 +104,24 @@ def test_singular_element_g2(g2):
     got = signed_orbit_sum(g2, (1, 1))
     assert got == LaurentPoly(2, SINGULAR_ELEMENT)
     assert len(got) == 12
+
+
+@pytest.mark.parametrize("algebra", list(AlgebraId))
+def test_axis_denominators_are_products_over_the_orbit_points(algebra):
+    """The coefficient of t^k in P_i(t) = prod (1 - t z^nu) is (-1)^k times
+    the sum of z^(nu_1 + ... + nu_k) over the k-subsets of the orbit of
+    lambda_i, on every axis."""
+    rs = build_root_system(algebra)
+    for i in range(rs.rank):
+        points = orbit_points(rs, unit_weight(rs, i))
+        expected = []
+        for k in range(len(points) + 1):
+            acc = {}
+            for subset in combinations(points, k):
+                exp = tuple(map(sum, zip((0,) * rs.rank, *subset)))
+                acc[exp] = acc.get(exp, 0) + (-1) ** k
+            expected.append(LaurentPoly(rs.rank, acc))
+        assert axis_denominator(rs, i) == tuple(expected), (algebra, i)
 
 
 def test_g2_second_kind_variables(g2):

@@ -228,19 +228,20 @@ def test_the_table_builds_exactly_its_box(g2, g2_second):
 
 
 @pytest.mark.parametrize("kind", list(Kind))
-@pytest.mark.parametrize("algebra", [AlgebraId.A2, AlgebraId.C2, AlgebraId.G2])
+@pytest.mark.parametrize("algebra", list(AlgebraId))
 def test_axis_polynomials_are_the_closed_form_denominators(algebra, kind):
     """The fill's own P_i, rewritten over the X_i through the table, is
     the closed form's denominator, which reduce rewrites over the x_i."""
     rs = build_root_system(algebra)
     basis = build_basis(rs, kind)
-    _, axes = _build(rs, basis, [(0, 0)])
+    _, axes = _build(rs, basis, [(0,) * rs.rank])
     for i, coeffs in enumerate(axes):
         expected = [
-            XYPoly(2, {d: c * prod(map(pow, basis.leads, d)) for d, c in poly.terms()})
+            XYPoly(rs.rank, {d: c * prod(map(pow, basis.leads, d)) for d, c in poly.terms()})
             for poly in denominator_coeffs(rs, basis, i)
         ]
-        assert coeffs == [p._terms for p in expected], (i, [XYPoly(2, c).as_text() for c in coeffs])
+        texts = [XYPoly(rs.rank, c).as_text() for c in coeffs]
+        assert coeffs == [p._terms for p in expected], (i, texts)
 
 
 def _spy_packs(monkeypatch) -> list:
@@ -606,6 +607,23 @@ def test_the_recurrence_route_runs_without_the_gf_route(algebra, kind, monkeypat
     ):
         monkeypatch.setattr(owner, name, refuse)
     assert recurrence_table(rs, basis, *size) == expected
+
+
+@pytest.mark.parametrize("algebra, kind", _PAIRS, ids=_PAIR_IDS)
+def test_the_gf_route_runs_without_the_axis_denominators(algebra, kind, monkeypatch):
+    """The GF route's tables never read P_i: with ``axis_denominator`` made
+    to raise in ``orbit`` and in ``genfunc``, they still equal the tables of
+    the recurrence, which steps by P_i, at 8 x 8 (A1: 0..12)."""
+    rs = build_root_system(algebra)
+    size = (12,) if rs.rank == 1 else (8, 8)
+    expected = recurrence_table(rs, build_basis(rs, kind), *size)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the GF route read an axis denominator")
+
+    for owner in (orbit, genfunc):
+        monkeypatch.setattr(owner, "axis_denominator", refuse)
+    assert _gf_table(rs, build_basis(rs, kind), *size) == expected
 
 
 @pytest.mark.parametrize("algebra, kind", _PAIRS, ids=_PAIR_IDS)
